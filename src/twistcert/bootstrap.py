@@ -7,7 +7,7 @@ re-checks emitted certificates from scratch.
 
 A certificate stores one schema node per (subset size, enclosure class)
 rather than one node per subset; the verifier closes the gap by
-exhaustively enumerating subsets up to a configurable genus bound and
+enumerating every connected subset up to a configurable genus bound and
 checking that every subset is concluded by some node, re-running the
 classifier and all arithmetic side conditions as it goes.
 """
@@ -15,18 +15,18 @@ classifier and all arithmetic side conditions as it goes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
 from . import __version__
-from ._parallel import worker_count
 from .lickorish import (
     CurveSet,
     LickorishError,
     claim_fits_clause,
+    connected_masks,
     curve_names,
+    disconnected_sizes,
     is_connected,
     is_connected_mask,
     size_classify,
@@ -595,8 +595,24 @@ def certificate_from_json(text: str) -> Certificate:
     return certificate_from_json_dict(json.loads(text))
 
 
-EXHAUSTIVE_DEFAULT = 6
-EXHAUSTIVE_HARD_CAP = 8
+EXHAUSTIVE_DEFAULT = 10
+EXHAUSTIVE_HARD_CAP = 12
+
+
+def coverage_mode(g: int, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) -> dict:
+    """How :func:`verify` covers the subsets of a genus-g certificate.
+
+    ``exhaustive`` when 3 <= g <= min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP):
+    every connected subset of size >= 3 is enumerated and re-classified,
+    and ``connected_subsets`` counts them.  Otherwise ``schema-only``:
+    the node inventory and its side conditions are checked, but no
+    subset is enumerated.
+    """
+    bound = min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP)
+    if not (isinstance(g, int) and 3 <= g <= bound):
+        return {"mode": "schema-only", "max_genus": bound}
+    classified = sum(1 for mask in connected_masks(g) if mask.bit_count() >= 3)
+    return {"mode": "exhaustive", "max_genus": bound, "connected_subsets": classified}
 
 
 def verify(cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) -> list[Violation]:
@@ -604,9 +620,9 @@ def verify(cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) ->
 
     Nothing emitter-computed is trusted: the expected node inventory is
     re-derived from the header, packing plans are re-validated, count
-    instances re-evaluated, and (for genus up to the exhaustive bound)
-    every subset of the generator set is re-classified and matched
-    against a covering node.
+    instances re-evaluated, and (for genus up to the exhaustive bound, see
+    :func:`coverage_mode`) every connected subset of the generator set is
+    re-classified and matched against a covering node.
     """
     violations: list[Violation] = []
 
@@ -714,7 +730,7 @@ def verify(cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) ->
         return violations
 
     # subset coverage
-    if g <= min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP) and g >= 3:
+    if coverage_mode(g, exhaustive_max_genus)["mode"] == "exhaustive":
         violations.extend(_exhaustive_coverage(cert))
     return violations
 
@@ -763,48 +779,40 @@ def _check_plan_witness(node: RuleApp, kind, ell, expected_marked, g: int, bad) 
             expected_marked, "marked piece count mismatch")
 
 
-def _coverage_summary(cert: Certificate) -> dict:
-    """Picklable digest of which subsets the certificate's nodes cover."""
+def _exhaustive_coverage(cert: Certificate) -> list[Violation]:
+    """Confirm some node concludes every subset of the generator set.
+
+    Subsets of size <= 2 fall to the genus1_step node and disconnected
+    ones to the split_commuting node of their size; every connected
+    subset of size >= 3 is enumerated, re-classified and matched against
+    a connected_bootstrap node.
+    """
+    g = cert.genus
     conn_nodes: dict[tuple[int, int], int] = {}  # (size, boundary) -> genus cap
     split_sizes: set[int] = set()
-    genus1_ok = False
     for node in cert.nodes:
-        if node.rule == "genus1_step":
-            genus1_ok = True
-        elif node.rule == "split_commuting":
+        if node.rule == "split_commuting":
             split_sizes.add(node.params["size"])
         elif node.rule == "connected_bootstrap":
             key = (node.params["size"], node.params["claim_boundary"])
             conn_nodes[key] = max(conn_nodes.get(key, -1), node.params["claim_genus"])
-    return {
-        "g": cert.genus,
-        "conn": conn_nodes,
-        "splits": split_sizes,
-        "genus1": genus1_ok,
-    }
-
-
-def _scan_coverage(summary: dict, lo: int, hi: int) -> list[Violation]:
-    """Check one bitmask range of subsets against the coverage digest,
-    re-running the classifier for every connected subset."""
-    g = summary["g"]
-    conn_nodes, split_sizes, genus1_ok = summary["conn"], summary["splits"], summary["genus1"]
+    if not any(node.rule == "genus1_step" for node in cert.nodes):
+        return [Violation(-1, "coverage", "size<=2", None, None,
+                          "no genus1_step node covers small subsets")]
+    for size in sorted(disconnected_sizes(g)):
+        if size >= 3 and size not in split_sizes:
+            return [Violation(-1, "coverage", "split", size, sorted(split_sizes),
+                              f"no split node for disconnected subsets of size {size}")]
     violations: list[Violation] = []
-    for mask in range(lo, hi):
+    for mask in connected_masks(g):
         size = mask.bit_count()
         if size <= 2:
-            if not genus1_ok:
-                violations.append(Violation(-1, "coverage", "size<=2", None, None,
-                                            "no genus1_step node covers small subsets"))
-                return violations
-            continue
-        if not is_connected_mask(g, mask):
-            if size not in split_sizes:
-                violations.append(Violation(-1, "coverage", "split", size, sorted(split_sizes),
-                                            f"no split node for disconnected subsets of size {size}"))
-                return violations
             continue
         s = CurveSet.from_mask(g, mask)
+        if not is_connected_mask(g, mask):
+            violations.append(Violation(-1, "coverage", "enumerator", s.sorted_members(), None,
+                                        "enumerated subset is disconnected"))
+            continue
         try:
             claim = size_classify(s, g)
         except LickorishError as exc:
@@ -822,23 +830,3 @@ def _scan_coverage(summary: dict, lo: int, hi: int) -> list[Violation]:
             if len(violations) > 20:
                 return violations
     return violations
-
-
-def _exhaustive_coverage(cert: Certificate) -> list[Violation]:
-    """Enumerate every subset of the generator set and confirm some node
-    concludes it; large ranges are partitioned across a process pool."""
-    summary = _coverage_summary(cert)
-    total = 1 << (3 * cert.genus - 1)
-    workers = worker_count()
-    if workers <= 1 or total < (1 << 18):
-        return _scan_coverage(summary, 1, total)
-    violations: list[Violation] = []
-    step = (total + workers - 1) // workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_scan_coverage, summary, lo, min(lo + step, total))
-            for lo in range(1, total, step)
-        ]
-        for fut in futures:
-            violations.extend(fut.result())
-    return violations[:32]

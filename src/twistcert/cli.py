@@ -34,6 +34,7 @@ from .bootstrap import (
     Failure,
     Theorem,
     certificate_from_json,
+    coverage_mode,
     derive_kg,
     derive_main,
     derive_technical,
@@ -124,11 +125,12 @@ def _cmd_classify(args) -> int:
     counts: dict[str, int] = {}
     failures: list[str] = []
     checked = 0
-    for mask in range(1, 1 << (3 * g - 1)):
+    for mask in lk.connected_masks(g):
+        s = lk.CurveSet.from_mask(g, mask)
         if not lk.is_connected_mask(g, mask):
+            failures.append(f"{s.sorted_members()}: enumerated subset is disconnected")
             continue
         checked += 1
-        s = lk.CurveSet.from_mask(g, mask)
         try:
             claim = lk.size_classify(s, g)
         except lk.LickorishError as exc:
@@ -220,17 +222,15 @@ def _cmd_check(args) -> int:
         return 2
     bound = args.exhaustive_max_genus
     if bound > EXHAUSTIVE_HARD_CAP:
-        print(
-            f"warning: exhaustive bound {bound} capped at {EXHAUSTIVE_HARD_CAP} "
-            f"(2^{3 * EXHAUSTIVE_HARD_CAP - 1} subsets)",
-            file=sys.stderr,
-        )
+        print(f"warning: exhaustive bound {bound} capped at genus {EXHAUSTIVE_HARD_CAP}", file=sys.stderr)
         bound = EXHAUSTIVE_HARD_CAP
     elif bound > EXHAUSTIVE_DEFAULT:
         print(f"warning: exhaustive sweep above genus {EXHAUSTIVE_DEFAULT} is slow", file=sys.stderr)
+    coverage = coverage_mode(cert.genus, bound)
     violations = verify(cert, exhaustive_max_genus=bound)
     payload = {
         "command": "check",
+        "coverage": coverage,
         "file": args.file,
         "genus": cert.genus,
         "dim": cert.dim,
@@ -240,6 +240,11 @@ def _cmd_check(args) -> int:
     }
     status = "PASS" if not violations else "FAIL"
     lines = [f"check {args.file}: {status} (g={cert.genus}, dim={cert.dim}, {cert.theorem.value})"]
+    if coverage["mode"] == "exhaustive":
+        lines.append(f"  coverage: exhaustive up to genus {coverage['max_genus']} "
+                     f"({coverage['connected_subsets']} connected subsets of size >= 3)")
+    else:
+        lines.append(f"  coverage: schema-only, no subset enumerated (exhaustive bound: genus {coverage['max_genus']})")
     lines += [f"  violation: {v}" for v in violations[:20]]
     if len(violations) > 20:
         lines.append(f"  ... and {len(violations) - 20} more")

@@ -18,9 +18,11 @@ in ``twistcert.surface``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Optional
 
 
@@ -196,6 +198,41 @@ def components_mask(g: int, mask: int) -> list[int]:
 
 def is_connected_mask(g: int, mask: int) -> bool:
     return len(components_mask(g, mask)) <= 1
+
+
+def connected_masks(g: int) -> list[int]:
+    """Every nonempty connected subset as a bitmask, in ascending order.
+
+    Extension-set recursion (Wernicke's ESU): each set is rooted at its
+    lowest curve and grows only by neighbours above the root that are
+    exclusive, i.e. not yet adjacent to the set, so each connected set
+    is produced exactly once without scanning all 2^(3g-1) masks.
+    """
+    adj = adjacency_masks(g)
+    out: list[int] = []
+
+    def extend(sub: int, ext: int, closed: int, above: int) -> None:
+        out.append(sub)
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            nbrs = adj[bit.bit_length() - 1]
+            extend(sub | bit, ext | (nbrs & above & ~closed), closed | nbrs, above)
+
+    for root in range(len(adj)):
+        bit = 1 << root
+        above = -(bit << 1)  # every index above the root
+        extend(bit, adj[root] & above, bit | adj[root], above)
+    out.sort()
+    return out
+
+
+def disconnected_sizes(g: int) -> set[int]:
+    """Sizes k that some disconnected k-subset has: exactly those where
+    C(3g-1, k) exceeds the number of connected k-subsets."""
+    n = 3 * g - 1
+    connected = Counter(mask.bit_count() for mask in connected_masks(g))
+    return {k for k in range(1, n + 1) if comb(n, k) > connected[k]}
 
 
 def chain_order(s: CurveSet) -> Optional[list[str]]:
@@ -502,7 +539,8 @@ def classify_chain(s: CurveSet, g: int) -> EnclosureClaim:
     sep = separating_chain_form(s)
     if sep is not None:
         i, j = sep
-        assert m == 2 * (j - i) + 3
+        if m != 2 * (j - i) + 3:
+            raise LickorishError(f"separating chain a{i}..a{j} has length {m}, not {2 * (j - i) + 3}")
         return EnclosureClaim(j - i + 1, 1, True, ClaimCase.CHAIN_ODD_SEPARATING.value)
     return EnclosureClaim((m - 1) // 2, 2, True, ClaimCase.CHAIN_ODD.value)
 

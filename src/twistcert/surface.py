@@ -408,7 +408,11 @@ class SubsurfaceReport:
     euler_char: int
 
     def __post_init__(self) -> None:
-        assert self.euler_char == 2 - 2 * self.genus - self.boundary_count
+        if self.euler_char != 2 - 2 * self.genus - self.boundary_count:
+            raise SurfaceError(
+                f"euler characteristic {self.euler_char} does not match genus {self.genus} "
+                f"with {self.boundary_count} boundary circles"
+            )
 
 
 def _as_members(rg: RibbonGraph, s: CurveSet | Iterable[str]) -> frozenset[str]:

@@ -4,22 +4,20 @@ Each sweep re-derives one of the enclosure facts by brute force on the
 ribbon-graph model and reports the number of cases checked plus every
 violation found.  The CLI and the acceptance suite both run these.
 
-Sweeps over subset bitmasks can be partitioned across a process pool;
-set ``TWISTCERT_WORKERS`` to override the worker count (default: the
-machine's available parallelism; 1 disables the pool).
+Sweeps over curve subsets visit only the connected ones, enumerated
+directly by :func:`twistcert.lickorish.connected_masks`; each is still
+confirmed connected before it is checked.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lickorish as lk
 from . import surface as sf
-from ._parallel import worker_count
 from .bootstrap import count_inequality
 
 
@@ -39,22 +37,20 @@ class SweepResult:
         self.violations.extend(other.violations)
 
 
-def _run_chunked(name: str, g: int, fn, workers: int | None = None) -> SweepResult:
-    """Run fn(g, lo, hi) over the subset-mask range, optionally in a pool."""
-    t0 = time.perf_counter()
-    total = 1 << (3 * g - 1)
-    w = worker_count() if workers is None else workers
+def _scan_connected(name: str, genus_min: int, genus_max: int, check) -> SweepResult:
+    """Run check(g, rg, s, result) on every connected subset s of every
+    genus in range, rg being the genus-g surface.  Each enumerated mask is
+    confirmed connected first, so an enumerator bug shows as a violation."""
     result = SweepResult(name)
-    if w <= 1 or total < (1 << 12):
-        result.merge(fn(g, 1, total))
-    else:
-        chunks = []
-        step = (total + w - 1) // w
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            for lo in range(1, total, step):
-                chunks.append(pool.submit(fn, g, lo, min(lo + step, total)))
-            for fut in chunks:
-                result.merge(fut.result())
+    t0 = time.perf_counter()
+    for g in range(genus_min, genus_max + 1):
+        rg = sf.lickorish_surface(g)
+        for mask in lk.connected_masks(g):
+            s = lk.CurveSet.from_mask(g, mask)
+            if not lk.is_connected_mask(g, mask):
+                result.violations.append(f"g={g} {s.sorted_members()}: enumerated subset is disconnected")
+                continue
+            check(g, rg, s, result)
     result.elapsed = time.perf_counter() - t0
     return result
 
@@ -63,70 +59,46 @@ def _run_chunked(name: str, g: int, fn, workers: int | None = None) -> SweepResu
 # chain lemma (raw regular neighbourhoods)
 
 
-def _scan_chains(g: int, lo: int, hi: int) -> SweepResult:
-    out = SweepResult("chains")
-    rg = sf.lickorish_surface(g)
-    for mask in range(lo, hi):
-        if not lk.is_connected_mask(g, mask):
-            continue
-        s = lk.CurveSet.from_mask(g, mask)
-        order = lk.chain_order(s)
-        if order is None:
-            continue
-        out.checked += 1
-        m = len(order)
-        rep = sf.min_enclosing_subsurface(rg, s, fill=False)
-        want = (m // 2, 1) if m % 2 == 0 else ((m - 1) // 2, 2)
-        if (rep.genus, rep.boundary_count) != want:
-            out.violations.append(
-                f"g={g} chain {s.sorted_members()}: neighbourhood "
-                f"({rep.genus},{rep.boundary_count}) != {want}"
-            )
-    return out
+def _check_chain(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
+    order = lk.chain_order(s)
+    if order is None:
+        return
+    out.checked += 1
+    m = len(order)
+    rep = sf.min_enclosing_subsurface(rg, s, fill=False)
+    want = (m // 2, 1) if m % 2 == 0 else ((m - 1) // 2, 2)
+    if (rep.genus, rep.boundary_count) != want:
+        out.violations.append(
+            f"g={g} chain {s.sorted_members()}: neighbourhood "
+            f"({rep.genus},{rep.boundary_count}) != {want}"
+        )
 
 
-def sweep_goodchains(genus_min: int, genus_max: int, workers: int | None = None) -> SweepResult:
+def sweep_goodchains(genus_min: int, genus_max: int) -> SweepResult:
     """Every chain's raw neighbourhood is genus floor(m/2) with one
     boundary circle (m even) or two (m odd)."""
-    result = SweepResult("goodchains")
-    t0 = time.perf_counter()
-    for g in range(genus_min, genus_max + 1):
-        result.merge(_run_chunked("chains", g, _scan_chains, workers))
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return _scan_connected("goodchains", genus_min, genus_max, _check_chain)
 
 
-def _scan_separating(g: int, lo: int, hi: int) -> SweepResult:
-    out = SweepResult("separating")
-    rg = sf.lickorish_surface(g)
-    for mask in range(lo, hi):
-        if not lk.is_connected_mask(g, mask):
-            continue
-        s = lk.CurveSet.from_mask(g, mask)
-        order = lk.chain_order(s)
-        if order is None or len(order) % 2 == 0:
-            continue
-        out.checked += 1
-        rep = sf.min_enclosing_subsurface(rg, s, fill=False)
-        separating = len(rep.complement_components) > 1
-        structural = lk.separating_chain_form(s) is not None
-        if separating != structural:
-            out.violations.append(
-                f"g={g} chain {s.sorted_members()}: complement disconnected={separating} "
-                f"but matches the deleted-interior-a family={structural}"
-            )
-    return out
+def _check_separating(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
+    order = lk.chain_order(s)
+    if order is None or len(order) % 2 == 0:
+        return
+    out.checked += 1
+    rep = sf.min_enclosing_subsurface(rg, s, fill=False)
+    separating = len(rep.complement_components) > 1
+    structural = lk.separating_chain_form(s) is not None
+    if separating != structural:
+        out.violations.append(
+            f"g={g} chain {s.sorted_members()}: complement disconnected={separating} "
+            f"but matches the deleted-interior-a family={structural}"
+        )
 
 
-def sweep_badchains(genus_min: int, genus_max: int, workers: int | None = None) -> SweepResult:
+def sweep_badchains(genus_min: int, genus_max: int) -> SweepResult:
     """The separating chains are exactly the family obtained from the
     two-a-endpoint windows by deleting interior a-curves."""
-    result = SweepResult("badchains")
-    t0 = time.perf_counter()
-    for g in range(genus_min, genus_max + 1):
-        result.merge(_run_chunked("separating", g, _scan_separating, workers))
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return _scan_connected("badchains", genus_min, genus_max, _check_separating)
 
 
 # ---------------------------------------------------------------------------
@@ -185,60 +157,48 @@ def sweep_intervals(genus_min: int, genus_max: int) -> SweepResult:
 # soundness of the size classifier
 
 
-def _scan_size(g: int, lo: int, hi: int) -> SweepResult:
-    out = SweepResult("size")
-    rg = sf.lickorish_surface(g)
-    for mask in range(lo, hi):
-        if not lk.is_connected_mask(g, mask):
-            continue
-        s = lk.CurveSet.from_mask(g, mask)
-        out.checked += 1
-        try:
-            claim = lk.size_classify(s, g)
-        except lk.LickorishError as exc:
-            out.violations.append(f"g={g} {s.sorted_members()}: classifier failed: {exc}")
-            continue
-        if not lk.claim_fits_clause(claim, len(s)):
+def _check_size(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
+    out.checked += 1
+    try:
+        claim = lk.size_classify(s, g)
+    except lk.LickorishError as exc:
+        out.violations.append(f"g={g} {s.sorted_members()}: classifier failed: {exc}")
+        return
+    if not lk.claim_fits_clause(claim, len(s)):
+        out.violations.append(
+            f"g={g} {s.sorted_members()}: claim ({claim.genus_bound},{claim.boundary_bound}) "
+            f"fits neither clause for size {len(s)}"
+        )
+    if lk.chain_order(s) is not None:
+        support = s
+    else:
+        iv, m = lk.enclosing_interval(s)
+        if m >= len(s):
             out.violations.append(
-                f"g={g} {s.sorted_members()}: claim ({claim.genus_bound},{claim.boundary_bound}) "
-                f"fits neither clause for size {len(s)}"
+                f"g={g} {s.sorted_members()}: enclosing interval {iv.label()} has m={m} >= |S|"
             )
-        if lk.chain_order(s) is not None:
-            support = s
-        else:
-            iv, m = lk.enclosing_interval(s)
-            if m >= len(s):
-                out.violations.append(
-                    f"g={g} {s.sorted_members()}: enclosing interval {iv.label()} has m={m} >= |S|"
-                )
-            support = lk.extended_support(iv, g)
-            if not s.members <= support.members:
-                out.violations.append(
-                    f"g={g} {s.sorted_members()}: support of {iv.label()} does not contain the set"
-                )
-        rep = sf.min_enclosing_subsurface(rg, support, fill=True)
-        if rep.genus > claim.genus_bound or rep.boundary_count > claim.boundary_bound:
+        support = lk.extended_support(iv, g)
+        if not s.members <= support.members:
             out.violations.append(
-                f"g={g} {s.sorted_members()}: enclosure ({rep.genus},{rep.boundary_count}) exceeds "
-                f"claim ({claim.genus_bound},{claim.boundary_bound})"
+                f"g={g} {s.sorted_members()}: support of {iv.label()} does not contain the set"
             )
-        if claim.nonseparating_required and len(rep.complement_components) > 1:
-            out.violations.append(
-                f"g={g} {s.sorted_members()}: enclosure complement is disconnected"
-            )
-    return out
+    rep = sf.min_enclosing_subsurface(rg, support, fill=True)
+    if rep.genus > claim.genus_bound or rep.boundary_count > claim.boundary_bound:
+        out.violations.append(
+            f"g={g} {s.sorted_members()}: enclosure ({rep.genus},{rep.boundary_count}) exceeds "
+            f"claim ({claim.genus_bound},{claim.boundary_bound})"
+        )
+    if claim.nonseparating_required and len(rep.complement_components) > 1:
+        out.violations.append(
+            f"g={g} {s.sorted_members()}: enclosure complement is disconnected"
+        )
 
 
-def sweep_size_soundness(genus_min: int, genus_max: int, workers: int | None = None) -> SweepResult:
+def sweep_size_soundness(genus_min: int, genus_max: int) -> SweepResult:
     """Every connected subset's enclosure claim is semantically verified:
     the support's filled neighbourhood stays within the claimed genus and
     boundary bounds and has connected (or empty) complement."""
-    result = SweepResult("size")
-    t0 = time.perf_counter()
-    for g in range(genus_min, genus_max + 1):
-        result.merge(_run_chunked("size", g, _scan_size, workers))
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return _scan_connected("size", genus_min, genus_max, _check_size)
 
 
 # ---------------------------------------------------------------------------

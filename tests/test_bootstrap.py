@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -182,6 +183,14 @@ def test_verifier_rejects_dropped_node():
 def test_schema_verification_above_exhaustive_bound():
     cert = bs.derive_technical(7, 6)
     assert bs.verify(cert, exhaustive_max_genus=6) == []
+
+
+def test_coverage_requires_every_split_node():
+    cert = bs.derive_technical(4, 3)
+    assert bs._exhaustive_coverage(cert) == []
+    nodes = tuple(n for n in cert.nodes if not (n.rule == "split_commuting" and n.params["size"] == 5))
+    violations = bs._exhaustive_coverage(dataclasses.replace(cert, nodes=nodes))
+    assert [(v.field, v.claimed) for v in violations] == [("split", 5)]
 
 
 def test_connected_step_beyond_count_range():

@@ -120,5 +120,18 @@ def test_genus_two_certificate_round_trip(tmp_path):
 def test_exhaustive_cap_warning(tmp_path, capsys):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
-    assert main(["check", str(out), "--exhaustive-max-genus", "12"]) == 0
+    assert main(["check", str(out), "--exhaustive-max-genus", "13"]) == 0
     assert "capped" in capsys.readouterr().err
+
+
+def test_check_reports_coverage_mode(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    a = run_cli("check", str(out), "--json")
+    b = run_cli("check", str(out), "--json")
+    assert a.returncode == 0 and a.stdout == b.stdout
+    # 45 connected subsets at genus 3, less 8 singletons and 7 crossing pairs
+    assert json.loads(a.stdout)["coverage"] == {"mode": "exhaustive", "max_genus": 10, "connected_subsets": 30}
+    capsys.readouterr()
+    assert main(["check", str(out), "--exhaustive-max-genus", "2"]) == 0
+    assert "coverage: schema-only" in capsys.readouterr().out

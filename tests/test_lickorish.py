@@ -69,6 +69,29 @@ def test_connectivity_masks_agree():
         assert lk.is_connected_mask(g, mask) == lk.is_connected(s)
 
 
+def test_connected_masks_match_filter():
+    for g in range(2, 8):
+        brute = [m for m in range(1, 1 << (3 * g - 1)) if lk.is_connected_mask(g, m)]
+        assert lk.connected_masks(g) == brute, g
+
+
+def test_connected_masks_count_caterpillar_subtrees():
+    # Subtrees of the caterpillar b1-g1-b2-...-bg with a pendant a_i on
+    # each b_i: a lone a_i (g), a lone g_i (g-1), the whole spine (2^g
+    # pendant choices), and for each run of q < g consecutive b's the
+    # 4(g-q) ways to end it, each with 2^q pendant choices.  The sum
+    # closes to 9*2^g - 6g - 9.
+    for g in range(2, 17):
+        assert len(lk.connected_masks(g)) == 9 * 2**g - 6 * g - 9, g
+    assert [len(lk.connected_masks(g)) for g in (5, 6, 7, 12)] == [249, 531, 1101, 36783]
+
+
+def test_disconnected_sizes_match_brute_force():
+    for g in range(3, 7):
+        brute = {m.bit_count() for m in range(1, 1 << (3 * g - 1)) if not lk.is_connected_mask(g, m)}
+        assert lk.disconnected_sizes(g) == brute, g
+
+
 def test_chain_order_examples():
     assert lk.chain_order(cs(3, "a1", "b1", "g1")) == ["a1", "b1", "g1"]
     assert lk.chain_order(cs(3, "a2", "b2", "g1", "g2")) is None  # b2 has degree 3
@@ -156,6 +179,13 @@ def test_classify_chain_examples():
     assert (claim.genus_bound, claim.boundary_bound) == (1, 2)
     with pytest.raises(lk.LickorishError):
         lk.classify_chain(cs(3, "a2", "b2", "g1", "g2"), 3)
+
+
+def test_classify_chain_rejects_inconsistent_separating_form(monkeypatch):
+    # a 3-chain cannot be the separating family of [a1,a3] (length 7)
+    monkeypatch.setattr(lk, "separating_chain_form", lambda s: (1, 3))
+    with pytest.raises(lk.LickorishError):
+        lk.classify_chain(cs(3, "b1", "g1", "b2"), 3)
 
 
 def test_separating_chain_form():

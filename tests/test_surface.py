@@ -280,3 +280,9 @@ def test_fit_counts_sweep():
             assert len(sf.pack_subsurfaces(g, "fit2", ell).marked_pieces) == g // ell
             if ell <= g - 1:
                 assert len(sf.pack_subsurfaces(g, "fit3", ell).marked_pieces) == (g - 1) // ell
+
+
+def test_subsurface_report_rejects_wrong_euler_characteristic():
+    with pytest.raises(sf.SurfaceError):
+        sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=(),
+                            complement_connected=True, euler_char=0)

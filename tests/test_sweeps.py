@@ -1,25 +1,14 @@
-"""Sweep helpers: pool behaviour and result merging."""
+"""Sweep helpers: subset counts and result merging."""
 
 from __future__ import annotations
 
 from twistcert import sweeps
-from twistcert._parallel import worker_count
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("TWISTCERT_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("TWISTCERT_WORKERS", "junk")
-    assert worker_count() >= 1
-    monkeypatch.delenv("TWISTCERT_WORKERS")
-    assert worker_count() >= 1
-
-
-def test_pool_and_sequential_agree():
-    seq = sweeps.sweep_size_soundness(2, 5, workers=1)
-    par = sweeps.sweep_size_soundness(2, 5, workers=2)
-    assert seq.checked == par.checked == 420
-    assert seq.violations == par.violations == []
+def test_size_sweep_counts_connected_subsets():
+    result = sweeps.sweep_size_soundness(2, 5)
+    assert result.checked == 420  # 15 + 45 + 111 + 249 connected subsets
+    assert result.violations == []
 
 
 def test_sweep_results_merge():
