@@ -10,6 +10,12 @@ rather than one node per subset; the verifier closes the gap by
 enumerating every connected subset up to a configurable genus bound and
 checking that every subset is concluded by some node, re-running the
 classifier and all arithmetic side conditions as it goes.
+
+The induction on subset size is spelled out as a chain: each size has
+one ``size_induction`` node concluding "every subset of size <= s",
+and every node of size s+1 cites that node alone instead of every
+smaller node, so each node has O(1) premises and the certificate grows
+linearly with the genus.
 """
 
 from __future__ import annotations
@@ -225,11 +231,40 @@ def _plan_json(plan: AssemblyPlan) -> dict:
 
 
 def _plan_from_json(obj: dict) -> AssemblyPlan:
+    """Parse a packing witness; ValueError unless every piece is an
+    integer pair, every gluing an integer 4-tuple and every mark an integer."""
+    pieces = _typed(obj, "pieces", list, "packing")
+    gluings = _typed(obj, "gluings", list, "packing")
+    marked = _int_list(_typed(obj, "marked", list, "packing"), "packing.marked")
     return AssemblyPlan(
-        tuple(tuple(p) for p in obj["pieces"]),
-        tuple(tuple(gl) for gl in obj["gluings"]),
-        tuple(obj["marked"]),
+        tuple(_int_list(p, "packing.pieces", 2) for p in pieces),
+        tuple(_int_list(gl, "packing.gluings", 4) for gl in gluings),
+        marked,
     )
+
+
+def _typed(obj, key: str, kind: type, where: str):
+    """obj[key], which must hold a JSON value of the given type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where}: missing {key!r}")
+    value = obj[key]
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
+        raise ValueError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+# Integers are matched by exact type: JSON true/false load as bool, a subclass of int.
+_INT_TYPE = frozenset({int})
+
+
+def _int_list(value, where: str, length: Optional[int] = None) -> tuple[int, ...]:
+    if not isinstance(value, list) or not _INT_TYPE.issuperset(map(type, value)):
+        raise ValueError(f"{where}: expected a list of integers")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{where}: expected {length} integers, got {len(value)}")
+    return tuple(value)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +445,15 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
         g1.judgment,
     )
 
-    size_node_ids: list[int] = []
+    # Strong induction on subset size, one link per size: every size-s
+    # node rests on the size_le(s-1) node, and the size_induction node
+    # of size s collects them into size_le(s).  genus1_step is size_le(2).
+    size_le_id = genus1_id
     for size in range(3, 3 * g):
-        smaller = tuple(size_node_ids)
         split_id = add(
             "split_commuting",
             {"size": size},
-            (genus1_id,) + smaller,
+            (size_le_id,),
             {},
             Judgment("EllipticSchema", {"scope": "disconnected_of_size", "size": size}),
         )
@@ -449,11 +486,10 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
                     "k": k,
                 },
                 (
-                    genus1_id,
+                    size_le_id,
                     axiom_ids[Axiom.ORBIT_TRANSITIVITY.value],
                     axiom_ids[Axiom.HELLY.value],
-                )
-                + smaller,
+                ),
                 {
                     "packing": _plan_json(plan),
                     "count": count_witness,
@@ -470,12 +506,18 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
                 ),
             )
             new_ids.append(cid)
-        size_node_ids.extend(new_ids)
+        size_le_id = add(
+            "size_induction",
+            {"size": size},
+            (size_le_id, *new_ids),
+            {},
+            Judgment("EllipticSchema", {"scope": "size_le", "size": size}),
+        )
 
     add(
         "conclude",
         {"g": g, "dim": dim},
-        (genus1_id,) + tuple(size_node_ids),
+        (size_le_id,),
         {},
         Judgment("Elliptic", {"curves": curve_names(g)}),
     )
@@ -566,28 +608,44 @@ class Violation:
         )
 
 
+def _judgment_from_json(obj, where: str) -> Judgment:
+    form = _typed(obj, "form", str, where)
+    return Judgment(form, {k: v for k, v in obj.items() if k != "form"})
+
+
 def certificate_from_json_dict(doc: dict) -> Certificate:
-    header = doc["header"]
-    nodes = tuple(
-        RuleApp(
-            id=n["id"],
-            rule=n["rule"],
-            params=n["params"],
-            premises=tuple(n["premises"]),
-            witnesses=n["witnesses"],
-            judgment=Judgment(n["judgment"]["form"], {k: v for k, v in n["judgment"].items() if k != "form"}),
-        )
-        for n in doc["nodes"]
-    )
-    concl = doc["conclusion"]
+    """Build a certificate from its JSON document.
+
+    Raises ValueError when a field the checker reads has the wrong JSON
+    type, so that a malformed file is a load error rather than a crash
+    inside :func:`verify`; every well-typed defect is left to ``verify``.
+    """
+    header = _typed(doc, "header", dict, "certificate")
+    axioms = _typed(doc, "axioms", list, "certificate")
+    if not all(isinstance(a, str) for a in axioms):
+        raise ValueError("certificate.axioms: expected a list of strings")
+    nodes = []
+    for pos, n in enumerate(_typed(doc, "nodes", list, "certificate")):
+        where = f"nodes[{pos}]"
+        witnesses = _typed(n, "witnesses", dict, where)
+        if "packing" in witnesses:  # parsed here so that a malformed plan is a load error
+            _plan_from_json(witnesses["packing"])
+        nodes.append(RuleApp(
+            id=_typed(n, "id", int, where),
+            rule=_typed(n, "rule", str, where),
+            params=_typed(n, "params", dict, where),
+            premises=_int_list(_typed(n, "premises", list, where), f"{where}.premises"),
+            witnesses=witnesses,
+            judgment=_judgment_from_json(_typed(n, "judgment", dict, where), f"{where}.judgment"),
+        ))
     return Certificate(
-        genus=header["genus"],
-        dim=header["dim"],
-        theorem=Theorem(header["theorem"]),
-        axioms=tuple(doc["axioms"]),
-        nodes=nodes,
-        conclusion=Judgment(concl["form"], {k: v for k, v in concl.items() if k != "form"}),
-        version=header["version"],
+        genus=_typed(header, "genus", int, "header"),
+        dim=_typed(header, "dim", int, "header"),
+        theorem=Theorem(_typed(header, "theorem", str, "header")),
+        axioms=tuple(axioms),
+        nodes=tuple(nodes),
+        conclusion=_judgment_from_json(_typed(doc, "conclusion", dict, "certificate"), "conclusion"),
+        version=_typed(header, "version", str, "header"),
     )
 
 
@@ -628,6 +686,11 @@ def verify(cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) ->
 
     def bad(node_id, rule, fieldname, claimed, recomputed, message):
         violations.append(Violation(node_id, rule, fieldname, claimed, recomputed, message))
+
+    if cert.version != __version__:
+        # another format's node inventory would differ at every node
+        bad(-1, "header", "version", cert.version, __version__, "unsupported certificate format version")
+        return violations
 
     g, dim, theorem = cert.genus, cert.dim, cert.theorem
     if not isinstance(g, int) or g < 2 or not isinstance(dim, int) or dim < 0:
@@ -677,7 +740,7 @@ def verify(cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) ->
             bad(got.id, got.rule, "params", got.params, want.params, "parameters do not match the schema")
         if tuple(got.premises) != tuple(want.premises):
             bad(got.id, got.rule, "premises", list(got.premises), list(want.premises), "premise edges do not match")
-        if _canon(got.witnesses) != _canon(want.witnesses):
+        if got.witnesses != want.witnesses and _canon(got.witnesses) != _canon(want.witnesses):
             bad(got.id, got.rule, "witnesses", got.witnesses, want.witnesses, "witness data does not match recomputation")
         if got.judgment.to_json() != want.judgment.to_json():
             bad(got.id, got.rule, "judgment", got.judgment.to_json(), want.judgment.to_json(), "judgment mismatch")
@@ -706,7 +769,8 @@ def verify(cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) ->
             if isinstance(n, int) and isinstance(k, int) and dim >= n * k:
                 bad(node.id, node.rule, "dim_check", dim, n * k - 1, "dimension side condition violated")
             _check_plan_witness(node, kind, ell, expected_n, g, bad)
-            cw = node.witnesses.get("count", {})
+            cw = node.witnesses.get("count")
+            cw = cw if isinstance(cw, dict) else {}
             if 2 <= size <= 2 * g:
                 cc = count_inequality(g, size)
                 if cw.get("k") != size or cw.get("lhs") != cc.lhs or cw.get("rhs") != cc.rhs:
@@ -760,7 +824,7 @@ def _check_plan_witness(node: RuleApp, kind, ell, expected_marked, g: int, bad) 
         return
     try:
         plan = _plan_from_json(obj)
-    except Exception:
+    except ValueError:
         bad(node.id, node.rule, "witnesses.packing", obj, "plan", "unparseable packing witness")
         return
     try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .lickorish import CurveSet, components, curve_names, is_connected
 
@@ -543,7 +543,7 @@ def assembly_problems(plan: AssemblyPlan, g: int) -> list[str]:
     if chi != 2 - 2 * g:
         problems.append(f"Euler characteristic {chi} does not close to genus {g}")
 
-    neighbours: dict[int, set[int]] = {p: set() for p in range(len(plan.pieces))}
+    neighbours: list[set[int]] = [set() for _ in plan.pieces]
     for (pa, _sa, pb, _sb) in plan.gluings:
         neighbours[pa].add(pb)
         neighbours[pb].add(pa)
@@ -561,18 +561,67 @@ def assembly_problems(plan: AssemblyPlan, g: int) -> list[str]:
                     frontier.append(nb)
         return seen == nodes
 
-    all_nodes = set(range(len(plan.pieces)))
-    if not connected(all_nodes):
+    separating = _cut_vertices(neighbours)
+    if separating is None:
         problems.append("gluing graph is not connected")
+        # no cut vertices to read off: test each marked piece on its own
+        all_nodes = set(range(len(plan.pieces)))
+        separating = {m for m in plan.marked_pieces if m in all_nodes and not connected(all_nodes - {m})}
 
     if len(set(plan.marked_pieces)) != len(plan.marked_pieces):
         problems.append("marked pieces are not distinct")
     for m in plan.marked_pieces:
         if not (0 <= m < len(plan.pieces)):
             problems.append(f"marked piece {m} does not exist")
-        elif not connected(all_nodes - {m}):
+        elif m in separating:
             problems.append(f"removing marked piece {m} disconnects the assembly")
     return problems
+
+
+def _cut_vertices(neighbours: list[set[int]]) -> Optional[set[int]]:
+    """Cut vertices of a graph given by neighbour sets, or None when the
+    graph is not connected.
+
+    One iterative depth-first search from vertex 0 with Hopcroft-Tarjan
+    lowpoints: a non-root vertex v is a cut vertex when some DFS child w
+    has low[w] >= disc[v], and the root when it has two DFS children.
+    Self-loops and the edge back to the parent only ever lower low[] to a
+    discovery time the test already allows, so neither needs skipping.
+    """
+    n = len(neighbours)
+    if n == 0:
+        return set()
+    disc = [-1] * n
+    low = [0] * n
+    disc[0] = 0
+    visited = 1
+    root_children = 0
+    cut: set[int] = set()
+    stack = [(0, iter(neighbours[0]))]
+    while stack:
+        v, pending = stack[-1]
+        for w in pending:
+            if disc[w] < 0:
+                disc[w] = low[w] = visited
+                visited += 1
+                stack.append((w, iter(neighbours[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if u == 0:
+                root_children += 1
+            elif low[v] >= disc[u]:
+                cut.add(u)
+    if visited < n:
+        return None
+    if root_children > 1:
+        cut.add(0)
+    return cut
 
 
 def verify_assembly(plan: AssemblyPlan, g: int) -> bool:

@@ -32,10 +32,6 @@ class SweepResult:
     def passed(self) -> bool:
         return not self.violations
 
-    def merge(self, other: "SweepResult") -> None:
-        self.checked += other.checked
-        self.violations.extend(other.violations)
-
 
 def _scan_connected(name: str, genus_min: int, genus_max: int, check) -> SweepResult:
     """Run check(g, rg, s, result) on every connected subset s of every

@@ -180,6 +180,62 @@ def test_verifier_rejects_dropped_node():
     assert violations
 
 
+def test_size_induction_chain():
+    cert = bs.derive_technical(4, 3)
+    chain = [n for n in cert.nodes if n.rule == "size_induction"]
+    assert [n.params["size"] for n in chain] == list(range(3, 12))
+    genus1 = next(n for n in cert.nodes if n.rule == "genus1_step")
+    for below, node in zip([genus1] + chain, chain):
+        assert node.premises[0] == below.id
+        assert node.judgment.payload == {"scope": "size_le", "size": node.params["size"]}
+        cited = [cert.nodes[p] for p in node.premises[1:]]
+        assert cited[0].rule == "split_commuting"
+        assert all(p.params["size"] == node.params["size"] for p in cited)
+        assert all(p.premises[0] == below.id for p in cited)
+    assert cert.nodes[-1].premises == (chain[-1].id,)
+
+
+def test_premise_lists_grow_linearly():
+    for g in range(3, 61):
+        nodes = bs.derive_technical(g, g - 1).nodes
+        assert sum(len(n.premises) for n in nodes) <= 8 * len(nodes), g
+
+
+def test_certificate_size_at_genus_100():
+    assert len(bs.derive_technical(100, 99).to_json().encode()) <= 700_000
+
+
+def test_verifier_rejects_deleted_size_induction_node():
+    doc = json.loads(bs.derive_technical(3, 2).to_json())
+    pos = next(i for i, n in enumerate(doc["nodes"]) if n["rule"] == "size_induction")
+    del doc["nodes"][pos]
+    assert bs.verify(bs.certificate_from_json_dict(doc))
+
+
+def test_verifier_rejects_deleted_size_induction_premise():
+    for drop in (0, -1):  # the size_le link below, and a connected node of this size
+        doc = json.loads(bs.derive_technical(3, 2).to_json())
+        node = [n for n in doc["nodes"] if n["rule"] == "size_induction"][2]
+        del node["premises"][drop]
+        violations = bs.verify(bs.certificate_from_json_dict(doc))
+        assert [(v.node_id, v.field) for v in violations] == [(node["id"], "premises")]
+
+
+def test_verifier_rejects_old_format_version():
+    doc = json.loads(bs.derive_technical(3, 2).to_json())
+    doc["header"]["version"] = "0.1.0"
+    violations = bs.verify(bs.certificate_from_json_dict(doc))
+    assert [(v.rule, v.field, v.claimed) for v in violations] == [("header", "version", "0.1.0")]
+
+
+def test_verifier_names_non_object_count_witness():
+    doc = json.loads(bs.derive_technical(3, 2).to_json())
+    node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
+    node["witnesses"]["count"] = 5
+    violations = bs.verify(bs.certificate_from_json_dict(doc))
+    assert any(v.node_id == node["id"] and v.field == "witnesses.count" for v in violations)
+
+
 def test_schema_verification_above_exhaustive_bound():
     cert = bs.derive_technical(7, 6)
     assert bs.verify(cert, exhaustive_max_genus=6) == []

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from twistcert.cli import main
 
 
@@ -135,3 +137,36 @@ def test_check_reports_coverage_mode(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", str(out), "--exhaustive-max-genus", "2"]) == 0
     assert "coverage: schema-only" in capsys.readouterr().out
+
+
+def _set(path, value):
+    def edit(doc):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+def _packing_piece(doc):
+    node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
+    node["witnesses"]["packing"]["pieces"][0] = [1]
+    return doc
+
+
+@pytest.mark.parametrize("probe", [
+    _set(("nodes", 3, "premises"), "x"),
+    _set(("nodes", 3, "witnesses"), None),
+    _set(("conclusion",), []),
+    _packing_piece,
+    lambda doc: [doc],
+], ids=["premises-string", "witnesses-null", "conclusion-list", "one-element-piece", "top-level-list"])
+def test_check_malformed_certificate_is_load_error(tmp_path, probe):
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    out.write_text(json.dumps(probe(json.loads(out.read_text()))))
+    proc = run_cli("check", str(out))
+    assert proc.returncode == 2
+    assert "cannot load certificate" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcert import lickorish as lk
 from twistcert import surface as sf
@@ -262,6 +264,41 @@ def test_assembly_rejects_separating_marked_piece():
     plan = sf.AssemblyPlan(pieces, gluings, (1,))
     problems = sf.assembly_problems(plan, 3)
     assert any("disconnects" in p for p in problems)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_assembly_marked_cut_pieces_match_brute_force(data):
+    """Random gluing multigraphs, self-loops and repeated gluings
+    included: a marked piece is reported as disconnecting exactly when
+    deleting it (brute force) leaves the rest of the graph disconnected."""
+    n = data.draw(st.integers(1, 9), label="pieces")
+    piece = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(piece, piece), max_size=14), label="edges")
+    marked = tuple(data.draw(st.lists(piece, max_size=n), label="marked"))
+    slots = [0] * n
+    gluings = []
+    for a, b in edges:
+        gluings.append((a, slots[a], b, slots[b] + (a == b)))
+        slots[a] += 1
+        slots[b] += 1
+    plan = sf.AssemblyPlan(tuple((0, b) for b in slots), tuple(gluings), marked)
+
+    def connected(nodes):
+        seen, frontier = set(), [min(nodes)] if nodes else []
+        while frontier:
+            v = frontier.pop()
+            if v not in seen:
+                seen.add(v)
+                frontier += [u for a, b in edges if v in (a, b) for u in (a, b) if u in nodes]
+        return seen == nodes
+
+    everything = set(range(n))
+    expected = [f"removing marked piece {m} disconnects the assembly"
+                for m in marked if not connected(everything - {m})]
+    problems = sf.assembly_problems(plan, 1)
+    assert [p for p in problems if p.startswith("removing")] == expected
+    assert ("gluing graph is not connected" in problems) == (not connected(everything))
 
 
 def test_assembly_self_gluing_cases():
