@@ -17,13 +17,11 @@ from .lickorish import (  # noqa: F401
     LickorishError,
     chain_order,
     classify_chain,
-    components,
     curve_names,
     enclosing_interval,
     extended_support,
     intersecting_pairs,
     interval_set,
-    is_connected,
     lam,
     size_classify,
 )

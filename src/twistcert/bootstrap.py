@@ -33,11 +33,10 @@ from .lickorish import (
     connected_masks,
     curve_names,
     disconnected_sizes,
-    is_connected,
     is_connected_mask,
     size_classify,
 )
-from .surface import AssemblyPlan, assembly_problems, pack_subsurfaces
+from .surface import AssemblyPlan, SurfaceError, assembly_problems, pack_count, pack_subsurfaces
 
 
 class BootstrapError(ValueError):
@@ -48,22 +47,6 @@ class Theorem(str, Enum):
     TECHNICAL = "technical"
     MAIN = "main"
     KG = "kg"
-
-
-class IsometryClassTag(str, Enum):
-    """Symbolic isometry classes; only their fixed-point consequences
-    are tracked (finite order forces elliptic under the torsion axiom)."""
-
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
-    NEUTRAL_PARABOLIC = "neutral-parabolic"
-    NON_NEUTRAL_PARABOLIC = "non-neutral-parabolic"
-    FINITE_ORDER = "finite-order"
-
-    def implies_elliptic(self, axioms: frozenset[str]) -> bool:
-        if self is IsometryClassTag.ELLIPTIC:
-            return True
-        return self is IsometryClassTag.FINITE_ORDER and Axiom.R_TORSION.value in axioms
 
 
 class Axiom(str, Enum):
@@ -138,6 +121,15 @@ def count_inequality(g: int, k: int) -> CountCheck:
     else:
         lhs = (k - 1) * (2 * (g - 1) // (k - 1))
     return CountCheck(g, k, lhs, g)
+
+
+def _count_witness(g: int, size: int, n: int, k: int) -> dict[str, Any]:
+    """The count witness of a size-``size`` node: the counting-lemma
+    instance when size lies in [2, 2g], else the direct bound n*k >= g."""
+    if 2 <= size <= 2 * g:
+        cc = count_inequality(g, size)
+        return {"k": size, "lhs": cc.lhs, "rhs": cc.rhs}
+    return {"k": None, "lhs": n * k, "rhs": g}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +311,7 @@ def connected_step(s: CurveSet, g: int, dim: int) -> RuleApp:
         raise BootstrapError("genus mismatch")
     if len(s) < 3:
         raise BootstrapError("connected_step handles subsets of size >= 3")
-    if not is_connected(s):
+    if not is_connected_mask(g, s.mask):
         raise BootstrapError("connected_step requires a connected subset")
     try:
         claim = size_classify(s, g)
@@ -339,11 +331,6 @@ def connected_step(s: CurveSet, g: int, dim: int) -> RuleApp:
             {"set": s.sorted_members(), "n": n, "k": k, "dim": dim},
         )
     size = len(s)
-    if 2 <= size <= 2 * g:
-        cc = count_inequality(g, size)
-        count_witness: dict[str, Any] = {"k": size, "lhs": cc.lhs, "rhs": cc.rhs}
-    else:
-        count_witness = {"k": None, "lhs": n * k, "rhs": g}
     return RuleApp(
         id=-1,
         rule="connected_step",
@@ -361,7 +348,7 @@ def connected_step(s: CurveSet, g: int, dim: int) -> RuleApp:
             "set": s.sorted_members(),
             "claim_case": claim.case_tag,
             "packing": _plan_json(plan),
-            "count": count_witness,
+            "count": _count_witness(g, size, n, k),
             "dim_check": {"dim": dim, "bound": n * k},
         },
         judgment=Judgment("Elliptic", {"curves": s.sorted_members()}),
@@ -469,11 +456,6 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
                     f"size {size} profile ({h},{b}): need dim < {n}*{k}, got {dim}",
                     {"size": size, "n": n, "k": k, "dim": dim},
                 )
-            if 2 <= size <= 2 * g:
-                cc = count_inequality(g, size)
-                count_witness: dict[str, Any] = {"k": size, "lhs": cc.lhs, "rhs": cc.rhs}
-            else:
-                count_witness = {"k": None, "lhs": n * k, "rhs": g}
             cid = add(
                 "connected_bootstrap",
                 {
@@ -492,7 +474,7 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
                 ),
                 {
                     "packing": _plan_json(plan),
-                    "count": count_witness,
+                    "count": _count_witness(g, size, n, k),
                     "dim_check": {"dim": dim, "bound": n * k},
                 },
                 Judgment(
@@ -657,31 +639,50 @@ EXHAUSTIVE_DEFAULT = 10
 EXHAUSTIVE_HARD_CAP = 12
 
 
-def coverage_mode(g: int, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) -> dict:
+def coverage_mode(g: int, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT, reached: bool = True) -> dict:
     """How :func:`verify` covers the subsets of a genus-g certificate.
 
     ``exhaustive`` when 3 <= g <= min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP):
     every connected subset of size >= 3 is enumerated and re-classified,
-    and ``connected_subsets`` counts them.  Otherwise ``schema-only``:
-    the node inventory and its side conditions are checked, but no
-    subset is enumerated.
+    and ``connected_subsets`` counts them; ``not-run`` instead when the
+    checks before coverage failed (``reached`` false), so that no subset
+    was enumerated.  Otherwise ``schema-only``: the node inventory and
+    its side conditions are checked, but no subset is enumerated.
     """
     bound = min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP)
     if not (isinstance(g, int) and 3 <= g <= bound):
         return {"mode": "schema-only", "max_genus": bound}
+    if not reached:
+        return {"mode": "not-run", "max_genus": bound}
     classified = sum(1 for mask in connected_masks(g) if mask.bit_count() >= 3)
     return {"mode": "exhaustive", "max_genus": bound, "connected_subsets": classified}
 
 
-def verify(cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) -> list[Violation]:
+def verify(
+    cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT, report: Optional[dict] = None
+) -> list[Violation]:
     """Re-check a certificate from scratch; empty list means Ok.
 
     Nothing emitter-computed is trusted: the expected node inventory is
     re-derived from the header, packing plans are re-validated, count
     instances re-evaluated, and (for genus up to the exhaustive bound, see
     :func:`coverage_mode`) every connected subset of the generator set is
-    re-classified and matched against a covering node.
+    re-classified and matched against a covering node.  Subset coverage
+    runs only once every other check has passed; when ``report`` is
+    given, its ``coverage`` key receives the :func:`coverage_mode` that
+    actually ran.
     """
+    violations = _check_inventory(cert)
+    coverage = coverage_mode(cert.genus, exhaustive_max_genus, reached=not violations)
+    if coverage["mode"] == "exhaustive":
+        violations = _exhaustive_coverage(cert)
+    if report is not None:
+        report["coverage"] = coverage
+    return violations
+
+
+def _check_inventory(cert: Certificate) -> list[Violation]:
+    """Every check of :func:`verify` before subset coverage."""
     violations: list[Violation] = []
 
     def bad(node_id, rule, fieldname, claimed, recomputed, message):
@@ -763,7 +764,10 @@ def verify(cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) ->
                 continue
             if k != size - 1:
                 bad(node.id, node.rule, "params.k", k, size - 1, "conjugate bootstrap uses k = size - 1")
-            expected_n = _expected_pack_count(g, kind, ell)
+            try:
+                expected_n: Optional[int] = pack_count(g, kind, ell)
+            except SurfaceError:
+                expected_n = None
             if n != expected_n:
                 bad(node.id, node.rule, "params.n", n, expected_n, "packing count mismatch")
             if isinstance(n, int) and isinstance(k, int) and dim >= n * k:
@@ -789,13 +793,6 @@ def verify(cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT) ->
     if cert.conclusion.form != "Elliptic" or cert.conclusion.payload.get("curves") != curve_names(g):
         bad(-1, "conclusion", "conclusion", cert.conclusion.to_json(),
             {"form": "Elliptic", "curves": curve_names(g)}, "conclusion must cover the full generator set")
-
-    if violations:
-        return violations
-
-    # subset coverage
-    if coverage_mode(g, exhaustive_max_genus)["mode"] == "exhaustive":
-        violations.extend(_exhaustive_coverage(cert))
     return violations
 
 
@@ -807,14 +804,6 @@ def _canon(obj):
     if isinstance(obj, (list, tuple)):
         return [_canon(v) for v in obj]
     return obj
-
-
-def _expected_pack_count(g: int, kind, ell) -> Optional[int]:
-    if kind == "fit1" or kind == "fit2":
-        return g // ell if isinstance(ell, int) and ell >= 1 else None
-    if kind == "fit3":
-        return (g - 1) // ell if isinstance(ell, int) and ell >= 1 else None
-    return None
 
 
 def _check_plan_witness(node: RuleApp, kind, ell, expected_marked, g: int, bad) -> None:
@@ -872,7 +861,7 @@ def _exhaustive_coverage(cert: Certificate) -> list[Violation]:
         size = mask.bit_count()
         if size <= 2:
             continue
-        s = CurveSet.from_mask(g, mask)
+        s = CurveSet(g, mask)
         if not is_connected_mask(g, mask):
             violations.append(Violation(-1, "coverage", "enumerator", s.sorted_members(), None,
                                         "enumerated subset is disconnected"))

@@ -34,7 +34,6 @@ from .bootstrap import (
     Failure,
     Theorem,
     certificate_from_json,
-    coverage_mode,
     derive_kg,
     derive_main,
     derive_technical,
@@ -96,7 +95,7 @@ def _cmd_classify(args) -> int:
         names = [n.strip() for n in args.set.split(",") if n.strip()]
         try:
             s = lk.CurveSet.of(g, names)
-            if not lk.is_connected(s) or not names:
+            if not names or not lk.is_connected_mask(g, s.mask):
                 print("error: classify needs a nonempty connected set", file=sys.stderr)
                 return 2
             claim = lk.size_classify(s, g)
@@ -126,7 +125,7 @@ def _cmd_classify(args) -> int:
     failures: list[str] = []
     checked = 0
     for mask in lk.connected_masks(g):
-        s = lk.CurveSet.from_mask(g, mask)
+        s = lk.CurveSet(g, mask)
         if not lk.is_connected_mask(g, mask):
             failures.append(f"{s.sorted_members()}: enumerated subset is disconnected")
             continue
@@ -226,8 +225,9 @@ def _cmd_check(args) -> int:
         bound = EXHAUSTIVE_HARD_CAP
     elif bound > EXHAUSTIVE_DEFAULT:
         print(f"warning: exhaustive sweep above genus {EXHAUSTIVE_DEFAULT} is slow", file=sys.stderr)
-    coverage = coverage_mode(cert.genus, bound)
-    violations = verify(cert, exhaustive_max_genus=bound)
+    report: dict = {}
+    violations = verify(cert, exhaustive_max_genus=bound, report=report)
+    coverage = report["coverage"]
     payload = {
         "command": "check",
         "coverage": coverage,
@@ -243,6 +243,9 @@ def _cmd_check(args) -> int:
     if coverage["mode"] == "exhaustive":
         lines.append(f"  coverage: exhaustive up to genus {coverage['max_genus']} "
                      f"({coverage['connected_subsets']} connected subsets of size >= 3)")
+    elif coverage["mode"] == "not-run":
+        lines.append(f"  coverage: not run, verification stopped before subset coverage "
+                     f"(exhaustive bound: genus {coverage['max_genus']})")
     else:
         lines.append(f"  coverage: schema-only, no subset enumerated (exhaustive bound: genus {coverage['max_genus']})")
     lines += [f"  violation: {v}" for v in violations[:20]]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class LickorishError(ValueError):
@@ -75,42 +75,58 @@ def parse_curve(name: str, g: int) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class CurveSet:
-    """A subset of the generator curves at a fixed genus."""
+    """A subset of the generator curves at a fixed genus: bit i of
+    ``mask`` is the curve whose :func:`curve_index` is i."""
 
     genus: int
-    members: frozenset[str]
+    mask: int
 
     def __post_init__(self) -> None:
         _check_genus(self.genus)
-        for name in self.members:
-            parse_curve(name, self.genus)
+        if type(self.mask) is not int or not 0 <= self.mask < 1 << (3 * self.genus - 1):
+            raise LickorishError(f"mask {self.mask!r} out of range for genus {self.genus}")
 
     @classmethod
     def of(cls, g: int, names: Iterable[str]) -> "CurveSet":
-        return cls(g, frozenset(names))
+        """The set of the named curves; an unknown name is rejected."""
+        _check_genus(g)
+        mask = 0
+        for name in names:
+            mask |= 1 << curve_index(name, g)
+        return cls(g, mask)
 
-    def mask(self) -> int:
-        """Bitmask of the members under :func:`curve_index`."""
-        m = 0
-        for name in self.members:
-            m |= 1 << curve_index(name, self.genus)
-        return m
-
-    @classmethod
-    def from_mask(cls, g: int, mask: int) -> "CurveSet":
-        names = curve_names(g)
-        return cls(g, frozenset(names[i] for i in range(len(names)) if mask >> i & 1))
+    @property
+    def members(self) -> frozenset[str]:
+        return frozenset(self.sorted_members())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def sorted_members(self) -> list[str]:
-        return sorted(self.members, key=lambda n: curve_index(n, self.genus))
+        names = curve_names(self.genus)
+        return [names[i] for i in _bits(self.mask)]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _run(g: int, kind: str, lo: int, hi: int) -> int:
+    """Mask of the curves kind_lo..kind_hi (empty when lo > hi)."""
+    if lo > hi:
+        return 0
+    first = {"a": 0, "b": g, "g": 2 * g}[kind] + lo - 1
+    return ((1 << (hi - lo + 1)) - 1) << first
 
 
 def lam(g: int) -> CurveSet:
     """The full generator set (3g-1 curves)."""
-    return CurveSet.of(g, curve_names(g))
+    _check_genus(g)
+    return CurveSet(g, (1 << (3 * g - 1)) - 1)
 
 
 def intersecting_pairs(g: int) -> list[tuple[str, str]]:
@@ -135,49 +151,16 @@ def adjacency(g: int) -> dict[str, frozenset[str]]:
 @lru_cache(maxsize=None)
 def adjacency_masks(g: int) -> tuple[int, ...]:
     """Per-curve neighbour bitmasks, indexed by :func:`curve_index`."""
-    names = curve_names(g)
     adj = adjacency(g)
-    out = []
-    for name in names:
-        m = 0
-        for other in adj[name]:
-            m |= 1 << curve_index(other, g)
-        out.append(m)
-    return tuple(out)
+    return tuple(CurveSet.of(g, adj[name]).mask for name in curve_names(g))
 
 
 # ---------------------------------------------------------------------------
 # connectivity and chains
 
 
-def components(s: CurveSet) -> list[CurveSet]:
-    """Partition of ``s`` into connected pieces of the intersection graph."""
-    g = s.genus
-    adj = adjacency(g)
-    remaining = set(s.members)
-    parts: list[CurveSet] = []
-    while remaining:
-        seed = min(remaining, key=lambda n: curve_index(n, g))
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for nb in adj[cur]:
-                if nb in remaining and nb not in comp:
-                    comp.add(nb)
-                    frontier.append(nb)
-        remaining -= comp
-        parts.append(CurveSet.of(g, comp))
-    return parts
-
-
-def is_connected(s: CurveSet) -> bool:
-    """True when the union of the curves is connected (empty set counts)."""
-    return len(components(s)) <= 1
-
-
 def components_mask(g: int, mask: int) -> list[int]:
-    """Bitmask version of :func:`components` for exhaustive sweeps."""
+    """Connected pieces of a subset of the intersection graph, lowest first."""
     adj = adjacency_masks(g)
     parts = []
     remaining = mask
@@ -197,6 +180,7 @@ def components_mask(g: int, mask: int) -> list[int]:
 
 
 def is_connected_mask(g: int, mask: int) -> bool:
+    """True when the union of the curves is connected (empty set counts)."""
     return len(components_mask(g, mask)) <= 1
 
 
@@ -241,32 +225,32 @@ def chain_order(s: CurveSet) -> Optional[list[str]]:
 
     A single curve is a 1-chain.
     """
-    if not s.members:
+    mask = s.mask
+    if not mask:
         raise LickorishError("chain_order requires a nonempty set")
-    adj = adjacency(s.genus)
-    inside = {name: sorted(adj[name] & s.members) for name in s.members}
-    degrees = {name: len(nbs) for name, nbs in inside.items()}
     if len(s) == 1:
         return s.sorted_members()
-    if any(d > 2 for d in degrees.values()):
-        return None
-    ends = sorted(
-        (n for n, d in degrees.items() if d == 1),
-        key=lambda n: curve_index(n, s.genus),
-    )
+    adj = adjacency_masks(s.genus)
+    ends = []
+    for i in _bits(mask):
+        degree = (adj[i] & mask).bit_count()
+        if degree > 2:
+            return None
+        if degree == 1:
+            ends.append(i)
     if len(ends) != 2:
         return None  # degree-0 piece or a cycle; either way not a chain
     order = [ends[0]]
-    prev = None
-    while True:
-        nxt = [n for n in inside[order[-1]] if n != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
+    seen = 1 << ends[0]
+    nxt = adj[ends[0]] & mask
+    while nxt:  # degrees are <= 2, so one unseen neighbour at most
+        order.append(nxt.bit_length() - 1)
+        seen |= nxt
+        nxt = adj[order[-1]] & mask & ~seen
     if len(order) != len(s):
         return None  # disconnected
-    return order
+    names = curve_names(s.genus)
+    return [names[i] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -341,35 +325,32 @@ class Interval:
         return f"[{self.kind.value[0]}{self.i},{self.kind.value[1]}{self.j}]"
 
 
-def _rng(prefix: str, lo: int, hi: int) -> set[str]:
-    return {f"{prefix}{k}" for k in range(lo, hi + 1)}
-
-
 def interval_set(iv: Interval, g: int) -> CurveSet:
     """The literal curve content of the bracket, per its defining unions."""
     _validate_interval(iv, g)
     i, j = iv.i, iv.j
-    bb = _rng("a", i + 1, j - 1) | _rng("b", i, j) | _rng("g", i, j - 1)
+    bb = _run(g, "a", i + 1, j - 1) | _run(g, "b", i, j) | _run(g, "g", i, j - 1)
+    a_i, a_j, b_i, g_j = _run(g, "a", i, i), _run(g, "a", j, j), _run(g, "b", i, i), _run(g, "g", j, j)
     kind = iv.kind
     if kind is IntervalKind.BB:
         out = bb
     elif kind is IntervalKind.BA:
-        out = bb | {f"a{j}"}
+        out = bb | a_j
     elif kind is IntervalKind.AB:
-        out = bb | {f"a{i}"}
+        out = bb | a_i
     elif kind is IntervalKind.BG:
-        out = bb | {f"g{j}"}
+        out = bb | g_j
     elif kind is IntervalKind.GB:
-        out = bb - {f"b{i}"}
+        out = bb & ~b_i
     elif kind is IntervalKind.AA:
-        out = bb | {f"a{i}", f"a{j}"}
+        out = bb | a_i | a_j
     elif kind is IntervalKind.GG:
-        out = (bb | {f"g{j}"}) - {f"b{i}"}
+        out = (bb | g_j) & ~b_i
     elif kind is IntervalKind.GA:
-        out = (bb - {f"b{i}"}) | {f"a{j}"}
+        out = (bb & ~b_i) | a_j
     else:  # AG
-        out = bb | {f"a{i}", f"g{j}"}
-    return CurveSet.of(g, out)
+        out = bb | a_i | g_j
+    return CurveSet(g, out)
 
 
 def extended_support(iv: Interval, g: int) -> CurveSet:
@@ -388,21 +369,23 @@ def extended_support(iv: Interval, g: int) -> CurveSet:
     i, j = iv.i, iv.j
     kind = iv.kind
 
-    def window(lo: int, hi: int, extra: set[str]) -> CurveSet:
+    g_i, g_j = _run(g, "g", i, i), _run(g, "g", j, j)
+
+    def window(lo: int, hi: int, extra: int) -> CurveSet:
         # full handles lo..hi: their a's, b's and the g's between them
-        out = _rng("a", lo, hi) | _rng("b", lo, hi) | _rng("g", lo, hi - 1) | extra
-        return CurveSet.of(g, out)
+        out = _run(g, "a", lo, hi) | _run(g, "b", lo, hi) | _run(g, "g", lo, hi - 1) | extra
+        return CurveSet(g, out)
 
     if kind in (IntervalKind.AA, IntervalKind.BB, IntervalKind.AB, IntervalKind.BA):
-        return window(i, j, set())
+        return window(i, j, 0)
     if kind in (IntervalKind.AG, IntervalKind.BG):
         # handles i..j plus the tail curve g_j into half of handle j+1
-        return window(i, j, {f"g{j}"})
+        return window(i, j, g_j)
     if kind in (IntervalKind.GA, IntervalKind.GB):
         # half of handle i plus full handles i+1..j
-        return window(i + 1, j, {f"g{i}"})
+        return window(i + 1, j, g_i)
     # GG: half handles on both sides of the full handles i+1..j
-    return window(i + 1, j, {f"g{i}", f"g{j}"})
+    return window(i + 1, j, g_i | g_j)
 
 
 def _validate_interval(iv: Interval, g: int) -> None:
@@ -436,7 +419,7 @@ def all_intervals(g: int) -> tuple[Interval, ...]:
 def _interval_support_masks(g: int) -> tuple[tuple[Interval, int, int], ...]:
     """(interval, m, extended-support mask) in scan order."""
     return tuple(
-        (iv, iv.chain_length_m, extended_support(iv, g).mask()) for iv in all_intervals(g)
+        (iv, iv.chain_length_m, extended_support(iv, g).mask) for iv in all_intervals(g)
     )
 
 
@@ -449,12 +432,11 @@ def enclosing_interval(s: CurveSet) -> tuple[Interval, int]:
     interval would contradict the size classification this engine is
     built on, so that case raises instead of degrading the claim.
     """
-    if not is_connected(s) or len(s) == 0:
+    g, smask = s.genus, s.mask
+    if not smask or not is_connected_mask(g, smask):
         raise LickorishError("enclosing_interval requires a nonempty connected set")
     if chain_order(s) is not None:
         raise LickorishError("enclosing_interval is for non-chains; classify chains directly")
-    g = s.genus
-    smask = s.mask()
     size = len(s)
     for iv, m, emask in _interval_support_masks(g):
         if m < size and smask & ~emask == 0:
@@ -511,14 +493,12 @@ def separating_chain_form(s: CurveSet) -> Optional[tuple[int, int]]:
     deleting its interior a's.  Returns (i, j) or None.
     """
     g = s.genus
-    a_idx = sorted(int(n[1:]) for n in s.members if n[0] == "a")
-    if len(a_idx) != 2:
+    a_mask = s.mask & _run(g, "a", 1, g)
+    if a_mask.bit_count() != 2:
         return None
-    i, j = a_idx
-    if i >= j:
-        return None
-    expected = {f"a{i}", f"a{j}"} | _rng("b", i, j) | _rng("g", i, j - 1)
-    if s.members == frozenset(expected):
+    i, j = (a_mask & -a_mask).bit_length(), a_mask.bit_length()
+    expected = _run(g, "a", i, i) | _run(g, "a", j, j) | _run(g, "b", i, j) | _run(g, "g", i, j - 1)
+    if s.mask == expected:
         return i, j
     return None
 
@@ -575,7 +555,7 @@ def size_classify(s: CurveSet, g: int) -> EnclosureClaim:
     """
     if s.genus != g:
         raise LickorishError("genus mismatch")
-    if len(s) == 0 or not is_connected(s):
+    if len(s) == 0 or not is_connected_mask(g, s.mask):
         raise LickorishError("size_classify requires a nonempty connected set")
     if chain_order(s) is not None:
         return classify_chain(s, g)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .lickorish import CurveSet, components, curve_names, is_connected
+from .lickorish import CurveSet, curve_names, is_connected_mask
 
 
 class SurfaceError(ValueError):
@@ -88,6 +88,10 @@ class RibbonGraph:
             raise SurfaceError("some dart is not an arc endpoint")
         self._iota = iota
         self._dart_arc = dart_arc
+        # curve bits under curve_index, for testing membership in a subset mask
+        bit = {name: 1 << i for i, name in enumerate(curve_names(genus))}
+        self._arc_bit = [bit[arc.curve] for arc in self.arcs]
+        self._vertex_bits = [(bit[c.curve_x], bit[c.curve_y]) for c in self.vertices]
 
         self.faces: tuple[tuple[int, ...], ...] = self._trace_faces()
         self._dart_face = [-1] * n_darts
@@ -148,16 +152,16 @@ class RibbonGraph:
 
     # -- caches ------------------------------------------------------------
 
-    def _restriction(self, members: frozenset[str]) -> "_Restriction":
+    def _restriction(self, mask: int) -> "_Restriction":
         cache = getattr(self, "_restriction_cache", None)
         if cache is None:
             cache = self._restriction_cache = {}
-        hit = cache.get(members)
+        hit = cache.get(mask)
         if hit is None:
-            hit = _Restriction(self, members)
+            hit = _Restriction(self, mask)
             if len(cache) > 60000:
                 cache.clear()
-            cache[members] = hit
+            cache[mask] = hit
         return hit
 
 
@@ -246,19 +250,16 @@ class _Restriction:
     dropped strand off the picture.
     """
 
-    def __init__(self, rg: RibbonGraph, members: frozenset[str]):
+    def __init__(self, rg: RibbonGraph, mask: int):
         self.rg = rg
-        self.members = members
-        keep = members
         n_darts = 4 * rg.num_vertices
+        self._arc_in_s = [bool(b & mask) for b in rg._arc_bit]
+        self._vertex_in_s = [(bool(x & mask), bool(y & mask)) for x, y in rg._vertex_bits]
 
-        in_s = [rg.arcs[rg._dart_arc[d]].curve in keep for d in range(n_darts)]
-        self._dart_in_s = in_s
+        in_s = [self._arc_in_s[rg._dart_arc[d]] for d in range(n_darts)]
 
         # crossings internal to the subset
-        self.ss_crossings = sum(
-            1 for c in rg.vertices if c.curve_x in keep and c.curve_y in keep
-        )
+        self.ss_crossings = sum(1 for x_in, y_in in self._vertex_in_s if x_in and y_in)
 
         # boundary circles of the smoothed neighbourhood: orbits of the
         # skip-rotation next-dart map over kept darts
@@ -291,7 +292,7 @@ class _Restriction:
     def _complement(self) -> None:
         rg = self.rg
         n_faces = rg.num_faces
-        keep = self.members
+        arc_in_s = self._arc_in_s
 
         # union-find over [full faces] + [arcs not in the subset]
         parent = list(range(n_faces + rg.num_arcs))
@@ -318,14 +319,12 @@ class _Restriction:
             return dart_face[iota[4 * v + k]]
 
         for a_idx, arc in enumerate(rg.arcs):
-            if arc.curve in keep:
+            if arc_in_s[a_idx]:
                 continue
             for d in arc.darts:
                 union(arc_node(a_idx), dart_face[d])
 
-        for v, c in enumerate(rg.vertices):
-            x_in = c.curve_x in keep
-            y_in = c.curve_y in keep
+        for v, (x_in, y_in) in enumerate(self._vertex_in_s):
             if x_in and y_in:
                 continue
             if not x_in and not y_in:
@@ -352,14 +351,12 @@ class _Restriction:
         for f in range(n_faces):
             bump(f, 1)
         for a_idx, arc in enumerate(rg.arcs):
-            if arc.curve in keep:
+            if arc_in_s[a_idx]:
                 for d in arc.darts:  # one boundary edge on each side
                     bump(dart_face[d], -1)
             else:
                 bump(arc_node(a_idx), -1)
-        for v, c in enumerate(rg.vertices):
-            x_in = c.curve_x in keep
-            y_in = c.curve_y in keep
+        for v, (x_in, y_in) in enumerate(self._vertex_in_s):
             if x_in and y_in:
                 for k in range(4):
                     bump(corner_face(v, k), 1)
@@ -415,12 +412,12 @@ class SubsurfaceReport:
             )
 
 
-def _as_members(rg: RibbonGraph, s: CurveSet | Iterable[str]) -> frozenset[str]:
+def _as_mask(rg: RibbonGraph, s: CurveSet | Iterable[str]) -> int:
     if isinstance(s, CurveSet):
         if s.genus != rg.genus:
             raise SurfaceError("curve set genus does not match the surface")
-        return s.members
-    return CurveSet.of(rg.genus, s).members
+        return s.mask
+    return CurveSet.of(rg.genus, s).mask
 
 
 def min_enclosing_subsurface(
@@ -433,12 +430,12 @@ def min_enclosing_subsurface(
     window the enclosure lemmas speak about.  ``fill=False`` reports the
     raw neighbourhood, the object the chain lemma is stated for.
     """
-    members = _as_members(rg, s)
-    if not members:
+    mask = _as_mask(rg, s)
+    if not mask:
         raise SurfaceError("min_enclosing_subsurface requires a nonempty set")
-    if not is_connected(CurveSet(rg.genus, members)):
+    if not is_connected_mask(rg.genus, mask):
         raise SurfaceError("min_enclosing_subsurface requires a connected set")
-    r = rg._restriction(members)
+    r = rg._restriction(mask)
 
     chi = -r.ss_crossings
     boundary = len(r.rfaces)
@@ -465,40 +462,14 @@ def complement_census(
     """(genus, boundary) of each component of the surface minus the
     (filled) neighbourhood of the union of the given curves.  The set may
     be disconnected."""
-    members = _as_members(rg, s)
-    if not members:
+    mask = _as_mask(rg, s)
+    if not mask:
         raise SurfaceError("complement_census requires a nonempty set")
-    r = rg._restriction(members)
+    r = rg._restriction(mask)
     census = [(h, b) for (h, b, _root) in r.complement]
     if fill:
         census = [(h, b) for h, b in census if (h, b) != (0, 1)]
     return sorted(census)
-
-
-def neighbourhood_components(
-    rg: RibbonGraph, s: CurveSet | Iterable[str]
-) -> list[tuple[CurveSet, int, int]]:
-    """(curves, genus, boundary) of each connected piece of the raw
-    neighbourhood of the union."""
-    members = _as_members(rg, s)
-    if not members:
-        raise SurfaceError("neighbourhood_components requires a nonempty set")
-    r = rg._restriction(members)
-    out = []
-    for part in components(CurveSet(rg.genus, members)):
-        ss = sum(
-            1
-            for c in rg.vertices
-            if c.curve_x in part.members and c.curve_y in part.members
-        )
-        faces = sum(
-            1
-            for cycle in r.rfaces
-            if rg.arcs[rg._dart_arc[cycle[0]]].curve in part.members
-        )
-        chi = -ss
-        out.append((part, (2 - chi - faces) // 2, faces))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -630,25 +601,37 @@ def verify_assembly(plan: AssemblyPlan, g: int) -> bool:
     return not assembly_problems(plan, g)
 
 
-def pack_subsurfaces(g: int, kind: str, ell: int) -> AssemblyPlan:
-    """Disjoint packings of the closed genus-g surface:
+def pack_count(g: int, kind: str, ell: int) -> int:
+    """Marked pieces of the ``kind`` packing of genus g with parameter
+    ell: floor(g/ell) for ``fit1`` and ``fit2``, floor((g-1)/ell) for ``fit3``."""
+    if not isinstance(ell, int) or ell < 1:
+        raise SurfaceError(f"ell must be a positive integer, got {ell!r}")
+    if kind in ("fit1", "fit2"):
+        return g // ell
+    if kind == "fit3":
+        return (g - 1) // ell
+    raise SurfaceError(f"unknown packing kind {kind!r}")
 
-    * ``fit1``: floor(g/ell) marked copies of the genus-ell one-boundary
-      piece, hung off a sphere carrier (connected-sum picture).
-    * ``fit2``: floor(g/ell) marked non-separating copies of the
-      (ell-1)-genus three-boundary piece in a cyclic chain, capped off.
-    * ``fit3``: floor((g-1)/ell) marked non-separating copies of the
-      genus-ell two-boundary piece in a cyclic chain.
+
+def pack_subsurfaces(g: int, kind: str, ell: int) -> AssemblyPlan:
+    """Disjoint packings of the closed genus-g surface, each with
+    :func:`pack_count` marked pieces:
+
+    * ``fit1``: marked copies of the genus-ell one-boundary piece, hung
+      off a sphere carrier (connected-sum picture).
+    * ``fit2``: marked non-separating copies of the (ell-1)-genus
+      three-boundary piece in a cyclic chain, capped off.
+    * ``fit3``: marked non-separating copies of the genus-ell two-boundary
+      piece in a cyclic chain.
     """
     if not isinstance(g, int) or g < 1:
         raise SurfaceError(f"genus must be a positive integer, got {g!r}")
-    if not isinstance(ell, int) or ell < 1:
-        raise SurfaceError(f"ell must be a positive integer, got {ell!r}")
+    q = pack_count(g, kind, ell)
+    if q == 0:
+        name, top = ("g-1", g - 1) if kind == "fit3" else ("g", g)
+        raise SurfaceError(f"{kind} packs no pieces for ell={ell} > {name}={top}")
 
     if kind == "fit1":
-        q = g // ell
-        if q == 0:
-            raise SurfaceError(f"fit1 packs no pieces for ell={ell} > g={g}")
         leftover = g - q * ell
         holes = q + (1 if leftover else 0)
         pieces: list[tuple[int, int]] = [(0, holes)]
@@ -662,9 +645,6 @@ def pack_subsurfaces(g: int, kind: str, ell: int) -> AssemblyPlan:
         return AssemblyPlan(tuple(pieces), tuple(gluings), tuple(range(1, q + 1)))
 
     if kind == "fit2":
-        q = g // ell
-        if q == 0:
-            raise SurfaceError(f"fit2 packs no pieces for ell={ell} > g={g}")
         leftover = g - q * ell
         # slots of each ring piece: 0 = forward, 1 = cap, 2 = backward
         pieces = [(ell - 1, 3)] * q + [(leftover, q)]
@@ -672,16 +652,11 @@ def pack_subsurfaces(g: int, kind: str, ell: int) -> AssemblyPlan:
         gluings += [(i, 1, q, i) for i in range(q)]
         return AssemblyPlan(tuple(pieces), tuple(gluings), tuple(range(q)))
 
-    if kind == "fit3":
-        q = (g - 1) // ell
-        if q == 0:
-            raise SurfaceError(f"fit3 packs no pieces for ell={ell} > g-1={g - 1}")
-        leftover = (g - 1) - q * ell
-        pieces = [(ell, 2)] * q
-        if leftover:
-            pieces.append((leftover, 2))
-        n = len(pieces)
-        gluings = [(i, 0, (i + 1) % n, 1) for i in range(n)]
-        return AssemblyPlan(tuple(pieces), tuple(gluings), tuple(range(q)))
-
-    raise SurfaceError(f"unknown packing kind {kind!r}")
+    # fit3
+    leftover = (g - 1) - q * ell
+    pieces = [(ell, 2)] * q
+    if leftover:
+        pieces.append((leftover, 2))
+    n = len(pieces)
+    gluings = [(i, 0, (i + 1) % n, 1) for i in range(n)]
+    return AssemblyPlan(tuple(pieces), tuple(gluings), tuple(range(q)))

@@ -14,8 +14,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import lickorish as lk
 from . import surface as sf
 from .bootstrap import count_inequality
@@ -42,7 +40,7 @@ def _scan_connected(name: str, genus_min: int, genus_max: int, check) -> SweepRe
     for g in range(genus_min, genus_max + 1):
         rg = sf.lickorish_surface(g)
         for mask in lk.connected_masks(g):
-            s = lk.CurveSet.from_mask(g, mask)
+            s = lk.CurveSet(g, mask)
             if not lk.is_connected_mask(g, mask):
                 result.violations.append(f"g={g} {s.sorted_members()}: enumerated subset is disconnected")
                 continue
@@ -100,15 +98,8 @@ def sweep_badchains(genus_min: int, genus_max: int) -> SweepResult:
 # ---------------------------------------------------------------------------
 # interval window lemmas (filled neighbourhoods)
 
-# (genus, boundary) of each enclosure window as a function of d = j-i;
-# the second component of the value is whether the window must have
-# connected complement (it is non-separating).
-_WINDOW_TABLE = {
-    lk.IntervalKind.AA: lambda d: (d + 1, 1),
-    lk.IntervalKind.GG: lambda d: (d, 3),
-    lk.IntervalKind.AG: lambda d: (d + 1, 2),
-    lk.IntervalKind.GA: lambda d: (d, 2),
-}
+# the four primitive windows whose enclosures the sweep checks
+_PRIMITIVE_KINDS = (lk.IntervalKind.AA, lk.IntervalKind.GG, lk.IntervalKind.AG, lk.IntervalKind.GA)
 
 
 def sweep_intervals(genus_min: int, genus_max: int) -> SweepResult:
@@ -124,13 +115,12 @@ def sweep_intervals(genus_min: int, genus_max: int) -> SweepResult:
     for g in range(genus_min, genus_max + 1):
         rg = sf.lickorish_surface(g)
         for iv in lk.all_intervals(g):
-            fn = _WINDOW_TABLE.get(iv.kind)
-            if fn is None:
+            if iv.kind not in _PRIMITIVE_KINDS:
                 continue
             result.checked += 1
             supp = lk.extended_support(iv, g)
             rep = sf.min_enclosing_subsurface(rg, supp, fill=True)
-            want = fn(iv.j - iv.i)
+            want = lk.interval_claim(iv)
             want_components = 1
             if iv.kind is lk.IntervalKind.AA and (iv.i, iv.j) == (1, g):
                 want = (g, 0)  # window spans every handle; filling closes up
@@ -174,7 +164,7 @@ def _check_size(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
                 f"g={g} {s.sorted_members()}: enclosing interval {iv.label()} has m={m} >= |S|"
             )
         support = lk.extended_support(iv, g)
-        if not s.members <= support.members:
+        if s.mask & ~support.mask:
             out.violations.append(
                 f"g={g} {s.sorted_members()}: support of {iv.label()} does not contain the set"
             )
@@ -201,31 +191,56 @@ def sweep_size_soundness(genus_min: int, genus_max: int) -> SweepResult:
 # counting lemma and packings
 
 
+def _low_terms(n: int, d_max: int, shift: int, bound: int) -> list[tuple[int, int]]:
+    """(d, term) for the first 10 even d in [2, d_max] whose term
+    (d - shift) * (n // d) is below ``bound``, ascending in d; d_max <= n.
+
+    Within a block of d where n // d is constant the term grows with d,
+    so only the block's first even d can be its minimum: a block is
+    scanned only when that first term is already too small.
+    """
+    low: list[tuple[int, int]] = []
+    d = 2
+    while d <= d_max and len(low) < 10:
+        q = n // d
+        last = min(n // q, d_max)  # last d of this block
+        if (d - shift) * q < bound:
+            for e in range(d, last + 1, 2):
+                if (e - shift) * q < bound:
+                    low.append((e, (e - shift) * q))
+        d = (last + 2) & ~1  # first even d of the next block
+    return low[:10]
+
+
+def _count_families(g: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The counting lemma's even-k and odd-k families at genus g as
+    (n, d_max, shift, k - d): with d even, k = d has lhs (d-1) * (2g // d)
+    and k = d+1 has lhs d * (2(g-1) // d)."""
+    return (2 * g, 2 * g, 1, 0), (2 * (g - 1), 2 * g - 2, 0, 1)
+
+
 def sweep_count(genus_min: int, genus_max: int) -> SweepResult:
     """Floor-count inequality for every genus in range and every k in
-    [2, 2g], vectorised per genus and spot-checked against the scalar
-    evaluator."""
+    [2, 2g], scanned per genus over the blocks where the floor is
+    constant and spot-checked against the scalar evaluator."""
     result = SweepResult("count")
     t0 = time.perf_counter()
     for g in range(genus_min, genus_max + 1):
-        k = np.arange(2, 2 * g + 1, dtype=np.int64)
-        lhs = np.where(
-            k % 2 == 0,
-            (k - 1) * (2 * g // np.maximum(k, 1)),
-            (k - 1) * (2 * (g - 1) // np.maximum(k - 1, 1)),
-        )
-        result.checked += int(k.size)
-        bad = np.nonzero(lhs < g)[0]
-        for idx in bad[:10]:
-            kk = int(k[idx])
-            result.violations.append(f"g={g} k={kk}: lhs={int(lhs[idx])} < g")
+        families = _count_families(g)
+        result.checked += 2 * g - 1
+        bad = []
+        for n, d_max, shift, dk in families:
+            bad += [(d + dk, lhs) for d, lhs in _low_terms(n, d_max, shift, g)]
+        for kk, lhs in sorted(bad)[:10]:
+            result.violations.append(f"g={g} k={kk}: lhs={lhs} < g")
         if g % 479 == 0 or g == genus_min:
             for kk in (2, min(3, 2 * g), 2 * g):
+                n, _d_max, shift, dk = families[kk % 2]
+                lhs = (kk - dk - shift) * (n // (kk - dk))
                 cc = count_inequality(g, kk)
-                if cc.lhs != int(lhs[kk - 2]):
+                if cc.lhs != lhs:
                     result.violations.append(
-                        f"g={g} k={kk}: vectorised lhs {int(lhs[kk - 2])} "
-                        f"disagrees with count_inequality ({cc.lhs})"
+                        f"g={g} k={kk}: block-scan lhs {lhs} disagrees with count_inequality ({cc.lhs})"
                     )
     result.elapsed = time.perf_counter() - t0
     return result

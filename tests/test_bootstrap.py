@@ -9,6 +9,7 @@ import pytest
 
 from twistcert import bootstrap as bs
 from twistcert import lickorish as lk
+from twistcert import surface as sf
 
 
 def test_count_examples():
@@ -265,14 +266,6 @@ def test_schema_arithmetic_implied_by_count_lemma():
     for g in range(3, 150):
         for size in range(3, 3 * g):
             for (_h, _b, kind, ell) in bs._schema_profiles(size, g):
-                n = bs._expected_pack_count(g, kind, ell)
+                n = sf.pack_count(g, kind, ell)
                 assert n >= 1, (g, size, kind, ell)
                 assert n * (size - 1) >= g, (g, size, kind, ell)
-
-
-def test_isometry_class_tags():
-    axioms = frozenset({bs.Axiom.R_TORSION.value})
-    assert bs.IsometryClassTag.ELLIPTIC.implies_elliptic(frozenset())
-    assert bs.IsometryClassTag.FINITE_ORDER.implies_elliptic(axioms)
-    assert not bs.IsometryClassTag.FINITE_ORDER.implies_elliptic(frozenset())
-    assert not bs.IsometryClassTag.HYPERBOLIC.implies_elliptic(axioms)

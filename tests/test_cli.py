@@ -139,6 +139,27 @@ def test_check_reports_coverage_mode(tmp_path, capsys):
     assert "coverage: schema-only" in capsys.readouterr().out
 
 
+
+def test_check_coverage_not_run_when_verification_stops_early(tmp_path):
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    out.write_text(json.dumps(_set(("header", "version"), "0.1.0")(json.loads(out.read_text()))))
+    a = run_cli("check", str(out), "--json")
+    assert a.returncode == 1
+    report = json.loads(a.stdout)
+    assert len(report["violations"]) == 1
+    assert report["coverage"] == {"mode": "not-run", "max_genus": 10}
+    human = run_cli("check", str(out)).stdout
+    assert "coverage: not run" in human
+    assert "exhaustive up to" not in human
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, twistcert.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 def _set(path, value):
     def edit(doc):
         target = doc

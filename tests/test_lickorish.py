@@ -49,24 +49,28 @@ def test_curve_index_round_trip():
     for g in (2, 3, 5):
         names = lk.curve_names(g)
         assert [lk.curve_index(n, g) for n in names] == list(range(3 * g - 1))
-        mask = lk.lam(g).mask()
+        mask = lk.lam(g).mask
         assert mask == (1 << (3 * g - 1)) - 1
-        assert lk.CurveSet.from_mask(g, mask) == lk.lam(g)
+        assert lk.CurveSet(g, mask) == lk.lam(g)
 
+
+
+def test_curve_set_is_a_genus_mask_pair():
+    s = cs(3, "g2", "a1", "b1")
+    assert s == lk.CurveSet(3, 0b10001001)  # a1 -> bit 0, b1 -> bit 3, g2 -> bit 7
+    assert s.sorted_members() == ["a1", "b1", "g2"]
+    assert s.members == frozenset({"a1", "b1", "g2"})
+    assert len(s) == 3
+    for bad in (-1, 1 << 8, True, 1.0):
+        with pytest.raises(lk.LickorishError):
+            lk.CurveSet(3, bad)
 
 def test_connectivity():
-    assert lk.is_connected(cs(2, "a1", "b1", "g1"))
-    parts = lk.components(cs(2, "a1", "a2"))
+    assert lk.is_connected_mask(2, cs(2, "a1", "b1", "g1").mask)
+    parts = lk.components_mask(2, cs(2, "a1", "a2").mask)
     assert len(parts) == 2
-    assert lk.is_connected(lk.CurveSet.of(2, []))  # vacuously
-    assert lk.components(lk.CurveSet.of(2, [])) == []
-
-
-def test_connectivity_masks_agree():
-    g = 3
-    for mask in range(1, 1 << (3 * g - 1)):
-        s = lk.CurveSet.from_mask(g, mask)
-        assert lk.is_connected_mask(g, mask) == lk.is_connected(s)
+    assert lk.is_connected_mask(2, lk.CurveSet.of(2, []).mask)  # vacuously
+    assert lk.components_mask(2, lk.CurveSet.of(2, []).mask) == []
 
 
 def test_connected_masks_match_filter():
@@ -162,7 +166,7 @@ def test_enclosing_interval_minimality_and_m_bound():
         for mask in range(1, 1 << (3 * g - 1)):
             if not lk.is_connected_mask(g, mask):
                 continue
-            s = lk.CurveSet.from_mask(g, mask)
+            s = lk.CurveSet(g, mask)
             if lk.chain_order(s) is not None:
                 continue
             iv, m = lk.enclosing_interval(s)
@@ -220,7 +224,7 @@ def test_claims_fit_clauses():
         for mask in range(1, 1 << (3 * g - 1)):
             if not lk.is_connected_mask(g, mask):
                 continue
-            s = lk.CurveSet.from_mask(g, mask)
+            s = lk.CurveSet(g, mask)
             claim = lk.size_classify(s, g)
             assert lk.claim_fits_clause(claim, len(s)), (g, s.sorted_members(), claim)
 
@@ -231,7 +235,7 @@ def test_badchains_m_arithmetic():
         for mask in range(1, 1 << (3 * g - 1)):
             if not lk.is_connected_mask(g, mask):
                 continue
-            s = lk.CurveSet.from_mask(g, mask)
+            s = lk.CurveSet(g, mask)
             order = lk.chain_order(s)
             if order is None:
                 continue

@@ -106,17 +106,6 @@ def test_census_examples():
     assert sf.complement_census(rg2, ["a1", "a2"], fill=False) == [(0, 4)]
 
 
-def test_neighbourhood_components_disconnected():
-    rg = sf.lickorish_surface(2)
-    parts = sf.neighbourhood_components(rg, ["a1", "a2"])
-    assert len(parts) == 2
-    for _curves, genus, boundary in parts:
-        assert (genus, boundary) == (0, 2)  # two annuli
-    parts = sf.neighbourhood_components(rg, ["a1", "b1", "a2"])
-    shapes = sorted((genus, boundary) for _c, genus, boundary in parts)
-    assert shapes == [(0, 2), (1, 1)]
-
-
 def test_min_enclosing_rejects_bad_input():
     rg = sf.lickorish_surface(2)
     with pytest.raises(sf.SurfaceError):
@@ -132,7 +121,7 @@ def test_euler_characteristic_additivity():
         for mask in range(1, 1 << (3 * g - 1)):
             if not lk.is_connected_mask(g, mask):
                 continue
-            s = lk.CurveSet.from_mask(g, mask)
+            s = lk.CurveSet(g, mask)
             for fill in (False, True):
                 rep = sf.min_enclosing_subsurface(rg, s, fill=fill)
                 total = rep.euler_char + sum(2 - 2 * h - b for h, b in rep.complement_components)
@@ -151,7 +140,7 @@ def test_euler_characteristic_additivity_sampled_higher_genus():
         while checked < 300:
             size = rng.randint(1, len(names))
             s = lk.CurveSet.of(g, rng.sample(names, size))
-            if not lk.is_connected(s):
+            if not lk.is_connected_mask(g, s.mask):
                 continue
             checked += 1
             for fill in (False, True):

@@ -1,4 +1,4 @@
-"""Sweep helpers: subset counts."""
+"""Sweep helpers: subset counts and the counting-lemma block scan."""
 
 from __future__ import annotations
 
@@ -8,4 +8,29 @@ from twistcert import sweeps
 def test_size_sweep_counts_connected_subsets():
     result = sweeps.sweep_size_soundness(2, 5)
     assert result.checked == 420  # 15 + 45 + 111 + 249 connected subsets
+    assert result.violations == []
+
+
+def _per_k_low(g, bound):
+    """(k, lhs) for every k in [2, 2g] whose count lhs is below bound, one k at a time."""
+    out = []
+    for k in range(2, 2 * g + 1):
+        lhs = (k - 1) * (2 * g // k) if k % 2 == 0 else (k - 1) * (2 * (g - 1) // (k - 1))
+        if lhs < bound:
+            out.append((k, lhs))
+    return out
+
+
+def test_count_block_scan_matches_per_k_loop():
+    # bound g is the lemma itself (nothing is low); 2g and 3g make many k low
+    for g in range(1, 301):
+        for bound in (g, 2 * g, 3 * g):
+            brute = _per_k_low(g, bound)
+            (n0, top0, shift0, _), (n1, top1, shift1, _) = sweeps._count_families(g)
+            even = sweeps._low_terms(n0, top0, shift0, bound)
+            odd = [(d + 1, lhs) for d, lhs in sweeps._low_terms(n1, top1, shift1, bound)]
+            assert even == [p for p in brute if p[0] % 2 == 0][:10], (g, bound)
+            assert odd == [p for p in brute if p[0] % 2 == 1][:10], (g, bound)
+    result = sweeps.sweep_count(1, 300)
+    assert result.checked == 300 * 300  # sum of 2g-1
     assert result.violations == []
