@@ -644,18 +644,17 @@ def coverage_mode(g: int, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT, reache
 
     ``exhaustive`` when 3 <= g <= min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP):
     every connected subset of size >= 3 is enumerated and re-classified,
-    and ``connected_subsets`` counts them; ``not-run`` instead when the
-    checks before coverage failed (``reached`` false), so that no subset
-    was enumerated.  Otherwise ``schema-only``: the node inventory and
-    its side conditions are checked, but no subset is enumerated.
+    and :func:`verify` adds their count as ``connected_subsets``; ``not-run``
+    when the checks before coverage failed (``reached`` false), so that no
+    subset was enumerated.  Otherwise ``schema-only``: the node inventory
+    and its side conditions are checked, but no subset is enumerated.
     """
     bound = min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP)
     if not (isinstance(g, int) and 3 <= g <= bound):
         return {"mode": "schema-only", "max_genus": bound}
     if not reached:
         return {"mode": "not-run", "max_genus": bound}
-    classified = sum(1 for mask in connected_masks(g) if mask.bit_count() >= 3)
-    return {"mode": "exhaustive", "max_genus": bound, "connected_subsets": classified}
+    return {"mode": "exhaustive", "max_genus": bound}
 
 
 def verify(
@@ -675,7 +674,9 @@ def verify(
     violations = _check_inventory(cert)
     coverage = coverage_mode(cert.genus, exhaustive_max_genus, reached=not violations)
     if coverage["mode"] == "exhaustive":
-        violations = _exhaustive_coverage(cert)
+        masks = connected_masks(cert.genus)
+        coverage["connected_subsets"] = sum(1 for mask in masks if mask.bit_count() >= 3)
+        violations = _exhaustive_coverage(cert, masks)
     if report is not None:
         report["coverage"] = coverage
     return violations
@@ -832,13 +833,13 @@ def _check_plan_witness(node: RuleApp, kind, ell, expected_marked, g: int, bad) 
             expected_marked, "marked piece count mismatch")
 
 
-def _exhaustive_coverage(cert: Certificate) -> list[Violation]:
+def _exhaustive_coverage(cert: Certificate, masks: list[int]) -> list[Violation]:
     """Confirm some node concludes every subset of the generator set.
 
     Subsets of size <= 2 fall to the genus1_step node and disconnected
     ones to the split_commuting node of their size; every connected
-    subset of size >= 3 is enumerated, re-classified and matched against
-    a connected_bootstrap node.
+    subset of size >= 3 in ``masks`` (the enumerated connected subsets)
+    is re-classified and matched against a connected_bootstrap node.
     """
     g = cert.genus
     conn_nodes: dict[tuple[int, int], int] = {}  # (size, boundary) -> genus cap
@@ -852,12 +853,12 @@ def _exhaustive_coverage(cert: Certificate) -> list[Violation]:
     if not any(node.rule == "genus1_step" for node in cert.nodes):
         return [Violation(-1, "coverage", "size<=2", None, None,
                           "no genus1_step node covers small subsets")]
-    for size in sorted(disconnected_sizes(g)):
+    for size in sorted(disconnected_sizes(g, masks)):
         if size >= 3 and size not in split_sizes:
             return [Violation(-1, "coverage", "split", size, sorted(split_sizes),
                               f"no split node for disconnected subsets of size {size}")]
     violations: list[Violation] = []
-    for mask in connected_masks(g):
+    for mask in masks:
         size = mask.bit_count()
         if size <= 2:
             continue

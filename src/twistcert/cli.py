@@ -21,7 +21,6 @@ import json
 import random
 import sys
 import time
-from itertools import combinations
 from typing import Optional
 
 from . import __version__
@@ -284,30 +283,13 @@ def _demo_sphere_joins(limit: int = 7) -> sweeps.SweepResult:
     dimension (sum of the k_i) - 1, for every composition up to the cap."""
     result = sweeps.SweepResult("sphere-joins")
     t0 = time.perf_counter()
-
-    def compositions(total: int):
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in compositions(total - first):
-                yield (first,) + rest
-
-    for total in range(1, limit + 1):
-        for parts in compositions(total):
-            result.checked += 1
-            factors = []
-            offset = 0
-            for k in parts:
-                verts = range(offset, offset + k + 1)
-                factors.append(nc.SimplicialComplex(combinations(verts, k)))
-                offset += k + 1
-            joined = nc.join_all(factors)
-            if not nc.is_homology_sphere(joined, total - 1):
-                result.violations.append(
-                    f"join of boundaries {parts}: not a homology {total - 1}-sphere "
-                    f"(betti {nc.betti_z2(joined).values})"
-                )
+    for parts, joined, sphere in nc.sphere_joins(nc.compositions(limit)):
+        result.checked += 1
+        if not sphere:
+            result.violations.append(
+                f"join of boundaries {parts}: not a homology {sum(parts) - 1}-sphere "
+                f"(betti {nc.betti_z2(joined).values})"
+            )
     result.elapsed = time.perf_counter() - t0
     return result
 

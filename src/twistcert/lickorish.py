@@ -211,11 +211,11 @@ def connected_masks(g: int) -> list[int]:
     return out
 
 
-def disconnected_sizes(g: int) -> set[int]:
+def disconnected_sizes(g: int, connected_subsets: list[int]) -> set[int]:
     """Sizes k that some disconnected k-subset has: exactly those where
-    C(3g-1, k) exceeds the number of connected k-subsets."""
+    C(3g-1, k) exceeds the number of k-masks in ``connected_subsets``."""
     n = 3 * g - 1
-    connected = Counter(mask.bit_count() for mask in connected_masks(g))
+    connected = Counter(mask.bit_count() for mask in connected_subsets)
     return {k for k in range(1, n + 1) if comb(n, k) > connected[k]}
 
 

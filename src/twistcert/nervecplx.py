@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 
 Vertex = Hashable
@@ -26,11 +26,7 @@ class SimplicialComplex:
     """
 
     def __init__(self, maximal_faces: Iterable[Iterable[Vertex]], vertex_labels=None):
-        maxs: list[frozenset] = []
-        for face in maximal_faces:
-            fs = frozenset(face)
-            if fs:
-                maxs.append(fs)
+        maxs = [fs for fs in map(frozenset, maximal_faces) if fs]
         # drop faces contained in others
         maxs.sort(key=len, reverse=True)
         pruned: list[frozenset] = []
@@ -38,9 +34,7 @@ class SimplicialComplex:
             if not any(fs <= other for other in pruned):
                 pruned.append(fs)
         self.maximal_faces: tuple[frozenset, ...] = tuple(pruned)
-        verts: set = set()
-        for fs in pruned:
-            verts |= fs
+        verts: set = set().union(*pruned)
         if vertex_labels is None:
             self.vertex_labels = tuple(sorted(verts, key=repr))
         else:
@@ -65,22 +59,9 @@ class SimplicialComplex:
             return True
         return any(fs <= m for m in self.maximal_faces)
 
-    def simplices_of_dim(self, k: int) -> list[frozenset]:
-        """All k-simplices, each exactly once."""
-        out: set[frozenset] = set()
-        for m in self.maximal_faces:
-            if len(m) >= k + 1:
-                out.update(frozenset(c) for c in combinations(sorted(m, key=repr), k + 1))
-        return sorted(out, key=lambda s: sorted(map(repr, s)))
-
-    def all_simplices(self) -> list[frozenset]:
-        out = []
-        for k in range(self.dim + 1):
-            out.extend(self.simplices_of_dim(k))
-        return out
-
     def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(self.simplices_of_dim(k)) for k in range(self.dim + 1))
+        counts, _ = _face_layers(self)
+        return sum((-1) ** q * n for q, n in enumerate(counts))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -155,18 +136,21 @@ def join_all(complexes: Sequence[SimplicialComplex]) -> SimplicialComplex:
 
 
 def gf2_rank(rows: list[int]) -> int:
-    """Rank of a matrix whose rows are given as bitmask integers."""
-    rank = 0
-    pivots: list[int] = []
+    """Rank of a matrix whose rows are given as bitmask integers.
+
+    Each pivot is stored under its lowest set bit, so a row is reduced by
+    looking up its current lowest bit until it vanishes or that bit is new.
+    """
+    pivots: dict[int, int] = {}
     for row in rows:
-        for p in pivots:
-            low = p & -p
-            if row & low:
-                row ^= p
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -181,31 +165,40 @@ class BettiVector:
         return 0
 
 
+def _face_layers(k: SimplicialComplex) -> tuple[list[int], list[list[int]]]:
+    """Face counts per dimension and the mod-2 boundary rows of each layer.
+
+    Faces are bitmasks over the positions of ``vertex_labels``.  The layers
+    are built top-down: the maximal faces seed their own layer, and each
+    q-face adds its facets to layer q-1 while its boundary row (one bit per
+    facet's index in that layer) is built.  ``rows[0]`` is empty.
+    """
+    bit = {v: 1 << i for i, v in enumerate(k.vertex_labels)}
+    layers: list[dict[int, int]] = [{} for _ in range(k.dim + 1)]
+    for face in k.maximal_faces:
+        layer = layers[len(face) - 1]
+        layer[sum(bit[v] for v in face)] = len(layer)
+    rows: list[list[int]] = [[] for _ in layers]
+    for q in range(k.dim, 0, -1):
+        below = layers[q - 1]
+        for face in layers[q]:
+            row, rest = 0, face
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row |= 1 << below.setdefault(face ^ low, len(below))
+            rows[q].append(row)
+    return [len(layer) for layer in layers], rows
+
+
 def betti_z2(k: SimplicialComplex) -> BettiVector:
     """Reduced Betti numbers over the two-element field via boundary ranks."""
-    d = k.dim
-    if d < 0:
+    if k.dim < 0:
         return BettiVector(())
-    by_dim = [k.simplices_of_dim(q) for q in range(d + 1)]
-    index = [{s: i for i, s in enumerate(layer)} for layer in by_dim]
-
+    counts, rows = _face_layers(k)
     # rank of the boundary map C_q -> C_{q-1}; q = 0 is the augmentation
-    ranks = [0] * (d + 2)
-    ranks[0] = 1 if by_dim[0] else 0
-    for q in range(1, d + 1):
-        rows = []
-        idx = index[q - 1]
-        for s in by_dim[q]:
-            row = 0
-            for v in s:
-                row |= 1 << idx[s - {v}]
-            rows.append(row)
-        ranks[q] = gf2_rank(rows)
-    values = []
-    for q in range(d + 1):
-        cycles = len(by_dim[q]) - ranks[q]
-        values.append(cycles - ranks[q + 1])
-    return BettiVector(tuple(values))
+    ranks = [1] + [gf2_rank(layer_rows) for layer_rows in rows[1:]] + [0]
+    return BettiVector(tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(len(counts))))
 
 
 def is_homology_sphere(k: SimplicialComplex, d: int) -> bool:
@@ -215,6 +208,29 @@ def is_homology_sphere(k: SimplicialComplex, d: int) -> bool:
         return False
     betti = betti_z2(k)
     return all(betti[q] == (1 if q == d else 0) for q in range(d + 1))
+
+
+def compositions(limit: int) -> Iterator[tuple[int, ...]]:
+    """Every ordered list of positive parts with sum at most ``limit``."""
+    for first in range(1, limit + 1):
+        yield (first,)
+        for rest in compositions(limit - first):
+            yield (first,) + rest
+
+
+def sphere_joins(
+    part_lists: Iterable[Sequence[int]],
+) -> Iterator[tuple[tuple[int, ...], SimplicialComplex, bool]]:
+    """For each (k_1, .., k_r): the join of the boundaries of simplices of
+    dimensions k_i on disjoint vertex ranges, and whether it is a homology
+    sphere of dimension k_1 + .. + k_r - 1."""
+    for parts in part_lists:
+        factors, offset = [], 0
+        for k in parts:
+            factors.append(SimplicialComplex(combinations(range(offset, offset + k + 1), k)))
+            offset += k + 1
+        joined = join_all(factors)
+        yield tuple(parts), joined, is_homology_sphere(joined, sum(parts) - 1)
 
 
 # ---------------------------------------------------------------------------

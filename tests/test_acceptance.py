@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from itertools import combinations
 
 import pytest
 
@@ -219,25 +218,10 @@ def test_acceptance_9_nerve_join_homology():
         if not ok:
             result.violations.append(f"one-sided containment fails: {fam1} {fam2}")
 
-    def compositions(total):
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in compositions(total - first):
-                yield (first,) + rest
-
-    for total in range(1, 8):
-        for parts in compositions(total):
-            result.checked += 1
-            factors = []
-            offset = 0
-            for k in parts:
-                verts = range(offset, offset + k + 1)
-                factors.append(nc.SimplicialComplex(combinations(verts, k)))
-                offset += k + 1
-            if not nc.is_homology_sphere(nc.join_all(factors), total - 1):
-                result.violations.append(f"join of simplex boundaries {parts} is not a sphere")
+    for parts, _, sphere in nc.sphere_joins(nc.compositions(7)):
+        result.checked += 1
+        if not sphere:
+            result.violations.append(f"join of simplex boundaries {parts} is not a sphere")
 
     for _ in range(500):
         n = rng.randint(2, 7)

@@ -244,9 +244,10 @@ def test_schema_verification_above_exhaustive_bound():
 
 def test_coverage_requires_every_split_node():
     cert = bs.derive_technical(4, 3)
-    assert bs._exhaustive_coverage(cert) == []
+    masks = lk.connected_masks(4)
+    assert bs._exhaustive_coverage(cert, masks) == []
     nodes = tuple(n for n in cert.nodes if not (n.rule == "split_commuting" and n.params["size"] == 5))
-    violations = bs._exhaustive_coverage(dataclasses.replace(cert, nodes=nodes))
+    violations = bs._exhaustive_coverage(dataclasses.replace(cert, nodes=nodes), masks)
     assert [(v.field, v.claimed) for v in violations] == [("split", 5)]
 
 

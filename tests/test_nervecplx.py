@@ -6,7 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistcert import nervecplx as nc
@@ -94,6 +94,87 @@ def test_nerve_union_contained_in_join(data):
         assert joined.has_simplex(m), (fam1, fam2, sorted(m))
 
 
+def _dense_gf2_rank(matrix: list[list[int]]) -> int:
+    """Gaussian elimination over GF(2) on a dense 0/1 matrix."""
+    m = [list(row) for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                m[r] = [a ^ b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_betti(k: nc.SimplicialComplex) -> tuple[int, ...]:
+    """Reduced mod-2 Betti numbers from frozenset faces and dense boundary
+    matrices, independent of the bitmask layers."""
+    layers = []
+    for q in range(k.dim + 1):
+        faces = {frozenset(c) for m in k.maximal_faces for c in combinations(m, q + 1)}
+        layers.append(sorted(faces, key=lambda f: sorted(map(repr, f))))
+    ranks = [1 if layers else 0]
+    for q in range(1, len(layers)):
+        index = {f: i for i, f in enumerate(layers[q - 1])}
+        matrix = [[0] * len(index) for _ in layers[q]]
+        for r, face in enumerate(layers[q]):
+            for v in face:
+                matrix[r][index[face - {v}]] = 1
+        ranks.append(_dense_gf2_rank(matrix))
+    ranks.append(0)
+    return tuple(len(layers[q]) - ranks[q] - ranks[q + 1] for q in range(len(layers)))
+
+
+_labels = st.one_of(
+    st.integers(-3, 9),
+    st.text("abc", min_size=1, max_size=2),
+    st.tuples(st.integers(0, 2), st.sampled_from("xy")),
+)
+
+
+@st.composite
+def _complexes(draw):
+    pool = draw(st.lists(_labels, min_size=1, max_size=8, unique=True))
+    faces = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6), max_size=5))
+    if draw(st.booleans()):
+        return nc.SimplicialComplex(faces, vertex_labels=pool)  # unused labels are phantoms
+    return nc.SimplicialComplex(faces)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(_complexes())
+@example(nc.SimplicialComplex([]))
+@example(nc.SimplicialComplex([[7]]))
+@example(nc.SimplicialComplex([["v"]]))
+@example(nc.SimplicialComplex([[(0, "x")]], vertex_labels=[(0, "x"), (1, "y")]))
+def test_betti_matches_dense_reference(k):
+    betti = nc.betti_z2(k).values
+    assert betti == _reference_betti(k)
+    chi = k.euler_characteristic()
+    if k.is_empty():
+        assert betti == () and chi == 0
+    else:
+        # Euler-Poincare for reduced homology
+        assert sum((-1) ** q * b for q, b in enumerate(betti)) == chi - 1
+
+
+@settings(max_examples=300, deadline=2000)
+@given(st.data())
+def test_gf2_rank_matches_dense_reference(data):
+    width = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=10))
+    rows += [0] * data.draw(st.integers(0, 2))
+    if rows:
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicates
+    rows = data.draw(st.permutations(rows))
+    dense = [[(row >> i) & 1 for i in range(width)] for row in rows]
+    assert nc.gf2_rank(rows) == _dense_gf2_rank(dense)
+
+
 def test_betti_boundary_3_simplex():
     assert nc.betti_z2(nc.boundary_simplex(3)).values == (0, 0, 1)
 
@@ -133,15 +214,9 @@ def test_torus_complex_not_sphere():
 
 
 def test_sphere_joins_small():
-    for parts in [(1,), (2,), (1, 1), (2, 1), (3, 2), (1, 1, 1)]:
-        factors = []
-        offset = 0
-        for k in parts:
-            verts = range(offset, offset + k + 1)
-            factors.append(nc.SimplicialComplex(combinations(verts, k)))
-            offset += k + 1
-        joined = nc.join_all(factors)
-        assert nc.is_homology_sphere(joined, sum(parts) - 1), parts
+    part_lists = [(1,), (2,), (1, 1), (2, 1), (3, 2), (1, 1, 1)]
+    for parts, _, sphere in nc.sphere_joins(part_lists):
+        assert sphere, parts
 
 
 def test_commuting_nerve_model_agrees_for_product_oracle():
