@@ -35,14 +35,12 @@ from .surface import (  # noqa: F401
     lickorish_surface,
     min_enclosing_subsurface,
     pack_subsurfaces,
-    verify_assembly,
 )
 from .nervecplx import (  # noqa: F401
     BettiVector,
     SimplicialComplex,
     betti_z2,
     boundary_simplex,
-    commuting_nerve_model,
     full_simplex,
     is_homology_sphere,
     join,
@@ -57,7 +55,6 @@ from .bootstrap import (  # noqa: F401
     Theorem,
     Violation,
     certificate_from_json,
-    connected_step,
     count_inequality,
     derive_kg,
     derive_main,

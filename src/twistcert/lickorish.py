@@ -10,7 +10,7 @@ which are pairwise disjoint except for the single crossings
     a_i x b_i,   b_i x g_i,   b_{i+1} x g_i.
 
 This module knows nothing about the surface itself: it handles curve
-identifiers, the intersection graph (a tree), chains, the ten interval
+identifiers, the intersection graph (a tree), chains, the nine interval
 kinds, and the enclosure claims used by the derivation engine.  The
 semantic counterpart (regular neighbourhoods, genus bookkeeping) lives
 in ``twistcert.surface``.
@@ -254,11 +254,12 @@ def chain_order(s: CurveSet) -> Optional[list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# interval sets (the ten bracket kinds)
+# interval sets (the nine bracket kinds)
 
 
 class IntervalKind(Enum):
-    """The ten bracket kinds, in the order they are introduced."""
+    """The nine bracket kinds, one per pair of endpoint curve types in
+    {a, b, g}, in the order they are introduced."""
 
     BB = "bb"
     BA = "ba"

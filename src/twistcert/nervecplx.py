@@ -10,8 +10,8 @@ enough to recognise the sphere obstruction at the sizes that occur.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from itertools import combinations, groupby
+from typing import Hashable, Iterable, Iterator, Sequence
 
 
 Vertex = Hashable
@@ -26,13 +26,13 @@ class SimplicialComplex:
     """
 
     def __init__(self, maximal_faces: Iterable[Iterable[Vertex]], vertex_labels=None):
-        maxs = [fs for fs in map(frozenset, maximal_faces) if fs]
-        # drop faces contained in others
-        maxs.sort(key=len, reverse=True)
+        faces = dict.fromkeys(fs for fs in map(frozenset, maximal_faces) if fs)  # drops duplicates
+        # drop faces contained in others; only a strictly longer face can
+        # contain one, so equal-length faces are never compared
         pruned: list[frozenset] = []
-        for fs in maxs:
-            if not any(fs <= other for other in pruned):
-                pruned.append(fs)
+        for _, same_length in groupby(sorted(faces, key=len, reverse=True), key=len):
+            longer = tuple(pruned)
+            pruned.extend(fs for fs in same_length if not any(fs < other for other in longer))
         self.maximal_faces: tuple[frozenset, ...] = tuple(pruned)
         verts: set = set().union(*pruned)
         if vertex_labels is None:
@@ -107,8 +107,7 @@ def nerve(family: Sequence[Iterable]) -> SimplicialComplex:
                     nxt[face | {j}] = extended
         all_faces.update(nxt)
         frontier = nxt
-    maxs = [f for f in all_faces if not any(f < other for other in all_faces)]
-    return SimplicialComplex(maxs, vertex_labels=tuple(range(n)))
+    return SimplicialComplex(all_faces, vertex_labels=tuple(range(n)))
 
 
 def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
@@ -231,67 +230,3 @@ def sphere_joins(
             offset += k + 1
         joined = join_all(factors)
         yield tuple(parts), joined, is_homology_sphere(joined, sum(parts) - 1)
-
-
-# ---------------------------------------------------------------------------
-# nerves of commuting families
-
-
-def product_fix_oracle(
-    fix_sets: Sequence[Sequence[frozenset]],
-) -> Callable[[Sequence[Sequence[int]]], bool]:
-    """Oracle modelling commuting families: family i acts on its own
-    factor of a product, so a selection has a common fixed point exactly
-    when every per-family slice has one."""
-
-    def oracle(selection: Sequence[Sequence[int]]) -> bool:
-        for fi, chosen in enumerate(selection):
-            if not chosen:
-                continue
-            inter = fix_sets[fi][chosen[0]]
-            for m in chosen[1:]:
-                inter = inter & fix_sets[fi][m]
-            if not inter:
-                return False
-        return True
-
-    return oracle
-
-
-def commuting_nerve_model(
-    families: Sequence[Sequence[Hashable]],
-    oracle: Callable[[Sequence[Sequence[int]]], bool],
-) -> tuple[bool, Optional[frozenset]]:
-    """Check that the nerve of a union of families equals the join of the
-    per-family nerves under the given nonemptiness oracle.
-
-    Vertices are (family index, member position) pairs.  Returns (True,
-    None) on agreement or (False, first violating simplex) where the
-    witness is the smallest vertex set on which the two sides differ.
-    """
-    vertices = [(fi, mi) for fi, fam in enumerate(families) for mi in range(len(fam))]
-
-    def slices(sel: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-        per = [[] for _ in families]
-        for fi, mi in sel:
-            per[fi].append(mi)
-        return tuple(tuple(sorted(p)) for p in per)
-
-    def in_union_nerve(sel) -> bool:
-        return bool(oracle(slices(sel)))
-
-    def in_join(sel) -> bool:
-        for fi, chosen in enumerate(slices(sel)):
-            if not chosen:
-                continue
-            one = [() for _ in families]
-            one[fi] = chosen
-            if not oracle(tuple(one)):
-                return False
-        return True
-
-    for size in range(1, len(vertices) + 1):
-        for sel in combinations(vertices, size):
-            if in_union_nerve(sel) != in_join(sel):
-                return False, frozenset(sel)
-    return True, None

@@ -104,9 +104,6 @@ class RibbonGraph:
     def sigma(self, dart: int) -> int:
         return (dart & ~3) | ((dart + 1) & 3)
 
-    def iota(self, dart: int) -> int:
-        return self._iota[dart]
-
     def _trace_faces(self) -> tuple[tuple[int, ...], ...]:
         n = 4 * len(self.vertices)
         seen = [False] * n
@@ -593,12 +590,6 @@ def _cut_vertices(neighbours: list[set[int]]) -> Optional[set[int]]:
     if root_children > 1:
         cut.add(0)
     return cut
-
-
-def verify_assembly(plan: AssemblyPlan, g: int) -> bool:
-    """True when the plan closes to genus g, is connected, and every
-    marked piece is non-separating."""
-    return not assembly_problems(plan, g)
 
 
 def pack_count(g: int, kind: str, ell: int) -> int:

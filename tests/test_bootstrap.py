@@ -45,31 +45,6 @@ def test_genus1_step():
         bs.genus1_step(2, 1)  # genus 2 goes through the R-tree fact
 
 
-def test_connected_step_three_chain():
-    s = lk.CurveSet.of(3, ["a2", "b2", "g1"])
-    node = bs.connected_step(s, 3, 2)
-    # claim (1,2) packs as two-boundary pieces: n = floor((3-1)/1) = 2, k = 2
-    assert node.params["n"] == 2
-    assert node.params["k"] == 2
-    assert (node.params["claim_genus"], node.params["claim_boundary"]) == (1, 2)
-    assert node.witnesses["dim_check"] == {"dim": 2, "bound": 4}
-
-
-def test_connected_step_even_window():
-    s = lk.CurveSet.of(3, ["a1", "b1", "g1", "b2"])  # 4-chain, claim (2,1)
-    node = bs.connected_step(s, 3, 2)
-    assert (node.params["claim_genus"], node.params["claim_boundary"]) == (2, 1)
-    assert node.params["n"] == 1 and node.params["k"] == 3
-    assert node.witnesses["count"] == {"k": 4, "lhs": bs.count_inequality(3, 4).lhs, "rhs": 3}
-
-
-def test_connected_step_dim_check_failure():
-    s = lk.CurveSet.of(3, ["a1", "b1", "g1", "b2"])  # n*k = 3
-    with pytest.raises(bs.DerivationBlocked) as exc:
-        bs.connected_step(s, 3, 5)
-    assert exc.value.failure.tag == "DIM_CHECK_FAILED"
-
-
 def test_derive_technical_round_trip():
     cert = bs.derive_technical(3, 2)
     assert isinstance(cert, bs.Certificate)
@@ -251,14 +226,10 @@ def test_coverage_requires_every_split_node():
     assert [(v.field, v.claimed) for v in violations] == [("split", 5)]
 
 
-def test_connected_step_beyond_count_range():
-    # the whole generator set at g=3 has 8 > 2g curves; the dimension
-    # check falls back to the direct bound
-    s = lk.lam(3)
-    node = bs.connected_step(s, 3, 2)
-    assert node.params["size"] == 8
-    assert node.witnesses["count"]["k"] is None
-    assert node.params["n"] * node.params["k"] > 2
+def test_expected_node_count_closed_form():
+    for theorem in bs.Theorem:
+        for g in list(range(2, 25)) + [61]:
+            assert bs._expected_node_count(g, theorem) == len(bs._expected_nodes(g, g - 1, theorem)), (g, theorem)
 
 
 def test_schema_arithmetic_implied_by_count_lemma():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,6 +153,20 @@ def test_check_coverage_not_run_when_verification_stops_early(tmp_path):
     human = run_cli("check", str(out)).stdout
     assert "coverage: not run" in human
     assert "exhaustive up to" not in human
+
+
+def test_check_rejects_huge_header_genus_quickly(tmp_path, capsys):
+    # the node count is compared in closed form before any inventory is built
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    out.write_text(json.dumps(_set(("header", "genus"), 10**6)(json.loads(out.read_text()))))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    code = main(["check", str(out), "--json"])
+    elapsed = time.perf_counter() - t0
+    assert code == 1 and elapsed < 1.0
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        "node -1 [inventory] node_count: wrong number of nodes (claimed 38, recomputed 14999993)"]
 
 
 def test_cli_import_leaves_numpy_out():

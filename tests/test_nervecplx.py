@@ -94,6 +94,33 @@ def test_nerve_union_contained_in_join(data):
         assert joined.has_simplex(m), (fam1, fam2, sorted(m))
 
 
+
+def _brute_force_maximal(faces) -> tuple[frozenset, ...]:
+    """Distinct nonempty faces not strictly inside another, longest first,
+    ties in first-seen order."""
+    distinct = list(dict.fromkeys(frozenset(f) for f in faces if f))
+    kept = [f for f in distinct if not any(f < other for other in distinct)]
+    return tuple(sorted(kept, key=len, reverse=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_maximal_faces_match_brute_force_prune(data):
+    base = data.draw(st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=5), min_size=1, max_size=6))
+    # a subset of a drawn face is a duplicate of it or nested in it
+    inner = [data.draw(st.frozensets(st.sampled_from(sorted(f)))) for f in data.draw(st.lists(st.sampled_from(base)))]
+    faces = data.draw(st.permutations(base + inner))
+    assert nc.SimplicialComplex(faces).maximal_faces == _brute_force_maximal(faces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 6), max_size=4), max_size=6))
+def test_nerve_maximal_faces_match_brute_force(family):
+    faces = [frozenset(idx) for size in range(1, len(family) + 1)
+             for idx in combinations(range(len(family)), size)
+             if frozenset.intersection(*(family[i] for i in idx))]
+    assert set(nc.nerve(family).maximal_faces) == set(_brute_force_maximal(faces))
+
 def _dense_gf2_rank(matrix: list[list[int]]) -> int:
     """Gaussian elimination over GF(2) on a dense 0/1 matrix."""
     m = [list(row) for row in matrix]
@@ -217,37 +244,6 @@ def test_sphere_joins_small():
     part_lists = [(1,), (2,), (1, 1), (2, 1), (3, 2), (1, 1, 1)]
     for parts, _, sphere in nc.sphere_joins(part_lists):
         assert sphere, parts
-
-
-def test_commuting_nerve_model_agrees_for_product_oracle():
-    fix = [
-        [frozenset({1, 2}), frozenset({2, 3}), frozenset({9})],
-        [frozenset({5}), frozenset({5, 6})],
-    ]
-    oracle = nc.product_fix_oracle(fix)
-    ok, witness = nc.commuting_nerve_model([["s", "t", "u"], ["v", "w"]], oracle)
-    assert ok and witness is None
-
-
-def test_commuting_nerve_model_single_family():
-    fix = [[frozenset({1}), frozenset({2})]]
-    ok, witness = nc.commuting_nerve_model([["s", "t"]], nc.product_fix_oracle(fix))
-    assert ok and witness is None
-
-
-def test_commuting_nerve_model_reports_violation():
-    fix = [[frozenset({1, 2}), frozenset({2, 3})], [frozenset({5}), frozenset({5, 6})]]
-    base = nc.product_fix_oracle(fix)
-
-    def broken(selection):
-        chosen = [(fi, m) for fi, ms in enumerate(selection) for m in ms]
-        if (0, 0) in chosen and (1, 0) in chosen:
-            return False  # breaks the commuting-union closure
-        return base(selection)
-
-    ok, witness = nc.commuting_nerve_model([["s", "t"], ["v", "w"]], broken)
-    assert not ok
-    assert witness == frozenset({(0, 0), (1, 0)})
 
 
 def test_helly_dimension_one_random():

@@ -204,21 +204,21 @@ def test_fit1_example():
     plan = sf.pack_subsurfaces(5, "fit1", 2)
     assert len(plan.marked_pieces) == 2
     assert all(plan.pieces[m] == (2, 1) for m in plan.marked_pieces)
-    assert sf.verify_assembly(plan, 5)
+    assert sf.assembly_problems(plan, 5) == []
 
 
 def test_fit3_example():
     plan = sf.pack_subsurfaces(7, "fit3", 3)
     assert len(plan.marked_pieces) == 2  # floor(6/3)
     assert all(plan.pieces[m] == (3, 2) for m in plan.marked_pieces)
-    assert sf.verify_assembly(plan, 7)
+    assert sf.assembly_problems(plan, 7) == []
 
 
 def test_fit2_example():
     plan = sf.pack_subsurfaces(4, "fit2", 2)
     assert len(plan.marked_pieces) == 2
     assert all(plan.pieces[m] == (1, 3) for m in plan.marked_pieces)
-    assert sf.verify_assembly(plan, 4)
+    assert sf.assembly_problems(plan, 4) == []
 
 
 def test_pack_rejects_zero_counts():
@@ -237,12 +237,12 @@ def test_assembly_rejects_unglued_slot():
     broken = sf.AssemblyPlan(plan.pieces, plan.gluings[:-1], plan.marked_pieces)
     problems = sf.assembly_problems(broken, 5)
     assert any("unglued" in p for p in problems)
-    assert not sf.verify_assembly(broken, 5)
+    assert sf.assembly_problems(broken, 5)
 
 
 def test_assembly_rejects_wrong_genus():
     plan = sf.pack_subsurfaces(5, "fit1", 2)
-    assert not sf.verify_assembly(plan, 6)
+    assert sf.assembly_problems(plan, 6)
 
 
 def test_assembly_rejects_separating_marked_piece():
@@ -294,9 +294,9 @@ def test_assembly_self_gluing_cases():
     # single two-boundary piece closed into a torus-like cycle
     plan = sf.pack_subsurfaces(3, "fit3", 2)
     assert plan.pieces == ((2, 2),)
-    assert sf.verify_assembly(plan, 3)
+    assert sf.assembly_problems(plan, 3) == []
     plan = sf.pack_subsurfaces(2, "fit2", 2)
-    assert sf.verify_assembly(plan, 2)
+    assert sf.assembly_problems(plan, 2) == []
 
 
 def test_fit_counts_sweep():
