@@ -588,7 +588,7 @@ def certificate_from_json(text: str) -> Certificate:
 
 
 EXHAUSTIVE_DEFAULT = 10
-EXHAUSTIVE_HARD_CAP = 12
+EXHAUSTIVE_HARD_CAP = 15
 
 
 def coverage_mode(g: int, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT, reached: bool = True) -> dict:

@@ -159,29 +159,21 @@ def adjacency_masks(g: int) -> tuple[int, ...]:
 # connectivity and chains
 
 
-def components_mask(g: int, mask: int) -> list[int]:
-    """Connected pieces of a subset of the intersection graph, lowest first."""
-    adj = adjacency_masks(g)
-    parts = []
-    remaining = mask
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            bit = frontier & -frontier
-            frontier &= frontier - 1
-            grow = adj[bit.bit_length() - 1] & remaining & ~comp
-            comp |= grow
-            frontier |= grow
-        parts.append(comp)
-        remaining &= ~comp
-    return parts
-
-
 def is_connected_mask(g: int, mask: int) -> bool:
-    """True when the union of the curves is connected (empty set counts)."""
-    return len(components_mask(g, mask)) <= 1
+    """True when the union of the curves is connected (empty set counts).
+
+    The intersection graph is a tree, so a subset spans a forest with
+    one piece per vertex in excess of its edges: the subset is connected
+    exactly when it holds |S| - 1 crossing pairs.  The pairs a_i b_i,
+    b_i g_i and b_{i+1} g_i are counted a family at a time by aligning
+    the a, b and g runs of the mask.
+    """
+    if not mask:
+        return True
+    run = (1 << g) - 1
+    a, b, gs = mask & run, (mask >> g) & run, mask >> (2 * g)
+    edges = (a & b).bit_count() + (b & gs).bit_count() + ((b >> 1) & gs).bit_count()
+    return edges == mask.bit_count() - 1
 
 
 def connected_masks(g: int) -> list[int]:
@@ -230,7 +222,11 @@ def chain_order(s: CurveSet) -> Optional[list[str]]:
         raise LickorishError("chain_order requires a nonempty set")
     if len(s) == 1:
         return s.sorted_members()
-    adj = adjacency_masks(s.genus)
+    g = s.genus
+    gs = mask >> (2 * g)
+    if (mask >> g) & mask & gs & (gs << 1):
+        return None  # some b_i crosses a_i, g_{i-1} and g_i in the set
+    adj = adjacency_masks(g)
     ends = []
     for i in _bits(mask):
         degree = (adj[i] & mask).bit_count()
@@ -424,6 +420,16 @@ def _interval_support_masks(g: int) -> tuple[tuple[Interval, int, int], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _first_enclosing(g: int, hull: int) -> Optional[tuple[Interval, int]]:
+    """(interval, m) of the first interval in scan order whose extended
+    support contains the mask ``hull``, or None."""
+    for iv, m, emask in _interval_support_masks(g):
+        if hull & ~emask == 0:
+            return iv, m
+    return None
+
+
 def enclosing_interval(s: CurveSet) -> tuple[Interval, int]:
     """Minimal interval whose extended support contains a connected
     non-chain set, with m strictly below |S|.
@@ -432,16 +438,26 @@ def enclosing_interval(s: CurveSet) -> tuple[Interval, int]:
     certificates are reproducible.  A connected non-chain with no such
     interval would contradict the size classification this engine is
     built on, so that case raises instead of degrading the claim.
+
+    Every extended support is a window of full handles plus g curves.
+    A window holding an a or b curve of handles lo and hi holds every
+    curve of the full handles lo..hi, so it contains S exactly when it
+    contains that window united with S.  The first containing interval
+    in scan order (so the one with minimal m) is therefore looked up
+    once per such hull, of which a genus has O(g^2).
     """
     g, smask = s.genus, s.mask
     if not smask or not is_connected_mask(g, smask):
         raise LickorishError("enclosing_interval requires a nonempty connected set")
     if chain_order(s) is not None:
         raise LickorishError("enclosing_interval is for non-chains; classify chains directly")
-    size = len(s)
-    for iv, m, emask in _interval_support_masks(g):
-        if m < size and smask & ~emask == 0:
-            return iv, m
+    size = smask.bit_count()
+    handles = (smask | smask >> g) & ((1 << g) - 1)  # a connected non-chain has a b curve
+    lo, hi = (handles & -handles).bit_length(), handles.bit_length()
+    hull = smask | _run(g, "a", lo, hi) | _run(g, "b", lo, hi) | _run(g, "g", lo, hi - 1)
+    found = _first_enclosing(g, hull)
+    if found is not None and found[1] < size:
+        return found
     raise LickorishError(
         f"no interval with m < {size} encloses {sorted(s.members)}; "
         "this contradicts the size classification and should be reported"
@@ -470,6 +486,7 @@ class EnclosureClaim:
     boundary_bound: int
     nonseparating_required: bool
     case_tag: str
+    interval: Optional[Interval] = None  # the enclosing interval of a non-chain
 
     def packing(self) -> tuple[str, int]:
         """Canonical packing family and parameter for this claim shape.
@@ -514,7 +531,11 @@ def classify_chain(s: CurveSet, g: int) -> EnclosureClaim:
     order = chain_order(s)
     if order is None:
         raise LickorishError(f"{sorted(s.members)} is not a chain")
-    m = len(order)
+    return _chain_claim(s, len(order))
+
+
+def _chain_claim(s: CurveSet, m: int) -> EnclosureClaim:
+    """:func:`classify_chain` for a set already known to be an m-chain."""
     if m % 2 == 0:
         return EnclosureClaim(m // 2, 1, True, ClaimCase.CHAIN_EVEN.value)
     sep = separating_chain_form(s)
@@ -552,17 +573,21 @@ def size_classify(s: CurveSet, g: int) -> EnclosureClaim:
     """Enclosure claim for any nonempty connected subset.
 
     Chains classify directly; everything else routes through the
-    minimal enclosing interval and that interval's window bounds.
+    minimal enclosing interval and that interval's window bounds, which
+    the claim carries as ``interval``.  A chain order proves its set
+    connected, so connectivity is tested only when there is none, by
+    the guard of :func:`enclosing_interval`.
     """
     if s.genus != g:
         raise LickorishError("genus mismatch")
-    if len(s) == 0 or not is_connected_mask(g, s.mask):
+    if not s.mask:
         raise LickorishError("size_classify requires a nonempty connected set")
-    if chain_order(s) is not None:
-        return classify_chain(s, g)
+    order = chain_order(s)
+    if order is not None:
+        return _chain_claim(s, len(order))
     iv, m = enclosing_interval(s)
     h, b = interval_claim(iv)
-    return EnclosureClaim(h, b, True, f"{ClaimCase.INTERVAL.value}:{iv.label()}:m={m}")
+    return EnclosureClaim(h, b, True, f"{ClaimCase.INTERVAL.value}:{iv.label()}:m={m}", iv)
 
 
 def claim_fits_clause(claim: EnclosureClaim, size: int) -> bool:

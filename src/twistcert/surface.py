@@ -88,16 +88,13 @@ class RibbonGraph:
             raise SurfaceError("some dart is not an arc endpoint")
         self._iota = iota
         self._dart_arc = dart_arc
-        # curve bits under curve_index, for testing membership in a subset mask
-        bit = {name: 1 << i for i, name in enumerate(curve_names(genus))}
-        self._arc_bit = [bit[arc.curve] for arc in self.arcs]
-        self._vertex_bits = [(bit[c.curve_x], bit[c.curve_y]) for c in self.vertices]
 
         self.faces: tuple[tuple[int, ...], ...] = self._trace_faces()
         self._dart_face = [-1] * n_darts
         for f_idx, cycle in enumerate(self.faces):
             for d in cycle:
                 self._dart_face[d] = f_idx
+        self._build_restriction_tables()
 
     # -- permutations ------------------------------------------------------
 
@@ -146,6 +143,50 @@ class RibbonGraph:
         if chi % 2:
             raise SurfaceError("odd Euler characteristic after capping")
         return (2 - chi) // 2
+
+    # -- restriction tables -------------------------------------------------
+
+    def _build_restriction_tables(self) -> None:
+        """Per-arc and per-crossing tables read by :class:`_Restriction`.
+
+        Curve bits follow :func:`~twistcert.lickorish.curve_index`, so a
+        subset mask tests membership.  Complement nodes are the faces
+        0..F-1 followed by one node per arc.  Each arc stores its curve
+        bit, its node and the faces on its two sides.  Each crossing
+        stores its two curve bits and, per state (bit 0: curve_x kept,
+        bit 1: curve_y kept), the node pairs the complement joins there
+        and the corner faces that gain a sector.  The trace tables give,
+        per dart d, the crossing at the far end of its arc and the darts
+        one and two slots on from there.
+        """
+        dart_face, iota, dart_arc = self._dart_face, self._iota, self._dart_arc
+        n_faces = len(self.faces)
+        bit = {name: 1 << i for i, name in enumerate(curve_names(self.genus))}
+        self._arc_table = tuple(
+            (bit[arc.curve], n_faces + a_idx, dart_face[arc.darts[0]], dart_face[arc.darts[1]])
+            for a_idx, arc in enumerate(self.arcs)
+        )
+        crossings = []
+        for v, crossing in enumerate(self.vertices):
+            # c[k]: face covering the corner between slots k and k+1;
+            # n[k]: node of the arc leaving slot k
+            c = [dart_face[iota[4 * v + k]] for k in range(4)]
+            n = [n_faces + dart_arc[4 * v + k] for k in range(4)]
+            # state 0, neither curve kept: corners and germs make one sector
+            by_state = [(tuple((c[0], other) for other in c[1:] + n), (c[0],))]
+            for s in (0, 1):
+                # state 1 + s, only the curve on slots s, s+2 kept: each of
+                # its sides joins the corner past it and the dropped germ
+                unions = tuple((c[base], past) for base in (s, s + 2)
+                               for past in (c[(base + 1) % 4], n[(base + 1) % 4]))
+                by_state.append((unions, (c[s], c[s + 2])))
+            by_state.append(((), tuple(c)))  # state 3, both kept: four sectors
+            crossings.append((bit[crossing.curve_x], bit[crossing.curve_y], tuple(by_state)))
+        self._crossing_table = tuple(crossings)
+        self._dart_bit = [self._arc_table[a][0] for a in dart_arc]
+        self._far_vertex = [e >> 2 for e in iota]
+        self._next_one = [self.sigma(e) for e in iota]
+        self._next_two = [self.sigma(self.sigma(e)) for e in iota]
 
     # -- caches ------------------------------------------------------------
 
@@ -244,146 +285,89 @@ class _Restriction:
 
     Crossings of a kept curve with a dropped one are smoothed by rotating
     past the dropped slots while tracing, which is exactly isotoping the
-    dropped strand off the picture.
+    dropped strand off the picture.  ``complement`` lists the (genus,
+    boundary) of each piece of the surface cut along the kept curves.
     """
 
     def __init__(self, rg: RibbonGraph, mask: int):
-        self.rg = rg
-        n_darts = 4 * rg.num_vertices
-        self._arc_in_s = [bool(b & mask) for b in rg._arc_bit]
-        self._vertex_in_s = [(bool(x & mask), bool(y & mask)) for x, y in rg._vertex_bits]
+        n_faces = rg.num_faces
+        n_nodes = n_faces + rg.num_arcs
+        # Euler characteristic contributions per node: sectors - edges +
+        # faces, counted on the surface cut along the kept curves
+        chi = [1] * n_faces + [0] * rg.num_arcs
+        pairs: list[tuple[int, int]] = []
+        for bit, node, face0, face1 in rg._arc_table:
+            if bit & mask:  # one boundary edge on each side
+                chi[face0] -= 1
+                chi[face1] -= 1
+            else:
+                chi[node] -= 1
+                pairs.append((node, face0))
+                pairs.append((node, face1))
+        both_kept = []
+        for bit_x, bit_y, by_state in rg._crossing_table:
+            state = (1 if bit_x & mask else 0) | (2 if bit_y & mask else 0)
+            unions, bumps = by_state[state]
+            pairs += unions
+            for face in bumps:
+                chi[face] += 1
+            both_kept.append(state == 3)
+        self.ss_crossings = both_kept.count(True)  # crossings internal to the subset
 
-        in_s = [self._arc_in_s[rg._dart_arc[d]] for d in range(n_darts)]
-
-        # crossings internal to the subset
-        self.ss_crossings = sum(1 for x_in, y_in in self._vertex_in_s if x_in and y_in)
+        # union-find that links the larger root under the smaller, so
+        # every parent index is at most its child's and one ascending
+        # pass resolves all roots
+        parent = list(range(n_nodes))
+        for x, y in pairs:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+        for node in range(n_nodes):
+            parent[node] = parent[parent[node]]
+        comp_chi = [0] * n_nodes
+        for node in range(n_nodes):
+            comp_chi[parent[node]] += chi[node]
 
         # boundary circles of the smoothed neighbourhood: orbits of the
-        # skip-rotation next-dart map over kept darts
-        iota = rg._iota
+        # skip-rotation next-dart map over kept darts, each on the rim of
+        # one complement piece
+        dart_bit, dart_face = rg._dart_bit, rg._dart_face
+        far, next_one, next_two = rg._far_vertex, rg._next_one, rg._next_two
+        n_darts = len(dart_bit)
         seen = [False] * n_darts
+        comp_bnd = [0] * n_nodes
         self.rfaces: list[tuple[int, ...]] = []
-        self._dart_rface = [-1] * n_darts
         for start in range(n_darts):
-            if seen[start] or not in_s[start]:
+            if seen[start] or not dart_bit[start] & mask:
                 continue
             cycle = []
             d = start
             while not seen[d]:
                 seen[d] = True
                 cycle.append(d)
-                self._dart_rface[d] = len(self.rfaces)
-                e = iota[d]
-                base = e & ~3
-                for step in range(1, 5):
-                    cand = base | ((e + step) & 3)
-                    if in_s[cand]:
-                        d = cand
-                        break
+                d = next_one[d] if both_kept[far[d]] else next_two[d]
+            root = parent[dart_face[start]]
+            if any(parent[dart_face[d]] != root for d in cycle):
+                raise SurfaceError("boundary circle touches two complement pieces")
+            comp_bnd[root] += 1
             self.rfaces.append(tuple(cycle))
 
-        self._complement()
-
-    # -- complement components --------------------------------------------
-
-    def _complement(self) -> None:
-        rg = self.rg
-        n_faces = rg.num_faces
-        arc_in_s = self._arc_in_s
-
-        # union-find over [full faces] + [arcs not in the subset]
-        parent = list(range(n_faces + rg.num_arcs))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        def arc_node(a_idx: int) -> int:
-            return n_faces + a_idx
-
-        dart_face = rg._dart_face
-        iota = rg._iota
-
-        def corner_face(v: int, k: int) -> int:
-            """Face covering the corner between slots k and k+1 at v."""
-            return dart_face[iota[4 * v + k]]
-
-        for a_idx, arc in enumerate(rg.arcs):
-            if arc_in_s[a_idx]:
-                continue
-            for d in arc.darts:
-                union(arc_node(a_idx), dart_face[d])
-
-        for v, (x_in, y_in) in enumerate(self._vertex_in_s):
-            if x_in and y_in:
-                continue
-            if not x_in and not y_in:
-                nodes = [corner_face(v, k) for k in range(4)]
-                nodes += [arc_node(rg._dart_arc[4 * v + k]) for k in range(4)]
-                for other in nodes[1:]:
-                    union(nodes[0], other)
-            else:
-                s = 0 if x_in else 1  # slots of the kept curve: s and s+2
-                for base in (s, s + 2):
-                    germ = arc_node(rg._dart_arc[4 * v + (base + 1) % 4])
-                    union(corner_face(v, base % 4), corner_face(v, (base + 1) % 4))
-                    union(corner_face(v, base % 4), germ)
-
-        # Euler characteristic per component: sectors - edges + faces,
-        # counted on the surface cut along the kept curves.
-        chi: dict[int, int] = {}
-        bnd: dict[int, int] = {}
-
-        def bump(node: int, delta: int) -> None:
-            r = find(node)
-            chi[r] = chi.get(r, 0) + delta
-
-        for f in range(n_faces):
-            bump(f, 1)
-        for a_idx, arc in enumerate(rg.arcs):
-            if arc_in_s[a_idx]:
-                for d in arc.darts:  # one boundary edge on each side
-                    bump(dart_face[d], -1)
-            else:
-                bump(arc_node(a_idx), -1)
-        for v, (x_in, y_in) in enumerate(self._vertex_in_s):
-            if x_in and y_in:
-                for k in range(4):
-                    bump(corner_face(v, k), 1)
-            elif x_in or y_in:
-                s = 0 if x_in else 1
-                bump(corner_face(v, s), 1)
-                bump(corner_face(v, s + 2), 1)
-            else:
-                bump(corner_face(v, 0), 1)
-
-        # boundary circles of each component = smoothed faces on its rim
-        self._rface_comp: list[int] = []
-        for cycle in self.rfaces:
-            roots = {find(dart_face[d]) for d in cycle}
-            if len(roots) != 1:
-                raise SurfaceError("boundary circle touches two complement pieces")
-            root = roots.pop()
-            bnd[root] = bnd.get(root, 0) + 1
-            self._rface_comp.append(root)
-
         comps = []
-        for root in sorted(chi):
-            c_chi = chi[root]
-            c_bnd = bnd.get(root, 0)
+        for root in sorted({parent[f] for f in range(n_faces)}):
+            c_chi, c_bnd = comp_chi[root], comp_bnd[root]
             if c_bnd == 0:
                 raise SurfaceError("complement piece with no boundary circle")
             if (2 - c_chi - c_bnd) % 2:
                 raise SurfaceError("non-integral complement genus")
-            comps.append(((2 - c_chi - c_bnd) // 2, c_bnd, root))
-        self.complement: list[tuple[int, int, int]] = comps  # (genus, bnd, root)
+            comps.append(((2 - c_chi - c_bnd) // 2, c_bnd))
+        self.complement: list[tuple[int, int]] = comps
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +420,7 @@ def min_enclosing_subsurface(
 
     chi = -r.ss_crossings
     boundary = len(r.rfaces)
-    census = [(h, b) for (h, b, _root) in r.complement]
+    census = list(r.complement)
     if fill:
         disks = sum(1 for h, b in census if (h, b) == (0, 1))
         chi += disks
@@ -463,7 +447,7 @@ def complement_census(
     if not mask:
         raise SurfaceError("complement_census requires a nonempty set")
     r = rg._restriction(mask)
-    census = [(h, b) for (h, b, _root) in r.complement]
+    census = list(r.complement)
     if fill:
         census = [(h, b) for h, b in census if (h, b) != (0, 1)]
     return sorted(census)

@@ -155,10 +155,11 @@ def _check_size(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
             f"g={g} {s.sorted_members()}: claim ({claim.genus_bound},{claim.boundary_bound}) "
             f"fits neither clause for size {len(s)}"
         )
-    if lk.chain_order(s) is not None:
+    iv = claim.interval  # None for a chain, which encloses itself
+    if iv is None:
         support = s
     else:
-        iv, m = lk.enclosing_interval(s)
+        m = iv.chain_length_m
         if m >= len(s):
             out.violations.append(
                 f"g={g} {s.sorted_members()}: enclosing interval {iv.label()} has m={m} >= |S|"

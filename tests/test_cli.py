@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from twistcert.bootstrap import EXHAUSTIVE_HARD_CAP
 from twistcert.cli import main
 
 
@@ -123,7 +124,7 @@ def test_genus_two_certificate_round_trip(tmp_path):
 def test_exhaustive_cap_warning(tmp_path, capsys):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
-    assert main(["check", str(out), "--exhaustive-max-genus", "13"]) == 0
+    assert main(["check", str(out), "--exhaustive-max-genus", str(EXHAUSTIVE_HARD_CAP + 1)]) == 0
     assert "capped" in capsys.readouterr().err
 
 

@@ -65,12 +65,26 @@ def test_curve_set_is_a_genus_mask_pair():
         with pytest.raises(lk.LickorishError):
             lk.CurveSet(3, bad)
 
+def _bfs_connected(g, mask):
+    """Reference: grow the lowest curve's piece through the adjacency masks."""
+    adj = lk.adjacency_masks(g)
+    comp = frontier = mask & -mask
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        grow = adj[bit.bit_length() - 1] & mask & ~comp
+        comp |= grow
+        frontier |= grow
+    return comp == mask
+
+
 def test_connectivity():
     assert lk.is_connected_mask(2, cs(2, "a1", "b1", "g1").mask)
-    parts = lk.components_mask(2, cs(2, "a1", "a2").mask)
-    assert len(parts) == 2
+    assert not lk.is_connected_mask(2, cs(2, "a1", "a2").mask)
     assert lk.is_connected_mask(2, lk.CurveSet.of(2, []).mask)  # vacuously
-    assert lk.components_mask(2, lk.CurveSet.of(2, []).mask) == []
+    for g in range(2, 6):
+        for mask in range(1 << (3 * g - 1)):
+            assert lk.is_connected_mask(g, mask) == _bfs_connected(g, mask), (g, mask)
 
 
 def test_connected_masks_match_filter():
@@ -211,6 +225,10 @@ def test_size_classify_examples():
     claim = lk.size_classify(cs(2, "a1", "b1"), 2)
     assert (claim.genus_bound, claim.boundary_bound) == (1, 1)
 
+    # a disconnected set has no chain order, so the enclosure's guard rejects it
+    with pytest.raises(lk.LickorishError):
+        lk.size_classify(cs(3, "a1", "a2", "b2"), 3)
+
 
 def test_size_classify_full_set():
     # the whole generator set is enclosed by the widest b-window
@@ -243,3 +261,46 @@ def test_badchains_m_arithmetic():
             if form is not None:
                 i, j = form
                 assert j == i + (len(order) - 3) // 2
+
+
+def _linear_enclosing_interval(s):
+    """Reference: the first interval in scan order whose extended
+    support contains the set, if its m is below |S|."""
+    for iv, m, emask in lk._interval_support_masks(s.genus):
+        if s.mask & ~emask == 0:
+            return (iv, m) if m < len(s) else None
+    return None
+
+
+def _random_connected_mask(g, rng):
+    """A connected subset grown from a random curve by random crossings."""
+    adj = lk.adjacency_masks(g)
+    mask = 1 << rng.randrange(3 * g - 1)
+    for _ in range(rng.randrange(3 * g - 1)):
+        frontier = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            frontier |= adj[low.bit_length() - 1]
+            rest ^= low
+        frontier &= ~mask
+        if not frontier:
+            break
+        bits = [i for i in range(3 * g - 1) if frontier >> i & 1]
+        mask |= 1 << rng.choice(bits)
+    return mask
+
+
+def test_enclosing_interval_matches_linear_scan():
+    import random
+
+    rng = random.Random(13)
+    cases = [(g, lk.connected_masks(g)) for g in range(2, 11)]
+    cases += [(g, [_random_connected_mask(g, rng) for _ in range(2000)]) for g in (13, 14, 15)]
+    for g, masks in cases:
+        for mask in masks:
+            s = lk.CurveSet(g, mask)
+            assert lk.is_connected_mask(g, mask)
+            if lk.chain_order(s) is not None:
+                continue
+            assert lk.enclosing_interval(s) == _linear_enclosing_interval(s), (g, s.sorted_members())

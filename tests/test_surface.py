@@ -312,3 +312,106 @@ def test_subsurface_report_rejects_wrong_euler_characteristic():
     with pytest.raises(sf.SurfaceError):
         sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=(),
                             complement_connected=True, euler_char=0)
+
+
+def _reference_restriction(rg, mask):
+    """(ss_crossings, rfaces, sorted complement (genus, boundary)) of a
+    curve subset, by the one-find-per-bump union-find over faces and
+    dropped arcs that the table-driven kernel replaced."""
+    names = lk.curve_names(rg.genus)
+    kept = {names[i] for i in range(len(names)) if mask >> i & 1}
+    arc_in = [arc.curve in kept for arc in rg.arcs]
+    vert_in = [(c.curve_x in kept, c.curve_y in kept) for c in rg.vertices]
+    n_darts, n_faces = 4 * rg.num_vertices, rg.num_faces
+    iota, dart_arc, dart_face = rg._iota, rg._dart_arc, rg._dart_face
+    in_s = [arc_in[dart_arc[d]] for d in range(n_darts)]
+
+    seen = [False] * n_darts
+    rfaces = []
+    for start in range(n_darts):
+        if seen[start] or not in_s[start]:
+            continue
+        cycle, d = [], start
+        while not seen[d]:
+            seen[d] = True
+            cycle.append(d)
+            e = iota[d]
+            d = next((e & ~3) | ((e + k) & 3) for k in range(1, 5) if in_s[(e & ~3) | ((e + k) & 3)])
+        rfaces.append(tuple(cycle))
+
+    parent = list(range(n_faces + rg.num_arcs))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    def corner(v, k):
+        return dart_face[iota[4 * v + k]]
+
+    def node(v, k):
+        return n_faces + dart_arc[4 * v + k]
+
+    for a_idx, arc in enumerate(rg.arcs):
+        if not arc_in[a_idx]:
+            for d in arc.darts:
+                union(n_faces + a_idx, dart_face[d])
+    for v, (x_in, y_in) in enumerate(vert_in):
+        if not x_in and not y_in:
+            for other in [corner(v, k) for k in (1, 2, 3)] + [node(v, k) for k in range(4)]:
+                union(corner(v, 0), other)
+        elif not (x_in and y_in):
+            s = 0 if x_in else 1
+            for base in (s, s + 2):
+                union(corner(v, base % 4), corner(v, (base + 1) % 4))
+                union(corner(v, base % 4), node(v, (base + 1) % 4))
+    chi, bnd = {}, {}
+
+    def bump(x, delta):
+        chi[find(x)] = chi.get(find(x), 0) + delta
+
+    for f in range(n_faces):
+        bump(f, 1)
+    for a_idx, arc in enumerate(rg.arcs):
+        if arc_in[a_idx]:
+            for d in arc.darts:
+                bump(dart_face[d], -1)
+        else:
+            bump(n_faces + a_idx, -1)
+    for v, (x_in, y_in) in enumerate(vert_in):
+        if x_in and y_in:
+            for k in range(4):
+                bump(corner(v, k), 1)
+        elif x_in or y_in:
+            s = 0 if x_in else 1
+            bump(corner(v, s), 1)
+            bump(corner(v, s + 2), 1)
+        else:
+            bump(corner(v, 0), 1)
+    for cycle in rfaces:
+        roots = {find(dart_face[d]) for d in cycle}
+        assert len(roots) == 1
+        root = roots.pop()
+        bnd[root] = bnd.get(root, 0) + 1
+    census = sorted(((2 - chi[r] - bnd[r]) // 2, bnd[r]) for r in chi)
+    ss = sum(1 for x_in, y_in in vert_in if x_in and y_in)
+    return ss, rfaces, census
+
+
+def test_restriction_kernel_matches_reference_union_find():
+    import random
+
+    rng = random.Random(7)
+    cases = [(g, range(1, 1 << (3 * g - 1))) for g in (2, 3, 4)]
+    cases += [(g, [rng.randrange(1, 1 << (3 * g - 1)) for _ in range(500)]) for g in (6, 7, 8)]
+    for g, masks in cases:  # every nonempty mask, disconnected ones included
+        rg = sf.lickorish_surface(g)
+        for mask in masks:
+            r = sf._Restriction(rg, mask)
+            ss, rfaces, census = _reference_restriction(rg, mask)
+            assert r.ss_crossings == ss, (g, mask)
+            assert r.rfaces == rfaces, (g, mask)
+            assert sorted(r.complement) == census, (g, mask)

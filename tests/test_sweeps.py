@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from twistcert import lickorish as lk
+from twistcert import surface as sf
 from twistcert import sweeps
 
 
@@ -9,6 +11,24 @@ def test_size_sweep_counts_connected_subsets():
     result = sweeps.sweep_size_soundness(2, 5)
     assert result.checked == 420  # 15 + 45 + 111 + 249 connected subsets
     assert result.violations == []
+
+
+def test_size_sweep_tests_connectivity_at_most_three_times_per_subset(monkeypatch):
+    # the enumerator cross-check, the guard of enclosing_interval
+    # (non-chains only) and that of min_enclosing_subsurface; earlier
+    # code tested each subset up to 5 times
+    calls = []
+    original = lk.is_connected_mask
+
+    def counting(g, mask):
+        calls.append(mask)
+        return original(g, mask)
+
+    monkeypatch.setattr(lk, "is_connected_mask", counting)
+    monkeypatch.setattr(sf, "is_connected_mask", counting)
+    result = sweeps.sweep_size_soundness(5, 5)
+    assert result.checked == 249 and result.violations == []
+    assert len(calls) <= 3 * result.checked
 
 
 def _per_k_low(g, bound):
