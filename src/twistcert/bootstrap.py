@@ -392,13 +392,6 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
             plan = pack_subsurfaces(g, kind, ell)
             n = len(plan.marked_pieces)
             k = size - 1
-            if dim >= n * k:
-                raise DerivationBlocked(
-                    "connected_bootstrap",
-                    "DIM_CHECK_FAILED",
-                    f"size {size} profile ({h},{b}): need dim < {n}*{k}, got {dim}",
-                    {"size": size, "n": n, "k": k, "dim": dim},
-                )
             cid = add(
                 "connected_bootstrap",
                 {
@@ -488,10 +481,7 @@ def _derive(g: int, dim: int, theorem: Theorem) -> Certificate | Failure:
             f"torsion bootstrap over {g} punctured-torus factors needs dim < {g}, got {dim}",
             {"g": g, "dim": dim},
         )
-    try:
-        nodes = _expected_nodes(g, dim, theorem)
-    except DerivationBlocked as exc:
-        return exc.failure
+    nodes = _expected_nodes(g, dim, theorem)
     axioms = tuple(sorted(a.value for a in _BASE_AXIOMS + _THEOREM_AXIOMS[theorem]))
     return Certificate(
         genus=g,
@@ -667,11 +657,7 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
         bad(-1, "inventory", "node_count", len(cert.nodes), want_count, "wrong number of nodes")
         return violations
 
-    try:
-        expected = _expected_nodes(g, dim, theorem)
-    except DerivationBlocked as exc:
-        bad(-1, "header", "derivable", (g, dim), None, f"no valid inventory: {exc.failure.message}")
-        return violations
+    expected = _expected_nodes(g, dim, theorem)
 
     expected_axioms = (
         (Axiom.R_TREE_FIXED_POINT.value,)

@@ -255,7 +255,9 @@ def chain_order(s: CurveSet) -> Optional[list[str]]:
 
 class IntervalKind(Enum):
     """The nine bracket kinds, one per pair of endpoint curve types in
-    {a, b, g}, in the order they are introduced."""
+    {a, b, g}, in the order they are introduced (the certificate
+    tie-break).  Every per-kind fact below follows from the two endpoint
+    letters ``kind.left`` and ``kind.right``."""
 
     BB = "bb"
     BA = "ba"
@@ -267,38 +269,21 @@ class IntervalKind(Enum):
     GA = "ga"
     AG = "ag"
 
+    def __init__(self, letters: str) -> None:
+        self.left, self.right = letters
+        # least j-i for the endpoint-to-endpoint chain to make sense
+        self.min_span = int(self.left == self.right or self.left == "g")
+
     @property
     def order(self) -> int:
         return _KIND_ORDER[self]
 
+    def last_j(self, g: int) -> int:
+        """Largest right endpoint at genus g: a g_j end needs j <= g-1."""
+        return g - (self.right == "g")
+
 
 _KIND_ORDER = {k: n for n, k in enumerate(IntervalKind)}
-
-# minimal j-i per kind for the endpoint-to-endpoint chain to make sense
-_MIN_SPAN = {
-    IntervalKind.BB: 1,
-    IntervalKind.BA: 0,
-    IntervalKind.AB: 0,
-    IntervalKind.BG: 0,
-    IntervalKind.GB: 1,
-    IntervalKind.AA: 1,
-    IntervalKind.GG: 1,
-    IntervalKind.GA: 1,
-    IntervalKind.AG: 0,
-}
-
-# chain length m as a function of d = j-i
-_CHAIN_LEN = {
-    IntervalKind.BB: lambda d: 2 * d + 1,
-    IntervalKind.BA: lambda d: 2 * d + 2,
-    IntervalKind.AB: lambda d: 2 * d + 2,
-    IntervalKind.BG: lambda d: 2 * d + 2,
-    IntervalKind.GB: lambda d: 2 * d,
-    IntervalKind.AA: lambda d: 2 * d + 3,
-    IntervalKind.GG: lambda d: 2 * d + 1,
-    IntervalKind.GA: lambda d: 2 * d + 1,
-    IntervalKind.AG: lambda d: 2 * d + 3,
-}
 
 
 @dataclass(frozen=True)
@@ -310,141 +295,102 @@ class Interval:
     j: int
 
     def __post_init__(self) -> None:
-        if self.j - self.i < _MIN_SPAN[self.kind]:
+        if self.j - self.i < self.kind.min_span:
             raise LickorishError(f"degenerate interval {self.kind.value}[{self.i},{self.j}]")
 
     @property
     def chain_length_m(self) -> int:
-        """Length of the endpoint-to-endpoint chain this interval spans."""
-        return _CHAIN_LEN[self.kind](self.j - self.i)
+        """Length of the endpoint-to-endpoint chain this interval spans:
+        2(j-i)+1 for the b..b chain, one more per a end or g right end,
+        one fewer for a g left end."""
+        left, right = self.kind.left, self.kind.right
+        return 2 * (self.j - self.i) + 1 + (left == "a") + (right == "a") + (right == "g") - (left == "g")
 
     def label(self) -> str:
-        return f"[{self.kind.value[0]}{self.i},{self.kind.value[1]}{self.j}]"
+        return f"[{self.kind.left}{self.i},{self.kind.right}{self.j}]"
 
 
 def interval_set(iv: Interval, g: int) -> CurveSet:
-    """The literal curve content of the bracket, per its defining unions."""
+    """The literal curve content of the bracket: the b's i..j, the g's
+    i..j-1 and the interior a's, with a_i for an a left end, a_j for an
+    a right end, g_j for a g right end, and without b_i for a g left end."""
     _validate_interval(iv, g)
     i, j = iv.i, iv.j
-    bb = _run(g, "a", i + 1, j - 1) | _run(g, "b", i, j) | _run(g, "g", i, j - 1)
-    a_i, a_j, b_i, g_j = _run(g, "a", i, i), _run(g, "a", j, j), _run(g, "b", i, i), _run(g, "g", j, j)
-    kind = iv.kind
-    if kind is IntervalKind.BB:
-        out = bb
-    elif kind is IntervalKind.BA:
-        out = bb | a_j
-    elif kind is IntervalKind.AB:
-        out = bb | a_i
-    elif kind is IntervalKind.BG:
-        out = bb | g_j
-    elif kind is IntervalKind.GB:
-        out = bb & ~b_i
-    elif kind is IntervalKind.AA:
-        out = bb | a_i | a_j
-    elif kind is IntervalKind.GG:
-        out = (bb | g_j) & ~b_i
-    elif kind is IntervalKind.GA:
-        out = (bb & ~b_i) | a_j
-    else:  # AG
-        out = bb | a_i | g_j
+    left, right = iv.kind.left, iv.kind.right
+    out = _run(g, "b", i, j) | _run(g, "g", i, j - 1) | _run(g, "a", i + 1, j - 1)
+    if left == "a":
+        out |= _run(g, "a", i, i)
+    if right == "a":
+        out |= _run(g, "a", j, j)
+    if right == "g":
+        out |= _run(g, "g", j, j)
+    if left == "g":
+        out &= ~_run(g, "b", i, i)
     return CurveSet(g, out)
 
 
 def extended_support(iv: Interval, g: int) -> CurveSet:
     """All generator curves lying in the interval's enclosing subsurface.
 
-    The enclosing subsurfaces are windows of consecutive handles:
+    The enclosing subsurfaces are windows of consecutive full handles,
+    with half of one more handle at each g end:
 
-    * ``[a_i,a_j]`` kinds sit in the full handles i..j (boundary the
-      loop separating those handles from the rest), so the support is
-      the literal set together with the interior a's.
-    * kinds ending in ``g_j`` reach into one half of handle j+1.
-    * kinds starting at ``g_i`` start in one half of handle i, so the
-      support drops b_i but keeps every full-handle curve to the right.
+    * a and b ends sit at the edge of the full handles i..j (boundary
+      the loop separating those handles from the rest), so the support
+      is the literal set together with the interior a's;
+    * a ``g_j`` right end reaches into one half of handle j+1;
+    * a ``g_i`` left end starts in one half of handle i, so the support
+      drops b_i but keeps every full-handle curve to the right.
+
+    So the support is the full handles i..j, starting at i+1 for a g
+    left end, with every g curve from g_i up to g_{j-1}, or g_j for a g
+    right end.
     """
     _validate_interval(iv, g)
     i, j = iv.i, iv.j
-    kind = iv.kind
-
-    g_i, g_j = _run(g, "g", i, i), _run(g, "g", j, j)
-
-    def window(lo: int, hi: int, extra: int) -> CurveSet:
-        # full handles lo..hi: their a's, b's and the g's between them
-        out = _run(g, "a", lo, hi) | _run(g, "b", lo, hi) | _run(g, "g", lo, hi - 1) | extra
-        return CurveSet(g, out)
-
-    if kind in (IntervalKind.AA, IntervalKind.BB, IntervalKind.AB, IntervalKind.BA):
-        return window(i, j, 0)
-    if kind in (IntervalKind.AG, IntervalKind.BG):
-        # handles i..j plus the tail curve g_j into half of handle j+1
-        return window(i, j, g_j)
-    if kind in (IntervalKind.GA, IntervalKind.GB):
-        # half of handle i plus full handles i+1..j
-        return window(i + 1, j, g_i)
-    # GG: half handles on both sides of the full handles i+1..j
-    return window(i + 1, j, g_i | g_j)
+    lo = i + (iv.kind.left == "g")
+    return CurveSet(g, _run(g, "a", lo, j) | _run(g, "b", lo, j) | _run(g, "g", i, j - (iv.kind.right != "g")))
 
 
 def _validate_interval(iv: Interval, g: int) -> None:
     _check_genus(g)
-    i, j = iv.i, iv.j
-    if i < 1:
-        raise LickorishError(f"interval index i={i} out of range")
-    right_is_g = iv.kind in (IntervalKind.BG, IntervalKind.GG, IntervalKind.AG)
-    left_is_g = iv.kind in (IntervalKind.GB, IntervalKind.GG, IntervalKind.GA)
-    if j > (g - 1 if right_is_g else g):
-        raise LickorishError(f"interval {iv.label()} out of range for genus {g}")
-    if left_is_g and i > g - 1:
+    if iv.i < 1 or iv.j > iv.kind.last_j(g):
         raise LickorishError(f"interval {iv.label()} out of range for genus {g}")
 
 
 @lru_cache(maxsize=None)
 def all_intervals(g: int) -> tuple[Interval, ...]:
     """Every valid interval at genus g, sorted by (m, kind order, i, j)."""
-    out = []
-    for kind in IntervalKind:
-        right_hi = g - 1 if kind in (IntervalKind.BG, IntervalKind.GG, IntervalKind.AG) else g
-        left_hi = g - 1 if kind in (IntervalKind.GB, IntervalKind.GG, IntervalKind.GA) else g
-        for i in range(1, left_hi + 1):
-            for j in range(i + _MIN_SPAN[kind], right_hi + 1):
-                out.append(Interval(kind, i, j))
+    out = [
+        Interval(kind, i, j)
+        for kind in IntervalKind
+        for i in range(1, g + 1)
+        for j in range(i + kind.min_span, kind.last_j(g) + 1)
+    ]
     out.sort(key=lambda iv: (iv.chain_length_m, iv.kind.order, iv.i, iv.j))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _interval_support_masks(g: int) -> tuple[tuple[Interval, int, int], ...]:
-    """(interval, m, extended-support mask) in scan order."""
-    return tuple(
-        (iv, iv.chain_length_m, extended_support(iv, g).mask) for iv in all_intervals(g)
-    )
-
-
-@lru_cache(maxsize=None)
-def _first_enclosing(g: int, hull: int) -> Optional[tuple[Interval, int]]:
-    """(interval, m) of the first interval in scan order whose extended
-    support contains the mask ``hull``, or None."""
-    for iv, m, emask in _interval_support_masks(g):
-        if hull & ~emask == 0:
-            return iv, m
-    return None
 
 
 def enclosing_interval(s: CurveSet) -> tuple[Interval, int]:
     """Minimal interval whose extended support contains a connected
     non-chain set, with m strictly below |S|.
 
-    Ties break lexicographically on (m, kind order, i, j) so that
-    certificates are reproducible.  A connected non-chain with no such
+    Minimal is in the (m, kind order, i, j) order of
+    :func:`all_intervals`, so that certificates are reproducible.  A connected non-chain with no such
     interval would contradict the size classification this engine is
     built on, so that case raises instead of degrading the claim.
 
-    Every extended support is a window of full handles plus g curves.
-    A window holding an a or b curve of handles lo and hi holds every
-    curve of the full handles lo..hi, so it contains S exactly when it
-    contains that window united with S.  The first containing interval
-    in scan order (so the one with minimal m) is therefore looked up
-    once per such hull, of which a genus has O(g^2).
+    Let lo and hi be the lowest and highest handle holding an a or b
+    curve of S; S holds b_lo and b_hi, as a_k crosses only b_k.  Order
+    the left ends b_1, g_1, b_2, ... and the right ends likewise: a step
+    inward drops curves from the support and lowers m by one, and an a
+    end has the support of the b end at its handle with a larger m.  Any
+    interval with i < lo - lt, where lt says S holds g_{lo-1}, or with
+    j > hi, or a g right end at hi although S lacks g_hi, still contains
+    S after it shrinks one step; one with an end further inward misses
+    b_lo, g_{lo-1}, b_hi or g_hi.  So the interval of least m, unique, is
+    the window lo..hi with a g left end at g_{lo-1} when S holds it and
+    a g right end at g_hi when S holds it, else b ends.
     """
     g, smask = s.genus, s.mask
     if not smask or not is_connected_mask(g, smask):
@@ -454,10 +400,13 @@ def enclosing_interval(s: CurveSet) -> tuple[Interval, int]:
     size = smask.bit_count()
     handles = (smask | smask >> g) & ((1 << g) - 1)  # a connected non-chain has a b curve
     lo, hi = (handles & -handles).bit_length(), handles.bit_length()
-    hull = smask | _run(g, "a", lo, hi) | _run(g, "b", lo, hi) | _run(g, "g", lo, hi - 1)
-    found = _first_enclosing(g, hull)
-    if found is not None and found[1] < size:
-        return found
+    lt = int(lo > 1 and smask >> (2 * g + lo - 2) & 1)  # g_{lo-1} in S
+    rt = smask >> (2 * g + hi - 1) & 1  # g_hi in S (there is no g_g)
+    kind = (IntervalKind.BB, IntervalKind.BG, IntervalKind.GB, IntervalKind.GG)[2 * lt + rt]
+    iv = Interval(kind, lo - lt, hi)
+    m = iv.chain_length_m
+    if m < size:
+        return iv, m
     raise LickorishError(
         f"no interval with m < {size} encloses {sorted(s.members)}; "
         "this contradicts the size classification and should be reported"
@@ -547,26 +496,14 @@ def _chain_claim(s: CurveSet, m: int) -> EnclosureClaim:
     return EnclosureClaim((m - 1) // 2, 2, True, ClaimCase.CHAIN_ODD.value)
 
 
-# enclosure (genus, boundary) of each interval kind's window, as a
-# function of d = j-i; these are the subsurfaces of the handle-window
-# lemmas, with the two b-endpoint kinds enclosed in the larger windows
-# the classification proof uses.
-_KIND_CLAIM = {
-    IntervalKind.AA: lambda d: (d + 1, 1),
-    IntervalKind.BB: lambda d: (d + 1, 1),
-    IntervalKind.AB: lambda d: (d + 1, 1),
-    IntervalKind.BA: lambda d: (d + 1, 1),
-    IntervalKind.GG: lambda d: (d, 3),
-    IntervalKind.AG: lambda d: (d + 1, 2),
-    IntervalKind.BG: lambda d: (d + 1, 2),
-    IntervalKind.GA: lambda d: (d, 2),
-    IntervalKind.GB: lambda d: (d, 2),
-}
-
-
 def interval_claim(iv: Interval) -> tuple[int, int]:
-    """(genus, boundary) of the window enclosing the interval's support."""
-    return _KIND_CLAIM[iv.kind](iv.j - iv.i)
+    """(genus, boundary) of the window enclosing the interval's support:
+    the handle-window subsurfaces, genus j-i+1 less one for a g left end,
+    with one boundary circle plus one per g end.  The two b-endpoint
+    kinds are enclosed in the larger windows the classification proof
+    uses."""
+    left, right = iv.kind.left, iv.kind.right
+    return iv.j - iv.i + 1 - (left == "g"), 1 + (left == "g") + (right == "g")
 
 
 def size_classify(s: CurveSet, g: int) -> EnclosureClaim:

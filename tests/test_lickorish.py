@@ -149,6 +149,48 @@ def test_interval_chain_lengths():
             assert order is not None and len(order) == iv.chain_length_m, iv.label()
 
 
+@pytest.mark.parametrize(
+    "kind, min_span, chain_lengths, claims",
+    [
+        ("bb", 1, (3, 5, 7, 9, 11, 13), ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1))),
+        ("ba", 0, (2, 4, 6, 8, 10, 12, 14), ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1))),
+        ("ab", 0, (2, 4, 6, 8, 10, 12, 14), ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1))),
+        ("bg", 0, (2, 4, 6, 8, 10, 12, 14), ((1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2))),
+        ("gb", 1, (2, 4, 6, 8, 10, 12), ((1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2))),
+        ("aa", 1, (5, 7, 9, 11, 13, 15), ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1))),
+        ("gg", 1, (3, 5, 7, 9, 11, 13), ((1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3))),
+        ("ga", 1, (3, 5, 7, 9, 11, 13), ((1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2))),
+        ("ag", 0, (3, 5, 7, 9, 11, 13, 15), ((1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2))),
+    ],
+)
+def test_interval_kind_facts(kind, min_span, chain_lengths, claims):
+    # min span, m(d) and the window claim for d = j-i = 0..6
+    kind = lk.IntervalKind(kind)
+    assert kind.min_span == min_span
+    for d in range(min_span):
+        with pytest.raises(lk.LickorishError):
+            lk.Interval(kind, 1, 1 + d)
+    ivs = [lk.Interval(kind, 1, 1 + d) for d in range(min_span, 7)]
+    assert tuple(iv.chain_length_m for iv in ivs) == chain_lengths
+    assert tuple(lk.interval_claim(iv) for iv in ivs) == claims
+
+
+def test_all_intervals_are_the_valid_triples():
+    for g in range(2, 9):
+        valid = set()
+        for kind in lk.IntervalKind:
+            for i in range(-1, g + 3):
+                for j in range(-1, g + 3):
+                    try:
+                        lk.interval_set(lk.Interval(kind, i, j), g)
+                    except lk.LickorishError:
+                        continue
+                    valid.add((kind, i, j))
+        listed = [(iv.kind, iv.i, iv.j) for iv in lk.all_intervals(g)]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == valid, g
+
+
 def test_interval_validation():
     with pytest.raises(lk.LickorishError):
         lk.interval_set(lk.Interval(lk.IntervalKind.GG, 1, 3), 3)  # g3 missing
@@ -263,10 +305,15 @@ def test_badchains_m_arithmetic():
                 assert j == i + (len(order) - 3) // 2
 
 
-def _linear_enclosing_interval(s):
+def _interval_supports(g):
+    """(interval, m, extended-support mask) for every interval, in scan order."""
+    return [(iv, iv.chain_length_m, lk.extended_support(iv, g).mask) for iv in lk.all_intervals(g)]
+
+
+def _linear_enclosing_interval(s, supports):
     """Reference: the first interval in scan order whose extended
     support contains the set, if its m is below |S|."""
-    for iv, m, emask in lk._interval_support_masks(s.genus):
+    for iv, m, emask in supports:
         if s.mask & ~emask == 0:
             return (iv, m) if m < len(s) else None
     return None
@@ -297,10 +344,12 @@ def test_enclosing_interval_matches_linear_scan():
     rng = random.Random(13)
     cases = [(g, lk.connected_masks(g)) for g in range(2, 11)]
     cases += [(g, [_random_connected_mask(g, rng) for _ in range(2000)]) for g in (13, 14, 15)]
+    cases += [(30, [_random_connected_mask(30, rng) for _ in range(300)])]
     for g, masks in cases:
+        supports = _interval_supports(g)
         for mask in masks:
             s = lk.CurveSet(g, mask)
             assert lk.is_connected_mask(g, mask)
             if lk.chain_order(s) is not None:
                 continue
-            assert lk.enclosing_interval(s) == _linear_enclosing_interval(s), (g, s.sorted_members())
+            assert lk.enclosing_interval(s) == _linear_enclosing_interval(s, supports), (g, s.sorted_members())
