@@ -16,6 +16,11 @@ one ``size_induction`` node concluding "every subset of size <= s",
 and every node of size s+1 cites that node alone instead of every
 smaller node, so each node has O(1) premises and the certificate grows
 linearly with the genus.
+
+A node stores nothing the checker can recompute from its rule and
+params: its judgment is a function of the two (:attr:`RuleApp.judgment`),
+and a packing is named by ``(pack_kind, pack_ell)`` alone, so the
+checker rebuilds and assembly-checks each distinct packing once.
 """
 
 from __future__ import annotations
@@ -157,7 +162,32 @@ class RuleApp:
     params: dict
     premises: tuple[int, ...]
     witnesses: dict
-    judgment: Judgment
+
+    @property
+    def judgment(self) -> Judgment:
+        """What the node asserts, fixed by its rule and params; the
+        certificate format does not store it."""
+        p = self.params
+        if self.rule == "axiom":
+            return Judgment("Axiom", {"tag": p["tag"]})
+        if self.rule == "handle_separating_twist_elliptic":
+            return Judgment("EllipticSubgroup", {"tag": "handle_separating_twist"})
+        if self.rule in ("r_tree_step", "conclude"):
+            return Judgment("Elliptic", {"curves": curve_names(p["g"])})
+        if self.rule == "genus1_step":
+            return Judgment("EllipticSchema", {"scope": "size_le", "size": p["size_limit"]})
+        if self.rule == "size_induction":
+            return Judgment("EllipticSchema", {"scope": "size_le", "size": p["size"]})
+        if self.rule == "split_commuting":
+            return Judgment("EllipticSchema", {"scope": "disconnected_of_size", "size": p["size"]})
+        if self.rule == "connected_bootstrap":
+            return Judgment("EllipticSchema", {
+                "scope": "connected_of_size",
+                "size": p["size"],
+                "claim_genus": p["claim_genus"],
+                "claim_boundary": p["claim_boundary"],
+            })
+        raise BootstrapError(f"unknown rule {self.rule!r}")
 
     def to_json(self) -> dict:
         return {
@@ -166,7 +196,6 @@ class RuleApp:
             "params": self.params,
             "premises": list(self.premises),
             "witnesses": self.witnesses,
-            "judgment": self.judgment.to_json(),
         }
 
 
@@ -214,27 +243,6 @@ class DerivationBlocked(Exception):
         self.failure = Failure(blocking_rule, tag, message, params or {})
 
 
-def _plan_json(plan: AssemblyPlan) -> dict:
-    return {
-        "pieces": [list(p) for p in plan.pieces],
-        "gluings": [list(gl) for gl in plan.gluings],
-        "marked": list(plan.marked_pieces),
-    }
-
-
-def _plan_from_json(obj: dict) -> AssemblyPlan:
-    """Parse a packing witness; ValueError unless every piece is an
-    integer pair, every gluing an integer 4-tuple and every mark an integer."""
-    pieces = _typed(obj, "pieces", list, "packing")
-    gluings = _typed(obj, "gluings", list, "packing")
-    marked = _int_list(_typed(obj, "marked", list, "packing"), "packing.marked")
-    return AssemblyPlan(
-        tuple(_int_list(p, "packing.pieces", 2) for p in pieces),
-        tuple(_int_list(gl, "packing.gluings", 4) for gl in gluings),
-        marked,
-    )
-
-
 def _typed(obj, key: str, kind: type, where: str):
     """obj[key], which must hold a JSON value of the given type."""
     if not isinstance(obj, dict):
@@ -251,11 +259,9 @@ def _typed(obj, key: str, kind: type, where: str):
 _INT_TYPE = frozenset({int})
 
 
-def _int_list(value, where: str, length: Optional[int] = None) -> tuple[int, ...]:
+def _int_list(value, where: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not _INT_TYPE.issuperset(map(type, value)):
         raise ValueError(f"{where}: expected a list of integers")
-    if length is not None and len(value) != length:
-        raise ValueError(f"{where}: expected {length} integers, got {len(value)}")
     return tuple(value)
 
 
@@ -284,17 +290,12 @@ def genus1_step(g: int, dim: int) -> RuleApp:
             f"torsion bootstrap over {g} punctured-torus factors needs dim < {g}, got {dim}",
             {"g": g, "dim": dim},
         )
-    plan = pack_subsurfaces(g, "fit1", 1)
     return RuleApp(
         id=-1,
         rule="genus1_step",
         params={"g": g, "dim": dim, "size_limit": 2, "n": g, "k": 1},
         premises=(),
-        witnesses={
-            "packing": _plan_json(plan),
-            "torsion_bootstrap": {"n": g, "k": 1, "bound": g, "dim": dim},
-        },
-        judgment=Judgment("EllipticSchema", {"scope": "size_le", "size": 2}),
+        witnesses={"torsion_bootstrap": {"n": g, "k": 1, "bound": g, "dim": dim}},
     )
 
 
@@ -321,43 +322,23 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
     """Deterministic node inventory for a successful derivation."""
     nodes: list[RuleApp] = []
 
-    def add(rule, params, premises, witnesses, judgment) -> int:
-        nodes.append(RuleApp(len(nodes), rule, params, tuple(premises), witnesses, judgment))
+    def add(rule, params, premises=(), witnesses=None) -> int:
+        nodes.append(RuleApp(len(nodes), rule, params, tuple(premises), witnesses or {}))
         return len(nodes) - 1
 
     if g == 2:
-        ax = add(
-            "axiom",
-            {"tag": Axiom.R_TREE_FIXED_POINT.value},
-            (),
-            {},
-            Judgment("Axiom", {"tag": Axiom.R_TREE_FIXED_POINT.value}),
-        )
-        add(
-            "r_tree_step",
-            {"g": g, "dim": dim},
-            (ax,),
-            {},
-            Judgment("Elliptic", {"curves": curve_names(g)}),
-        )
+        ax = add("axiom", {"tag": Axiom.R_TREE_FIXED_POINT.value})
+        add("r_tree_step", {"g": g, "dim": dim}, (ax,))
         return nodes
 
     axiom_ids: dict[str, int] = {}
     for axiom in _BASE_AXIOMS + _THEOREM_AXIOMS[theorem]:
-        axiom_ids[axiom.value] = add(
-            "axiom",
-            {"tag": axiom.value},
-            (),
-            {},
-            Judgment("Axiom", {"tag": axiom.value}),
-        )
+        axiom_ids[axiom.value] = add("axiom", {"tag": axiom.value})
 
     handle_id = add(
         "handle_separating_twist_elliptic",
         {"via": _HANDLE_RULE_VIA[theorem]},
         tuple(axiom_ids[a.value] for a in _THEOREM_AXIOMS[theorem]),
-        {},
-        Judgment("EllipticSubgroup", {"tag": "handle_separating_twist"}),
     )
 
     g1 = genus1_step(g, dim)
@@ -372,7 +353,6 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
             axiom_ids[Axiom.HELLY.value],
         ),
         g1.witnesses,
-        g1.judgment,
     )
 
     # Strong induction on subset size, one link per size: every size-s
@@ -380,19 +360,11 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
     # of size s collects them into size_le(s).  genus1_step is size_le(2).
     size_le_id = genus1_id
     for size in range(3, 3 * g):
-        split_id = add(
-            "split_commuting",
-            {"size": size},
-            (size_le_id,),
-            {},
-            Judgment("EllipticSchema", {"scope": "disconnected_of_size", "size": size}),
-        )
-        new_ids = [split_id]
+        new_ids = [add("split_commuting", {"size": size}, (size_le_id,))]
         for (h, b, kind, ell) in _schema_profiles(size, g):
-            plan = pack_subsurfaces(g, kind, ell)
-            n = len(plan.marked_pieces)
+            n = pack_count(g, kind, ell)
             k = size - 1
-            cid = add(
+            new_ids.append(add(
                 "connected_bootstrap",
                 {
                     "size": size,
@@ -409,36 +381,13 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
                     axiom_ids[Axiom.HELLY.value],
                 ),
                 {
-                    "packing": _plan_json(plan),
                     "count": _count_witness(g, size, n, k),
                     "dim_check": {"dim": dim, "bound": n * k},
                 },
-                Judgment(
-                    "EllipticSchema",
-                    {
-                        "scope": "connected_of_size",
-                        "size": size,
-                        "claim_genus": h,
-                        "claim_boundary": b,
-                    },
-                ),
-            )
-            new_ids.append(cid)
-        size_le_id = add(
-            "size_induction",
-            {"size": size},
-            (size_le_id, *new_ids),
-            {},
-            Judgment("EllipticSchema", {"scope": "size_le", "size": size}),
-        )
+            ))
+        size_le_id = add("size_induction", {"size": size}, (size_le_id, *new_ids))
 
-    add(
-        "conclude",
-        {"g": g, "dim": dim},
-        (size_le_id,),
-        {},
-        Judgment("Elliptic", {"curves": curve_names(g)}),
-    )
+    add("conclude", {"g": g, "dim": dim}, (size_le_id,))
     return nodes
 
 
@@ -456,23 +405,12 @@ def _derive(g: int, dim: int, theorem: Theorem) -> Certificate | Failure:
         raise BootstrapError(f"genus must be an integer >= 2, got {g!r}")
     if not isinstance(dim, int) or dim < 0:
         raise BootstrapError(f"dim must be a non-negative integer, got {dim!r}")
-    if g == 2:
-        if dim >= 2:
-            return Failure(
-                "r_tree_step",
-                "DIM_TOO_LARGE",
-                "the genus-2 route uses the R-tree fixed-point property, which needs dim <= 1",
-                {"g": g, "dim": dim},
-            )
-        axioms = (Axiom.R_TREE_FIXED_POINT.value,)
-        nodes = _expected_nodes(g, dim, theorem)
-        return Certificate(
-            genus=g,
-            dim=dim,
-            theorem=theorem,
-            axioms=tuple(sorted(axioms)),
-            nodes=tuple(nodes),
-            conclusion=Judgment("Elliptic", {"curves": curve_names(g)}),
+    if g == 2 and dim >= 2:
+        return Failure(
+            "r_tree_step",
+            "DIM_TOO_LARGE",
+            "the genus-2 route uses the R-tree fixed-point property, which needs dim <= 1",
+            {"g": g, "dim": dim},
         )
     if dim >= g:
         return Failure(
@@ -482,15 +420,21 @@ def _derive(g: int, dim: int, theorem: Theorem) -> Certificate | Failure:
             {"g": g, "dim": dim},
         )
     nodes = _expected_nodes(g, dim, theorem)
-    axioms = tuple(sorted(a.value for a in _BASE_AXIOMS + _THEOREM_AXIOMS[theorem]))
     return Certificate(
         genus=g,
         dim=dim,
         theorem=theorem,
-        axioms=axioms,
+        axioms=_expected_axioms(g, theorem),
         nodes=tuple(nodes),
-        conclusion=Judgment("Elliptic", {"curves": curve_names(g)}),
+        conclusion=nodes[-1].judgment,
     )
+
+
+def _expected_axioms(g: int, theorem: Theorem) -> tuple[str, ...]:
+    """The sorted axiom list of a genus-g certificate."""
+    if g == 2:
+        return (Axiom.R_TREE_FIXED_POINT.value,)
+    return tuple(sorted(a.value for a in _BASE_AXIOMS + _THEOREM_AXIOMS[theorem]))
 
 
 def derive_technical(g: int, dim: int) -> Certificate | Failure:
@@ -551,16 +495,12 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
     nodes = []
     for pos, n in enumerate(_typed(doc, "nodes", list, "certificate")):
         where = f"nodes[{pos}]"
-        witnesses = _typed(n, "witnesses", dict, where)
-        if "packing" in witnesses:  # parsed here so that a malformed plan is a load error
-            _plan_from_json(witnesses["packing"])
         nodes.append(RuleApp(
             id=_typed(n, "id", int, where),
             rule=_typed(n, "rule", str, where),
             params=_typed(n, "params", dict, where),
             premises=_int_list(_typed(n, "premises", list, where), f"{where}.premises"),
-            witnesses=witnesses,
-            judgment=_judgment_from_json(_typed(n, "judgment", dict, where), f"{where}.judgment"),
+            witnesses=_typed(n, "witnesses", dict, where),
         ))
     return Certificate(
         genus=_typed(header, "genus", int, "header"),
@@ -605,8 +545,9 @@ def verify(
     """Re-check a certificate from scratch; empty list means Ok.
 
     Nothing emitter-computed is trusted: the expected node inventory is
-    re-derived from the header, packing plans are re-validated, count
-    instances re-evaluated, and (for genus up to the exhaustive bound, see
+    re-derived from the header, each distinct packing is rebuilt from its
+    ``(pack_kind, pack_ell)`` and assembly-checked, count instances
+    re-evaluated, and (for genus up to the exhaustive bound, see
     :func:`coverage_mode`) every connected subset of the generator set is
     re-classified and matched against a covering node.  Subset coverage
     runs only once every other check has passed; when ``report`` is
@@ -659,13 +600,9 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
 
     expected = _expected_nodes(g, dim, theorem)
 
-    expected_axioms = (
-        (Axiom.R_TREE_FIXED_POINT.value,)
-        if g == 2
-        else tuple(sorted(a.value for a in _BASE_AXIOMS + _THEOREM_AXIOMS[theorem]))
-    )
-    if tuple(cert.axioms) != tuple(sorted(expected_axioms)):
-        bad(-1, "header", "axioms", list(cert.axioms), sorted(expected_axioms), "axiom list mismatch")
+    expected_axioms = _expected_axioms(g, theorem)
+    if tuple(cert.axioms) != expected_axioms:
+        bad(-1, "header", "axioms", list(cert.axioms), list(expected_axioms), "axiom list mismatch")
 
     # ids dense and premises acyclic (strictly earlier)
     for pos, node in enumerate(cert.nodes):
@@ -675,7 +612,8 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
             if not (0 <= p < pos):
                 bad(node.id, node.rule, "premises", p, f"< {pos}", "premise must reference an earlier node")
 
-    # inventory comparison: rules, params, premises, judgments
+    # inventory comparison: rules, params, premises, witnesses (a node's
+    # judgment is a function of its rule and params, so it needs no check)
     for got, want in zip(cert.nodes, expected):
         if got.rule != want.rule:
             bad(got.id, got.rule, "rule", got.rule, want.rule, "unexpected rule at this position")
@@ -686,8 +624,31 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
             bad(got.id, got.rule, "premises", list(got.premises), list(want.premises), "premise edges do not match")
         if got.witnesses != want.witnesses:
             bad(got.id, got.rule, "witnesses", got.witnesses, want.witnesses, "witness data does not match recomputation")
-        if got.judgment.to_json() != want.judgment.to_json():
-            bad(got.id, got.rule, "judgment", got.judgment.to_json(), want.judgment.to_json(), "judgment mismatch")
+
+    # (kind, ell) -> the canonical plan and its assembly problems, or None
+    # and the refusal: each distinct packing is built and checked once
+    packings: dict[tuple[str, int], tuple[Optional[AssemblyPlan], list[str]]] = {}
+
+    def check_packing(node: RuleApp, kind, ell, expected_marked: Optional[int]) -> None:
+        if not (isinstance(kind, str) and type(ell) is int):
+            bad(node.id, node.rule, "params.pack", (kind, ell), None, "invalid packing request")
+            return
+        if (kind, ell) not in packings:
+            try:
+                plan = pack_subsurfaces(g, kind, ell)
+            except SurfaceError as exc:
+                packings[kind, ell] = None, [f"invalid packing request: {exc}"]
+            else:
+                packings[kind, ell] = plan, assembly_problems(plan, g)
+        plan, problems = packings[kind, ell]
+        if plan is None:
+            bad(node.id, node.rule, "params.pack", (kind, ell), None, problems[0])
+            return
+        for p in problems:
+            bad(node.id, node.rule, "packing", p, None, "assembly check failed")
+        if expected_marked is not None and len(plan.marked_pieces) != expected_marked:
+            bad(node.id, node.rule, "packing.marked", len(plan.marked_pieces),
+                expected_marked, "marked piece count mismatch")
 
     # per-node side conditions, from the node's own data
     for node in cert.nodes:
@@ -695,7 +656,7 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
             nd = node.params.get("n")
             if nd != g:
                 bad(node.id, node.rule, "params.n", nd, g, "torsion bootstrap factor count must be g")
-            _check_plan_witness(node, "fit1", 1, g, g, bad)
+            check_packing(node, "fit1", 1, g)
         elif node.rule == "connected_bootstrap":
             size = node.params.get("size")
             n, k = node.params.get("n"), node.params.get("k")
@@ -713,7 +674,7 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
                 bad(node.id, node.rule, "params.n", n, expected_n, "packing count mismatch")
             if isinstance(n, int) and isinstance(k, int) and dim >= n * k:
                 bad(node.id, node.rule, "dim_check", dim, n * k - 1, "dimension side condition violated")
-            _check_plan_witness(node, kind, ell, expected_n, g, bad)
+            check_packing(node, kind, ell, expected_n)
             cw = node.witnesses.get("count")
             cw = cw if isinstance(cw, dict) else {}
             if 2 <= size <= 2 * g:
@@ -735,32 +696,6 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
         bad(-1, "conclusion", "conclusion", cert.conclusion.to_json(),
             {"form": "Elliptic", "curves": curve_names(g)}, "conclusion must cover the full generator set")
     return violations
-
-
-def _check_plan_witness(node: RuleApp, kind, ell, expected_marked, g: int, bad) -> None:
-    obj = node.witnesses.get("packing")
-    if not isinstance(obj, dict):
-        bad(node.id, node.rule, "witnesses.packing", obj, "plan", "missing packing witness")
-        return
-    try:
-        plan = _plan_from_json(obj)
-    except ValueError:
-        bad(node.id, node.rule, "witnesses.packing", obj, "plan", "unparseable packing witness")
-        return
-    try:
-        canonical = pack_subsurfaces(g, kind, ell)
-    except Exception as exc:
-        bad(node.id, node.rule, "params.pack", (kind, ell), None, f"invalid packing request: {exc}")
-        return
-    problems = assembly_problems(plan, g)
-    for p in problems:
-        bad(node.id, node.rule, "witnesses.packing", p, None, "assembly check failed")
-    if plan != canonical:
-        bad(node.id, node.rule, "witnesses.packing", obj, _plan_json(canonical),
-            "packing differs from the canonical construction")
-    if expected_marked is not None and len(plan.marked_pieces) != expected_marked:
-        bad(node.id, node.rule, "witnesses.packing.marked", len(plan.marked_pieces),
-            expected_marked, "marked piece count mismatch")
 
 
 def _exhaustive_coverage(cert: Certificate, masks: list[int]) -> list[Violation]:

@@ -358,7 +358,6 @@ def _validate_interval(iv: Interval, g: int) -> None:
         raise LickorishError(f"interval {iv.label()} out of range for genus {g}")
 
 
-@lru_cache(maxsize=None)
 def all_intervals(g: int) -> tuple[Interval, ...]:
     """Every valid interval at genus g, sorted by (m, kind order, i, j)."""
     out = [

@@ -37,7 +37,8 @@ def test_count_small_sweep():
 def test_genus1_step():
     node = bs.genus1_step(3, 2)
     assert node.params["n"] == 3 and node.params["k"] == 1
-    assert len(node.witnesses["packing"]["marked"]) == 3
+    assert node.witnesses == {"torsion_bootstrap": {"n": 3, "k": 1, "bound": 3, "dim": 2}}
+    assert len(sf.pack_subsurfaces(3, "fit1", 1).marked_pieces) == node.params["n"]
     with pytest.raises(bs.DerivationBlocked) as exc:
         bs.genus1_step(3, 3)
     assert exc.value.failure.tag == "DIM_TOO_LARGE"
@@ -131,13 +132,48 @@ def test_verifier_rejects_wrong_axioms():
     assert any(v.field == "axioms" for v in violations)
 
 
-def test_verifier_rejects_tampered_plan():
-    cert = bs.derive_technical(3, 2)
-    doc = json.loads(cert.to_json())
+def test_verifier_rejects_tampered_pack_params():
+    for key, edit in (("pack_kind", lambda kind: "fit3" if kind != "fit3" else "fit1"),
+                      ("pack_ell", lambda ell: ell + 1)):
+        doc = json.loads(bs.derive_technical(3, 2).to_json())
+        node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
+        node["params"][key] = edit(node["params"][key])
+        violations = bs.verify(bs.certificate_from_json_dict(doc))
+        assert (node["id"], "params") in [(v.node_id, v.field) for v in violations], key
+
+
+def test_verifier_rejects_stray_packing_witness():
+    doc = json.loads(bs.derive_technical(3, 2).to_json())
     node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
-    node["witnesses"]["packing"]["pieces"][0][0] += 1
+    plan = sf.pack_subsurfaces(3, node["params"]["pack_kind"], node["params"]["pack_ell"])
+    node["witnesses"]["packing"] = {"pieces": [list(p) for p in plan.pieces],
+                                    "gluings": [list(gl) for gl in plan.gluings],
+                                    "marked": list(plan.marked_pieces)}
     violations = bs.verify(bs.certificate_from_json_dict(doc))
-    assert any("packing" in v.field for v in violations)
+    assert [(v.node_id, v.field) for v in violations] == [(node["id"], "witnesses")]
+
+
+def test_verify_builds_each_distinct_packing_once(monkeypatch):
+    g = 40
+    cert = bs.derive_technical(g, g - 1)
+    built, checked = [], []
+
+    def pack(genus, kind, ell):
+        built.append((kind, ell))
+        return sf.pack_subsurfaces(genus, kind, ell)
+
+    def assembly(plan, genus):
+        checked.append(plan)
+        return sf.assembly_problems(plan, genus)
+
+    monkeypatch.setattr(bs, "pack_subsurfaces", pack)
+    monkeypatch.setattr(bs, "assembly_problems", assembly)
+    assert bs.verify(cert) == []
+    distinct = {("fit1", 1)} | {(n.params["pack_kind"], n.params["pack_ell"])
+                                for n in cert.nodes if n.rule == "connected_bootstrap"}
+    assert len(distinct) == 3 * g - 2
+    assert sorted(built) == sorted(distinct)
+    assert len(checked) == 3 * g - 2
 
 
 def test_verifier_rejects_overclaimed_dim():
@@ -178,7 +214,10 @@ def test_premise_lists_grow_linearly():
 
 
 def test_certificate_size_at_genus_100():
-    assert len(bs.derive_technical(100, 99).to_json().encode()) <= 700_000
+    text = bs.derive_technical(100, 99).to_json()
+    assert len(text.encode()) < 300_000
+    nodes = json.loads(text)["nodes"]
+    assert not any("judgment" in n or "packing" in n["witnesses"] for n in nodes)
 
 
 def test_verifier_rejects_deleted_size_induction_node():

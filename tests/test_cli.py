@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from twistcert.bootstrap import EXHAUSTIVE_HARD_CAP
+from twistcert import surface as sf
+from twistcert.bootstrap import EXHAUSTIVE_HARD_CAP, RuleApp
 from twistcert.cli import main
 
 
@@ -186,19 +187,13 @@ def _set(path, value):
     return edit
 
 
-def _packing_piece(doc):
-    node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
-    node["witnesses"]["packing"]["pieces"][0] = [1]
-    return doc
-
-
 @pytest.mark.parametrize("probe", [
     _set(("nodes", 3, "premises"), "x"),
     _set(("nodes", 3, "witnesses"), None),
     _set(("conclusion",), []),
-    _packing_piece,
+    _set(("nodes", 3, "params"), []),
     lambda doc: [doc],
-], ids=["premises-string", "witnesses-null", "conclusion-list", "one-element-piece", "top-level-list"])
+], ids=["premises-string", "witnesses-null", "conclusion-list", "params-list", "top-level-list"])
 def test_check_malformed_certificate_is_load_error(tmp_path, probe):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
@@ -207,3 +202,30 @@ def test_check_malformed_certificate_is_load_error(tmp_path, probe):
     assert proc.returncode == 2
     assert "cannot load certificate" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _as_format_0_2_0(doc):
+    """The same certificate as format 0.2.0 wrote it: a judgment on every
+    node and the full plan of every packing it names."""
+    doc["header"]["version"] = "0.2.0"
+    for node in doc["nodes"]:
+        app = RuleApp(node["id"], node["rule"], node["params"], tuple(node["premises"]), node["witnesses"])
+        node["judgment"] = app.judgment.to_json()
+        if node["rule"] in ("genus1_step", "connected_bootstrap"):
+            kind, ell = node["params"].get("pack_kind", "fit1"), node["params"].get("pack_ell", 1)
+            plan = sf.pack_subsurfaces(doc["header"]["genus"], kind, ell)
+            node["witnesses"]["packing"] = {"pieces": [list(p) for p in plan.pieces],
+                                            "gluings": [list(gl) for gl in plan.gluings],
+                                            "marked": list(plan.marked_pieces)}
+    return doc
+
+
+def test_check_names_format_0_2_0_file(tmp_path):
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    out.write_text(json.dumps(_as_format_0_2_0(json.loads(out.read_text()))))
+    proc = run_cli("check", str(out), "--json")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["violations"] == [
+        "node -1 [header] version: unsupported certificate format version (claimed '0.2.0', recomputed '0.3.0')"]
