@@ -208,6 +208,7 @@ class Certificate:
     nodes: tuple[RuleApp, ...]
     conclusion: Judgment
     version: str = __version__
+    unknown_keys: tuple[tuple[str, str], ...] = ()  # (where, key) read outside the format
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,6 +264,23 @@ def _int_list(value, where: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not _INT_TYPE.issuperset(map(type, value)):
         raise ValueError(f"{where}: expected a list of integers")
     return tuple(value)
+
+
+def _exact(obj, where: str):
+    """obj, a JSON object or list with no true, false or fraction at any
+    depth: the checker compares params and witnesses by value, and both
+    compare equal to integers (True == 1 == 1.0)."""
+    for key, value in (obj.items() if type(obj) is dict else enumerate(obj)):
+        if type(value) in (bool, float):
+            raise ValueError(f"{where}.{key}: expected no {type(value).__name__}")
+        if type(value) in (dict, list):
+            _exact(value, f"{where}.{key}")
+    return obj
+
+
+# the keys of the certificate, its header and a node; verify names any other
+_CERT_KEYS, _HEADER_KEYS, _NODE_KEYS = (frozenset(keys.split()) for keys in (
+    "header axioms nodes conclusion", "genus dim theorem version", "id rule params premises witnesses"))
 
 
 # ---------------------------------------------------------------------------
@@ -486,22 +504,26 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
 
     Raises ValueError when a field the checker reads has the wrong JSON
     type, so that a malformed file is a load error rather than a crash
-    inside :func:`verify`; every well-typed defect is left to ``verify``.
+    inside :func:`verify`; every well-typed defect is left to ``verify``,
+    keys outside the format too (``unknown_keys``).
     """
     header = _typed(doc, "header", dict, "certificate")
     axioms = _typed(doc, "axioms", list, "certificate")
     if not all(isinstance(a, str) for a in axioms):
         raise ValueError("certificate.axioms: expected a list of strings")
+    unknown = [("certificate", k) for k in sorted(doc.keys() - _CERT_KEYS)]
+    unknown += [("header", k) for k in sorted(header.keys() - _HEADER_KEYS)]
     nodes = []
     for pos, n in enumerate(_typed(doc, "nodes", list, "certificate")):
         where = f"nodes[{pos}]"
         nodes.append(RuleApp(
             id=_typed(n, "id", int, where),
             rule=_typed(n, "rule", str, where),
-            params=_typed(n, "params", dict, where),
+            params=_exact(_typed(n, "params", dict, where), f"{where}.params"),
             premises=_int_list(_typed(n, "premises", list, where), f"{where}.premises"),
-            witnesses=_typed(n, "witnesses", dict, where),
+            witnesses=_exact(_typed(n, "witnesses", dict, where), f"{where}.witnesses"),
         ))
+        unknown += [(where, k) for k in sorted(n.keys() - _NODE_KEYS)]
     return Certificate(
         genus=_typed(header, "genus", int, "header"),
         dim=_typed(header, "dim", int, "header"),
@@ -510,6 +532,7 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
         nodes=tuple(nodes),
         conclusion=_judgment_from_json(_typed(doc, "conclusion", dict, "certificate"), "conclusion"),
         version=_typed(header, "version", str, "header"),
+        unknown_keys=tuple(unknown),
     )
 
 
@@ -576,6 +599,8 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
         # another format's node inventory would differ at every node
         bad(-1, "header", "version", cert.version, __version__, "unsupported certificate format version")
         return violations
+    for where, key in cert.unknown_keys:
+        bad(-1, "format", where, key, None, "key outside the certificate format")
 
     g, dim, theorem = cert.genus, cert.dim, cert.theorem
     if not isinstance(g, int) or g < 2 or not isinstance(dim, int) or dim < 0:
@@ -692,7 +717,7 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
                 bad(node.id, node.rule, "dim", (g, dim), (2, 1), "R-tree step needs genus 2 and dim <= 1")
 
     # conclusion
-    if cert.conclusion.form != "Elliptic" or cert.conclusion.payload.get("curves") != curve_names(g):
+    if cert.conclusion.to_json() != {"form": "Elliptic", "curves": curve_names(g)}:
         bad(-1, "conclusion", "conclusion", cert.conclusion.to_json(),
             {"form": "Elliptic", "curves": curve_names(g)}, "conclusion must cover the full generator set")
     return violations

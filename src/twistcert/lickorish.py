@@ -436,21 +436,6 @@ class EnclosureClaim:
     case_tag: str
     interval: Optional[Interval] = None  # the enclosing interval of a non-chain
 
-    def packing(self) -> tuple[str, int]:
-        """Canonical packing family and parameter for this claim shape.
-
-        One-boundary claims pack as genus-h pieces with one boundary
-        circle, two-boundary claims as the cyclic two-boundary pieces,
-        and three-boundary claims as the three-holed pieces of genus
-        one less than the packing parameter.
-        """
-        h, b = self.genus_bound, self.boundary_bound
-        if b <= 1:
-            return "fit1", h
-        if b == 2:
-            return "fit3", h
-        return "fit2", h + 1
-
 
 def separating_chain_form(s: CurveSet) -> Optional[tuple[int, int]]:
     """Detect the separating-chain pattern {a_i, a_j} + b_i..b_j + g_i..g_{j-1}.

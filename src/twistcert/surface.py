@@ -188,20 +188,6 @@ class RibbonGraph:
         self._next_one = [self.sigma(e) for e in iota]
         self._next_two = [self.sigma(self.sigma(e)) for e in iota]
 
-    # -- caches ------------------------------------------------------------
-
-    def _restriction(self, mask: int) -> "_Restriction":
-        cache = getattr(self, "_restriction_cache", None)
-        if cache is None:
-            cache = self._restriction_cache = {}
-        hit = cache.get(mask)
-        if hit is None:
-            hit = _Restriction(self, mask)
-            if len(cache) > 60000:
-                cache.clear()
-            cache[mask] = hit
-        return hit
-
 
 def build_lickorish_surface(
     g: int,
@@ -416,7 +402,7 @@ def min_enclosing_subsurface(
         raise SurfaceError("min_enclosing_subsurface requires a nonempty set")
     if not is_connected_mask(rg.genus, mask):
         raise SurfaceError("min_enclosing_subsurface requires a connected set")
-    r = rg._restriction(mask)
+    r = _Restriction(rg, mask)
 
     chi = -r.ss_crossings
     boundary = len(r.rfaces)
@@ -446,11 +432,7 @@ def complement_census(
     mask = _as_mask(rg, s)
     if not mask:
         raise SurfaceError("complement_census requires a nonempty set")
-    r = rg._restriction(mask)
-    census = list(r.complement)
-    if fill:
-        census = [(h, b) for h, b in census if (h, b) != (0, 1)]
-    return sorted(census)
+    return sorted(c for c in _Restriction(rg, mask).complement if not (fill and c == (0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ violation found.  The CLI and the acceptance suite both run these.
 
 Sweeps over curve subsets visit only the connected ones, enumerated
 directly by :func:`twistcert.lickorish.connected_masks`; each is still
-confirmed connected before it is checked.
+confirmed connected before it is checked.  The size sweep checks each
+claim's enclosure once per distinct window or chain: it depends on the
+window and the claim bounds, not on the subset inside.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import lickorish as lk
 from . import surface as sf
@@ -143,49 +146,50 @@ def sweep_intervals(genus_min: int, genus_max: int) -> SweepResult:
 # soundness of the size classifier
 
 
-def _check_size(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
+def _check_size(enclosures: dict, g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
+    """Check s's claim against s, then add the ribbon-graph problems of
+    its key, the claim's window (s itself for a chain) and bounds, which
+    ``enclosures`` holds from the key's first subset on."""
+    def bad(message: str) -> None:
+        out.violations.append(f"g={g} {s.sorted_members()}: {message}")
+
     out.checked += 1
     try:
         claim = lk.size_classify(s, g)
     except lk.LickorishError as exc:
-        out.violations.append(f"g={g} {s.sorted_members()}: classifier failed: {exc}")
+        bad(f"classifier failed: {exc}")
         return
     if not lk.claim_fits_clause(claim, len(s)):
-        out.violations.append(
-            f"g={g} {s.sorted_members()}: claim ({claim.genus_bound},{claim.boundary_bound}) "
-            f"fits neither clause for size {len(s)}"
-        )
+        bad(f"claim ({claim.genus_bound},{claim.boundary_bound}) fits neither clause for size {len(s)}")
     iv = claim.interval  # None for a chain, which encloses itself
-    if iv is None:
-        support = s
-    else:
-        m = iv.chain_length_m
-        if m >= len(s):
-            out.violations.append(
-                f"g={g} {s.sorted_members()}: enclosing interval {iv.label()} has m={m} >= |S|"
-            )
-        support = lk.extended_support(iv, g)
-        if s.mask & ~support.mask:
-            out.violations.append(
-                f"g={g} {s.sorted_members()}: support of {iv.label()} does not contain the set"
-            )
-    rep = sf.min_enclosing_subsurface(rg, support, fill=True)
-    if rep.genus > claim.genus_bound or rep.boundary_count > claim.boundary_bound:
-        out.violations.append(
-            f"g={g} {s.sorted_members()}: enclosure ({rep.genus},{rep.boundary_count}) exceeds "
-            f"claim ({claim.genus_bound},{claim.boundary_bound})"
-        )
-    if claim.nonseparating_required and len(rep.complement_components) > 1:
-        out.violations.append(
-            f"g={g} {s.sorted_members()}: enclosure complement is disconnected"
-        )
+    key = (g, s.mask if iv is None else iv, claim.genus_bound, claim.boundary_bound, claim.nonseparating_required)
+    if key not in enclosures:
+        support = s if iv is None else lk.extended_support(iv, g)
+        rep = sf.min_enclosing_subsurface(rg, support, fill=True)
+        problems = []
+        if rep.genus > claim.genus_bound or rep.boundary_count > claim.boundary_bound:
+            problems.append(f"enclosure ({rep.genus},{rep.boundary_count}) exceeds "
+                            f"claim ({claim.genus_bound},{claim.boundary_bound})")
+        if claim.nonseparating_required and len(rep.complement_components) > 1:
+            problems.append("enclosure complement is disconnected")
+        enclosures[key] = support, problems
+    support, problems = enclosures[key]
+    if iv is not None and iv.chain_length_m >= len(s):
+        bad(f"enclosing interval {iv.label()} has m={iv.chain_length_m} >= |S|")
+    if s.mask & ~support.mask:  # never for a chain, its own support
+        bad(f"support of {iv.label()} does not contain the set")
+    for problem in problems:
+        bad(problem)
 
 
 def sweep_size_soundness(genus_min: int, genus_max: int) -> SweepResult:
     """Every connected subset's enclosure claim is semantically verified:
     the support's filled neighbourhood stays within the claimed genus and
-    boundary bounds and has connected (or empty) complement."""
-    return _scan_connected("size", genus_min, genus_max, _check_size)
+    boundary bounds and has connected (or empty) complement.  That check
+    runs once per distinct window or chain (and claim bounds), the checks
+    that read the subset itself once per subset."""
+    enclosures: dict = {}
+    return _scan_connected("size", genus_min, genus_max, partial(_check_size, enclosures))
 
 
 # ---------------------------------------------------------------------------

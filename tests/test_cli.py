@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcert import surface as sf
 from twistcert.bootstrap import EXHAUSTIVE_HARD_CAP, RuleApp
@@ -193,7 +197,10 @@ def _set(path, value):
     _set(("conclusion",), []),
     _set(("nodes", 3, "params"), []),
     lambda doc: [doc],
-], ids=["premises-string", "witnesses-null", "conclusion-list", "params-list", "top-level-list"])
+    _set(("nodes", 6, "params", "k"), True),  # genus1_step's k is 1, and True == 1
+    _set(("nodes", 8, "witnesses", "count", "k"), 3.0),
+], ids=["premises-string", "witnesses-null", "conclusion-list", "params-list", "top-level-list",
+        "params-true-for-1", "witness-fraction-for-int"])
 def test_check_malformed_certificate_is_load_error(tmp_path, probe):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
@@ -229,3 +236,91 @@ def test_check_names_format_0_2_0_file(tmp_path):
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["violations"] == [
         "node -1 [header] version: unsupported certificate format version (claimed '0.2.0', recomputed '0.3.0')"]
+
+
+@pytest.mark.parametrize("where,key,edit", [
+    ("nodes[37]", "judgment", _set(("nodes", 37, "judgment"), {"form": "Elliptic", "curves": ["a1"]})),
+    ("header", "note", _set(("header", "note"), "x")),
+    ("certificate", "note", _set(("note",), 1)),
+    ("nodes[3]", "note", _set(("nodes", 3, "note"), [])),
+], ids=["false-judgment", "header-key", "top-level-key", "node-key"])
+def test_check_names_keys_outside_the_format(tmp_path, capsys, where, key, edit):
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["nodes"][37]["rule"] == "conclude"
+    out.write_text(json.dumps(edit(doc)))
+    capsys.readouterr()
+    assert main(["check", str(out), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        f"node -1 [format] {where}: key outside the certificate format (claimed {key!r}, recomputed None)"]
+
+
+def _json_paths(doc, path=()):
+    """Every path into a JSON document, the root () included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for step, value in items:
+        yield from _json_paths(value, path + (step,))
+
+
+_SCALARS = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=6),
+}
+_JSON_VALUES = {
+    **_SCALARS,
+    list: st.lists(st.one_of(*_SCALARS.values()), max_size=3),
+    dict: st.dictionaries(st.text(max_size=6), st.one_of(*_SCALARS.values()), max_size=3),
+}
+
+
+@pytest.fixture(scope="module")
+def g3_certificate(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)]) == 0
+    return out, json.loads(out.read_text())
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=5000)
+@given(data=st.data())
+def test_check_answers_every_json_mutant(g3_certificate, data):
+    # delete a key or item, add a key, or give a value another JSON type,
+    # anywhere in the file: check names a violation or refuses to load,
+    # and passes only the unchanged document
+    out, original = g3_certificate
+    doc = json.loads(json.dumps(original))
+    op = data.draw(st.sampled_from(["delete", "add", "retype"]))
+    paths = list(_json_paths(doc))
+    if op == "delete":
+        path = data.draw(st.sampled_from(paths[1:]))
+        del _at(doc, path[:-1])[path[-1]]
+    else:
+        if op == "add":
+            path = data.draw(st.sampled_from([p for p in paths if isinstance(_at(doc, p), dict)]))
+            path += (data.draw(st.text(max_size=6)),)
+            kinds = list(_JSON_VALUES)
+        else:
+            path = data.draw(st.sampled_from(paths))
+            kinds = [k for k in _JSON_VALUES if k is not type(_at(doc, path))]
+        value = data.draw(_JSON_VALUES[data.draw(st.sampled_from(kinds))])
+        if path:
+            _at(doc, path[:-1])[path[-1]] = value
+        else:
+            doc = value
+    mutant = out.with_name("mutant.json")
+    mutant.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", str(mutant), "--json"])
+    unchanged = json.dumps(doc, sort_keys=True) == json.dumps(original, sort_keys=True)
+    assert code == 0 if unchanged else code in (1, 2), (op, path, code)

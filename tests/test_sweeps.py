@@ -13,10 +13,21 @@ def test_size_sweep_counts_connected_subsets():
     assert result.violations == []
 
 
+def _size_keys(g):
+    """The distinct (window or chain, claim bounds) of the connected
+    subsets at genus g, classified one by one."""
+    keys = set()
+    for mask in lk.connected_masks(g):
+        claim = lk.size_classify(lk.CurveSet(g, mask), g)
+        keys.add((mask if claim.interval is None else claim.interval,
+                  claim.genus_bound, claim.boundary_bound, claim.nonseparating_required))
+    return keys
+
+
 def test_size_sweep_tests_connectivity_at_most_three_times_per_subset(monkeypatch):
     # the enumerator cross-check, the guard of enclosing_interval
-    # (non-chains only) and that of min_enclosing_subsurface; earlier
-    # code tested each subset up to 5 times
+    # (non-chains only) and that of min_enclosing_subsurface, which runs
+    # once per key; earlier code tested each subset up to 5 times
     calls = []
     original = lk.is_connected_mask
 
@@ -24,11 +35,55 @@ def test_size_sweep_tests_connectivity_at_most_three_times_per_subset(monkeypatc
         calls.append(mask)
         return original(g, mask)
 
+    keys = len(_size_keys(5))
     monkeypatch.setattr(lk, "is_connected_mask", counting)
     monkeypatch.setattr(sf, "is_connected_mask", counting)
     result = sweeps.sweep_size_soundness(5, 5)
     assert result.checked == 249 and result.violations == []
-    assert len(calls) <= 3 * result.checked
+    assert len(calls) <= 2 * result.checked + keys
+
+
+def test_size_sweep_encloses_each_key_once(monkeypatch):
+    calls = []
+    original = sf.min_enclosing_subsurface
+
+    def counting(rg, s, fill=True):
+        calls.append((rg.genus, s.mask))
+        return original(rg, s, fill)
+
+    monkeypatch.setattr(sf, "min_enclosing_subsurface", counting)
+    result = sweeps.sweep_size_soundness(5, 7)
+    assert result.violations == []
+    assert len(calls) == sum(len(_size_keys(g)) for g in range(5, 8))
+
+
+def test_size_sweep_reports_a_failed_window_on_every_subset_in_it(monkeypatch):
+    g = 6
+    window = lk.Interval(lk.IntervalKind.BB, 2, 4)
+    bad_support = lk.extended_support(window, g).mask
+    original = sf.min_enclosing_subsurface
+
+    def inflated(rg, s, fill=True):
+        rep = original(rg, s, fill)
+        if s.mask != bad_support:
+            return rep
+        return sf.SubsurfaceReport(rep.genus + 1, rep.boundary_count, rep.complement_components,
+                                   rep.complement_connected, rep.euler_char - 2)
+
+    true = original(sf.lickorish_surface(g), lk.CurveSet(g, bad_support))
+    expected = []
+    for mask in lk.connected_masks(g):
+        s = lk.CurveSet(g, mask)
+        claim = lk.size_classify(s, g)
+        if claim.interval == window:
+            h, b = claim.genus_bound, claim.boundary_bound
+            expected.append(f"g={g} {s.sorted_members()}: enclosure "
+                            f"({true.genus + 1},{true.boundary_count}) exceeds claim ({h},{b})")
+    assert len(expected) > 1
+
+    monkeypatch.setattr(sf, "min_enclosing_subsurface", inflated)
+    result = sweeps.sweep_size_soundness(g, g)
+    assert result.violations == expected
 
 
 def _per_k_low(g, bound):
