@@ -7,7 +7,7 @@ that the whole twist group fixes a point whenever it acts in dimension
 below the genus.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .lickorish import (  # noqa: F401
     CurveSet,

@@ -20,7 +20,11 @@ linearly with the genus.
 A node stores nothing the checker can recompute from its rule and
 params: its judgment is a function of the two (:attr:`RuleApp.judgment`),
 and a packing is named by ``(pack_kind, pack_ell)`` alone, so the
-checker rebuilds and assembly-checks each distinct packing once.
+checker rebuilds and assembly-checks each distinct packing once.  The
+bootstrap's factor count n = ``pack_count(g, pack_kind, pack_ell)`` and
+conjugate count k = size - 1 are derived too, and with them the
+dimension bound dim < n*k and the counting-lemma instance at k = size;
+no node carries a witness (format 0.4.0).
 """
 
 from __future__ import annotations
@@ -126,15 +130,6 @@ def count_inequality(g: int, k: int) -> CountCheck:
     else:
         lhs = (k - 1) * (2 * (g - 1) // (k - 1))
     return CountCheck(g, k, lhs, g)
-
-
-def _count_witness(g: int, size: int, n: int, k: int) -> dict[str, Any]:
-    """The count witness of a size-``size`` node: the counting-lemma
-    instance when size lies in [2, 2g], else the direct bound n*k >= g."""
-    if 2 <= size <= 2 * g:
-        cc = count_inequality(g, size)
-        return {"k": size, "lhs": cc.lhs, "rhs": cc.rhs}
-    return {"k": None, "lhs": n * k, "rhs": g}
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +251,50 @@ def _typed(obj, key: str, kind: type, where: str):
     return value
 
 
+def _inexact(obj) -> Optional[str]:
+    """Where a JSON object or list holds a true, false or fraction at any
+    depth, as the path below obj and the type found, or None: the checker
+    compares params and witnesses by value, and both compare equal to
+    integers (True == 1 == 1.0)."""
+    for key, value in (obj.items() if type(obj) is dict else enumerate(obj)):
+        if type(value) is bool or type(value) is float:
+            return f".{key}: expected no {type(value).__name__}"
+        if (type(value) is dict or type(value) is list) and (inner := _inexact(value)):
+            return f".{key}{inner}"
+    return None
+
+
 # Integers are matched by exact type: JSON true/false load as bool, a subclass of int.
 _INT_TYPE = frozenset({int})
+# a node's keys with their JSON types, in the order the loader checks them
+_NODE_FIELDS = (("id", int), ("rule", str), ("params", dict), ("premises", list), ("witnesses", dict))
 
 
-def _int_list(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not _INT_TYPE.issuperset(map(type, value)):
-        raise ValueError(f"{where}: expected a list of integers")
-    return tuple(value)
-
-
-def _exact(obj, where: str):
-    """obj, a JSON object or list with no true, false or fraction at any
-    depth: the checker compares params and witnesses by value, and both
-    compare equal to integers (True == 1 == 1.0)."""
-    for key, value in (obj.items() if type(obj) is dict else enumerate(obj)):
-        if type(value) in (bool, float):
-            raise ValueError(f"{where}.{key}: expected no {type(value).__name__}")
-        if type(value) in (dict, list):
-            _exact(value, f"{where}.{key}")
-    return obj
+def _node_from_json(n, pos: int) -> RuleApp:
+    """A node of a certificate document, type-checked in one walk; its
+    location is formatted only when a check fails."""
+    if type(n) is not dict:
+        raise ValueError(f"nodes[{pos}]: expected an object, got {type(n).__name__}")
+    for key, kind in _NODE_FIELDS:
+        value = n.get(key)
+        if type(value) is not kind:
+            raise ValueError(f"nodes[{pos}]: missing {key!r}" if key not in n
+                             else f"nodes[{pos}].{key}: expected {kind.__name__}, got {type(value).__name__}")
+        if kind is dict:
+            defect = _inexact(value)
+        elif kind is list and not _INT_TYPE.issuperset(map(type, value)):
+            defect = ": expected a list of integers"
+        else:
+            continue
+        if defect:
+            raise ValueError(f"nodes[{pos}].{key}{defect}")
+    return RuleApp(n["id"], n["rule"], n["params"], tuple(n["premises"]), n["witnesses"])
 
 
 # the keys of the certificate, its header and a node; verify names any other
-_CERT_KEYS, _HEADER_KEYS, _NODE_KEYS = (frozenset(keys.split()) for keys in (
-    "header axioms nodes conclusion", "genus dim theorem version", "id rule params premises witnesses"))
+_CERT_KEYS = frozenset("header axioms nodes conclusion".split())
+_HEADER_KEYS = frozenset("genus dim theorem version".split())
+_NODE_KEYS = frozenset(key for key, _ in _NODE_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +325,9 @@ def genus1_step(g: int, dim: int) -> RuleApp:
     return RuleApp(
         id=-1,
         rule="genus1_step",
-        params={"g": g, "dim": dim, "size_limit": 2, "n": g, "k": 1},
+        params={"g": g, "dim": dim, "size_limit": 2},
         premises=(),
-        witnesses={"torsion_bootstrap": {"n": g, "k": 1, "bound": g, "dim": dim}},
+        witnesses={},
     )
 
 
@@ -380,28 +394,14 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
     for size in range(3, 3 * g):
         new_ids = [add("split_commuting", {"size": size}, (size_le_id,))]
         for (h, b, kind, ell) in _schema_profiles(size, g):
-            n = pack_count(g, kind, ell)
-            k = size - 1
             new_ids.append(add(
                 "connected_bootstrap",
-                {
-                    "size": size,
-                    "claim_genus": h,
-                    "claim_boundary": b,
-                    "pack_kind": kind,
-                    "pack_ell": ell,
-                    "n": n,
-                    "k": k,
-                },
+                {"size": size, "claim_genus": h, "claim_boundary": b, "pack_kind": kind, "pack_ell": ell},
                 (
                     size_le_id,
                     axiom_ids[Axiom.ORBIT_TRANSITIVITY.value],
                     axiom_ids[Axiom.HELLY.value],
                 ),
-                {
-                    "count": _count_witness(g, size, n, k),
-                    "dim_check": {"dim": dim, "bound": n * k},
-                },
             ))
         size_le_id = add("size_induction", {"size": size}, (size_le_id, *new_ids))
 
@@ -515,15 +515,9 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
     unknown += [("header", k) for k in sorted(header.keys() - _HEADER_KEYS)]
     nodes = []
     for pos, n in enumerate(_typed(doc, "nodes", list, "certificate")):
-        where = f"nodes[{pos}]"
-        nodes.append(RuleApp(
-            id=_typed(n, "id", int, where),
-            rule=_typed(n, "rule", str, where),
-            params=_exact(_typed(n, "params", dict, where), f"{where}.params"),
-            premises=_int_list(_typed(n, "premises", list, where), f"{where}.premises"),
-            witnesses=_exact(_typed(n, "witnesses", dict, where), f"{where}.witnesses"),
-        ))
-        unknown += [(where, k) for k in sorted(n.keys() - _NODE_KEYS)]
+        nodes.append(_node_from_json(n, pos))
+        if len(n) > len(_NODE_KEYS):  # it holds every key of the format
+            unknown += [(f"nodes[{pos}]", k) for k in sorted(n.keys() - _NODE_KEYS)]
     return Certificate(
         genus=_typed(header, "genus", int, "header"),
         dim=_typed(header, "dim", int, "header"),
@@ -643,9 +637,9 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
         if got.rule != want.rule:
             bad(got.id, got.rule, "rule", got.rule, want.rule, "unexpected rule at this position")
             continue
-        if dict(got.params) != dict(want.params):
+        if got.params != want.params:
             bad(got.id, got.rule, "params", got.params, want.params, "parameters do not match the schema")
-        if tuple(got.premises) != tuple(want.premises):
+        if got.premises != want.premises:
             bad(got.id, got.rule, "premises", list(got.premises), list(want.premises), "premise edges do not match")
         if got.witnesses != want.witnesses:
             bad(got.id, got.rule, "witnesses", got.witnesses, want.witnesses, "witness data does not match recomputation")
@@ -675,43 +669,30 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
             bad(node.id, node.rule, "packing.marked", len(plan.marked_pieces),
                 expected_marked, "marked piece count mismatch")
 
-    # per-node side conditions, from the node's own data
+    # per-node side conditions, from the node's own data: the bootstrap
+    # over n = pack_count(g, kind, ell) packed pieces and k = size - 1
+    # conjugates needs dim < n*k, and the counting lemma at k = size
     for node in cert.nodes:
         if node.rule == "genus1_step":
-            nd = node.params.get("n")
-            if nd != g:
-                bad(node.id, node.rule, "params.n", nd, g, "torsion bootstrap factor count must be g")
-            check_packing(node, "fit1", 1, g)
+            check_packing(node, "fit1", 1, g)  # g punctured-torus factors
         elif node.rule == "connected_bootstrap":
             size = node.params.get("size")
-            n, k = node.params.get("n"), node.params.get("k")
             kind, ell = node.params.get("pack_kind"), node.params.get("pack_ell")
             if not isinstance(size, int) or not (3 <= size <= 3 * g - 1):
                 bad(node.id, node.rule, "params.size", size, f"3..{3 * g - 1}", "size out of range")
                 continue
-            if k != size - 1:
-                bad(node.id, node.rule, "params.k", k, size - 1, "conjugate bootstrap uses k = size - 1")
             try:
-                expected_n: Optional[int] = pack_count(g, kind, ell)
+                n: Optional[int] = pack_count(g, kind, ell)
             except SurfaceError:
-                expected_n = None
-            if n != expected_n:
-                bad(node.id, node.rule, "params.n", n, expected_n, "packing count mismatch")
-            if isinstance(n, int) and isinstance(k, int) and dim >= n * k:
-                bad(node.id, node.rule, "dim_check", dim, n * k - 1, "dimension side condition violated")
-            check_packing(node, kind, ell, expected_n)
-            cw = node.witnesses.get("count")
-            cw = cw if isinstance(cw, dict) else {}
-            if 2 <= size <= 2 * g:
+                n = None
+            if n is not None and dim >= n * (size - 1):
+                bad(node.id, node.rule, "dim_check", dim, n * (size - 1) - 1,
+                    "dimension side condition violated")
+            check_packing(node, kind, ell, n)
+            if size <= 2 * g:
                 cc = count_inequality(g, size)
-                if cw.get("k") != size or cw.get("lhs") != cc.lhs or cw.get("rhs") != cc.rhs:
-                    bad(node.id, node.rule, "witnesses.count", cw,
-                        {"k": size, "lhs": cc.lhs, "rhs": cc.rhs}, "count instance mismatch")
                 if not cc.holds:
                     bad(node.id, node.rule, "count", (cc.lhs, cc.rhs), None, "count inequality fails")
-            elif cw.get("k") is not None:
-                bad(node.id, node.rule, "witnesses.count.k", cw.get("k"), None,
-                    "size outside the counting lemma range must use the direct bound")
         elif node.rule == "r_tree_step":
             if g != 2 or dim > 1:
                 bad(node.id, node.rule, "dim", (g, dim), (2, 1), "R-tree step needs genus 2 and dim <= 1")

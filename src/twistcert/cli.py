@@ -210,11 +210,19 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+# The largest certificate file ``check`` reads: genus 3,582 at most (862,261
+# bytes at genus 400); a larger file is refused before it is parsed.
+MAX_CERTIFICATE_BYTES = 8_000_000
+
+
 def _cmd_check(args) -> int:
     t0 = time.perf_counter()
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            cert = certificate_from_json(fh.read())
+        with open(args.file, "rb") as fh:
+            data = fh.read(MAX_CERTIFICATE_BYTES + 1)
+        if len(data) > MAX_CERTIFICATE_BYTES:
+            raise ValueError(f"file exceeds {MAX_CERTIFICATE_BYTES} bytes")
+        cert = certificate_from_json(data.decode("utf-8"))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: cannot load certificate {args.file}: {exc}", file=sys.stderr)
         return 2

@@ -211,6 +211,14 @@ def disconnected_sizes(g: int, connected_subsets: list[int]) -> set[int]:
     return {k for k in range(1, n + 1) if comb(n, k) > connected[k]}
 
 
+def _has_branch(g: int, mask: int) -> bool:
+    """Whether some b_i of the set crosses a_i, g_{i-1} and g_i in it.
+    Only a b curve has three neighbours in the intersection tree, so a
+    connected set is a chain exactly when this is false."""
+    gs = mask >> (2 * g)
+    return bool((mask >> g) & mask & gs & (gs << 1))
+
+
 def chain_order(s: CurveSet) -> Optional[list[str]]:
     """Ordering C_1..C_m with consecutive curves crossing once and all
     other pairs disjoint, or None when the set is not a chain.
@@ -223,9 +231,8 @@ def chain_order(s: CurveSet) -> Optional[list[str]]:
     if len(s) == 1:
         return s.sorted_members()
     g = s.genus
-    gs = mask >> (2 * g)
-    if (mask >> g) & mask & gs & (gs << 1):
-        return None  # some b_i crosses a_i, g_{i-1} and g_i in the set
+    if _has_branch(g, mask):
+        return None
     adj = adjacency_masks(g)
     ends = []
     for i in _bits(mask):
@@ -394,7 +401,7 @@ def enclosing_interval(s: CurveSet) -> tuple[Interval, int]:
     g, smask = s.genus, s.mask
     if not smask or not is_connected_mask(g, smask):
         raise LickorishError("enclosing_interval requires a nonempty connected set")
-    if chain_order(s) is not None:
+    if not _has_branch(g, smask):
         raise LickorishError("enclosing_interval is for non-chains; classify chains directly")
     size = smask.bit_count()
     handles = (smask | smask >> g) & ((1 << g) - 1)  # a connected non-chain has a b curve

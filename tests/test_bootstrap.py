@@ -36,9 +36,9 @@ def test_count_small_sweep():
 
 def test_genus1_step():
     node = bs.genus1_step(3, 2)
-    assert node.params["n"] == 3 and node.params["k"] == 1
-    assert node.witnesses == {"torsion_bootstrap": {"n": 3, "k": 1, "bound": 3, "dim": 2}}
-    assert len(sf.pack_subsurfaces(3, "fit1", 1).marked_pieces) == node.params["n"]
+    # the torsion bootstrap's n = g factors and k = 1 are derived, not stored
+    assert node.params == {"g": 3, "dim": 2, "size_limit": 2} and node.witnesses == {}
+    assert len(sf.pack_subsurfaces(3, "fit1", 1).marked_pieces) == node.params["g"]
     with pytest.raises(bs.DerivationBlocked) as exc:
         bs.genus1_step(3, 3)
     assert exc.value.failure.tag == "DIM_TOO_LARGE"
@@ -106,10 +106,13 @@ def test_serialization_round_trip():
 
 
 def test_verifier_rejects_inflated_packing_count():
+    # the packing count is pack_count(g, kind, ell); a smaller ell packs more pieces
     cert = bs.derive_technical(3, 2)
     doc = json.loads(cert.to_json())
-    node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
-    node["params"]["n"] += 1
+    node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap" and n["params"]["pack_ell"] > 1)
+    kind, ell = node["params"]["pack_kind"], node["params"]["pack_ell"]
+    assert sf.pack_count(3, kind, ell - 1) > sf.pack_count(3, kind, ell)
+    node["params"]["pack_ell"] = ell - 1
     violations = bs.verify(bs.certificate_from_json_dict(doc))
     assert violations
     assert any(v.node_id == node["id"] for v in violations)
@@ -215,9 +218,12 @@ def test_premise_lists_grow_linearly():
 
 def test_certificate_size_at_genus_100():
     text = bs.derive_technical(100, 99).to_json()
-    assert len(text.encode()) < 300_000
+    assert len(text.encode()) <= 215_000
     nodes = json.loads(text)["nodes"]
     assert not any("judgment" in n or "packing" in n["witnesses"] for n in nodes)
+    # check derives the bootstrap's n and k and the count and dim instances
+    assert not any({"n", "k"} & n["params"].keys() for n in nodes)
+    assert not any({"count", "dim_check", "torsion_bootstrap"} & n["witnesses"].keys() for n in nodes)
 
 
 def test_verifier_rejects_deleted_size_induction_node():
@@ -248,7 +254,7 @@ def test_verifier_names_non_object_count_witness():
     node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
     node["witnesses"]["count"] = 5
     violations = bs.verify(bs.certificate_from_json_dict(doc))
-    assert any(v.node_id == node["id"] and v.field == "witnesses.count" for v in violations)
+    assert [(v.node_id, v.field) for v in violations] == [(node["id"], "witnesses")]
 
 
 def test_schema_verification_above_exhaustive_bound():

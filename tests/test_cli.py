@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistcert import bootstrap as bs
+from twistcert import cli
 from twistcert import surface as sf
 from twistcert.bootstrap import EXHAUSTIVE_HARD_CAP, RuleApp
 from twistcert.cli import main
@@ -59,7 +61,7 @@ def test_check_rejects_tampered_file(tmp_path, capsys):
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
     doc = json.loads(out.read_text())
     node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
-    node["params"]["n"] += 1
+    node["params"]["pack_ell"] += 1
     out.write_text(json.dumps(doc))
     code = main(["check", str(out)])
     assert code == 1
@@ -181,6 +183,22 @@ def test_cli_import_leaves_numpy_out():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
+
+def test_check_refuses_a_file_over_the_byte_limit(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    size = out.stat().st_size
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_CERTIFICATE_BYTES", size)
+    assert main(["check", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    monkeypatch.setattr(cli, "MAX_CERTIFICATE_BYTES", size - 1)
+    assert main(["check", str(out), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: cannot load certificate {out}: file exceeds {size - 1} bytes\n"
+
+
 def _set(path, value):
     def edit(doc):
         target = doc
@@ -197,10 +215,11 @@ def _set(path, value):
     _set(("conclusion",), []),
     _set(("nodes", 3, "params"), []),
     lambda doc: [doc],
-    _set(("nodes", 6, "params", "k"), True),  # genus1_step's k is 1, and True == 1
-    _set(("nodes", 8, "witnesses", "count", "k"), 3.0),
+    _set(("nodes", 8, "params", "claim_boundary"), True),  # a size-3 node's boundary is 1, and True == 1
+    _set(("nodes", 8, "params", "size"), 3.0),
+    _set(("nodes", 8, "witnesses", "count"), {"k": 3.0}),
 ], ids=["premises-string", "witnesses-null", "conclusion-list", "params-list", "top-level-list",
-        "params-true-for-1", "witness-fraction-for-int"])
+        "params-true-for-1", "params-fraction-for-int", "witness-nested-fraction"])
 def test_check_malformed_certificate_is_load_error(tmp_path, probe):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
@@ -235,7 +254,54 @@ def test_check_names_format_0_2_0_file(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["violations"] == [
-        "node -1 [header] version: unsupported certificate format version (claimed '0.2.0', recomputed '0.3.0')"]
+        "node -1 [header] version: unsupported certificate format version (claimed '0.2.0', recomputed '0.4.0')"]
+
+
+def _format_0_3_0_fields(doc):
+    """(node, part, key, value) for each field format 0.3.0 stored and
+    0.4.0 derives: the bootstrap's n and k, and its count, dim and
+    torsion witnesses."""
+    g, dim = doc["header"]["genus"], doc["header"]["dim"]
+    for node in doc["nodes"]:
+        p = node["params"]
+        if node["rule"] == "genus1_step":
+            yield node, "params", "n", g
+            yield node, "params", "k", 1
+            yield node, "witnesses", "torsion_bootstrap", {"n": g, "k": 1, "bound": g, "dim": dim}
+        elif node["rule"] == "connected_bootstrap":
+            n, k = sf.pack_count(g, p["pack_kind"], p["pack_ell"]), p["size"] - 1
+            cc = bs.count_inequality(g, p["size"]) if p["size"] <= 2 * g else None
+            yield node, "params", "n", n
+            yield node, "params", "k", k
+            yield node, "witnesses", "count", ({"k": None, "lhs": n * k, "rhs": g} if cc is None
+                                               else {"k": p["size"], "lhs": cc.lhs, "rhs": cc.rhs})
+            yield node, "witnesses", "dim_check", {"dim": dim, "bound": n * k}
+
+
+def test_check_names_format_0_3_0_file(tmp_path):
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["header"]["version"] = "0.3.0"
+    for node, part, key, value in list(_format_0_3_0_fields(doc)):
+        node[part][key] = value
+    out.write_text(json.dumps(doc))
+    proc = run_cli("check", str(out), "--json")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["violations"] == [
+        "node -1 [header] version: unsupported certificate format version (claimed '0.3.0', recomputed '0.4.0')"]
+
+
+def test_check_names_each_field_format_0_4_0_dropped():
+    doc = json.loads(bs.derive_technical(3, 2).to_json())
+    fields = list(_format_0_3_0_fields(doc))
+    assert len(fields) == 3 + 4 * sum(n["rule"] == "connected_bootstrap" for n in doc["nodes"])
+    for node, part, key, value in fields:
+        mutant = json.loads(json.dumps(doc))
+        mutant["nodes"][node["id"]][part][key] = value
+        violations = bs.verify(bs.certificate_from_json_dict(mutant))
+        assert [(v.node_id, v.field) for v in violations] == [(node["id"], part)], (node["id"], key)
 
 
 @pytest.mark.parametrize("where,key,edit", [

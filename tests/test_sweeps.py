@@ -43,6 +43,22 @@ def test_size_sweep_tests_connectivity_at_most_three_times_per_subset(monkeypatc
     assert len(calls) <= 2 * result.checked + keys
 
 
+def test_size_sweep_orders_each_subset_at_most_once(monkeypatch):
+    # size_classify tries the chain order once; the non-chain guard of
+    # enclosing_interval reuses its branch test instead of a second order
+    calls = []
+    original = lk.chain_order
+
+    def counting(s):
+        calls.append(s.mask)
+        return original(s)
+
+    monkeypatch.setattr(lk, "chain_order", counting)
+    result = sweeps.sweep_size_soundness(5, 7)
+    assert result.checked == 249 + 531 + 1101 and result.violations == []
+    assert len(calls) <= result.checked
+
+
 def test_size_sweep_encloses_each_key_once(monkeypatch):
     calls = []
     original = sf.min_enclosing_subsurface
