@@ -30,9 +30,8 @@ no node carries a witness (format 0.4.0).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import __version__
 from .lickorish import (
@@ -104,8 +103,7 @@ def allowed_axioms(theorem: Theorem) -> frozenset[str]:
 # counting lemma
 
 
-@dataclass(frozen=True)
-class CountCheck:
+class CountCheck(NamedTuple):
     """Evaluated instance of the floor-count inequality."""
 
     g: int
@@ -136,8 +134,7 @@ def count_inequality(g: int, k: int) -> CountCheck:
 # judgments, rule applications, certificates
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     """What a node asserts; schema forms quantify over subsets."""
 
     form: str
@@ -147,8 +144,7 @@ class Judgment:
         return {"form": self.form, **self.payload}
 
 
-@dataclass(frozen=True)
-class RuleApp:
+class RuleApp(NamedTuple):
     """One rule application: side conditions are recomputable from
     params and witnesses alone."""
 
@@ -194,8 +190,7 @@ class RuleApp:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     genus: int
     dim: int
     theorem: Theorem
@@ -223,14 +218,13 @@ class Certificate:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     """A blocked derivation: which rule refused, and why."""
 
     blocking_rule: str
     tag: str
     message: str
-    params: dict = field(default_factory=dict)
+    params: dict = {}  # shared by every Failure built without params; never mutated
 
 
 class DerivationBlocked(Exception):
@@ -478,8 +472,7 @@ def derive_kg(g: int, dim: int) -> Certificate | Failure:
 # the independent checker
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     node_id: int
     rule: str
     field: str

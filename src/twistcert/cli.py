@@ -108,7 +108,7 @@ def _cmd_classify(args) -> int:
             "claim": {
                 "genus_bound": claim.genus_bound,
                 "boundary_bound": claim.boundary_bound,
-                "nonseparating_required": claim.nonseparating_required,
+                "nonseparating_required": True,  # every claim requires a connected complement
                 "case": claim.case_tag,
             },
             "pass": True,

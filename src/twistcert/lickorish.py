@@ -13,21 +13,65 @@ This module knows nothing about the surface itself: it handles curve
 identifiers, the intersection graph (a tree), chains, the nine interval
 kinds, and the enclosure claims used by the derivation engine.  The
 semantic counterpart (regular neighbourhoods, genus bookkeeping) lives
-in ``twistcert.surface``.
+in ``twistcert.surface``.  The record base classes here serve every
+layer: the package imports no ``dataclasses``, which with ``inspect``
+would add ~20 ms to the start of every command.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 
 class LickorishError(ValueError):
     """Invalid curve set, interval, or genus parameter."""
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """Base of the records that validate their input or are built once
+    per subset.  A subclass names its fields in ``__slots__`` and sets
+    them in ``__init__``; equality and repr go by the fields in that
+    order, as for a dataclass."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__slots__:
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A hashable :class:`Record` whose fields cannot be assigned after
+    ``__init__``, which sets them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +117,18 @@ def parse_curve(name: str, g: int) -> tuple[str, int]:
     return name[0], idx
 
 
-@dataclass(frozen=True)
-class CurveSet:
+class CurveSet(FrozenRecord):
     """A subset of the generator curves at a fixed genus: bit i of
     ``mask`` is the curve whose :func:`curve_index` is i."""
 
-    genus: int
-    mask: int
+    __slots__ = ("genus", "mask")
 
-    def __post_init__(self) -> None:
-        _check_genus(self.genus)
-        if type(self.mask) is not int or not 0 <= self.mask < 1 << (3 * self.genus - 1):
-            raise LickorishError(f"mask {self.mask!r} out of range for genus {self.genus}")
+    def __init__(self, genus: int, mask: int) -> None:
+        _check_genus(genus)
+        if type(mask) is not int or not 0 <= mask < 1 << (3 * genus - 1):
+            raise LickorishError(f"mask {mask!r} out of range for genus {genus}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def of(cls, g: int, names: Iterable[str]) -> "CurveSet":
@@ -293,17 +337,17 @@ class IntervalKind(Enum):
 _KIND_ORDER = {k: n for n, k in enumerate(IntervalKind)}
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(FrozenRecord):
     """One of the interval-like subsets, identified by kind and endpoints."""
 
-    kind: IntervalKind
-    i: int
-    j: int
+    __slots__ = ("kind", "i", "j")
 
-    def __post_init__(self) -> None:
-        if self.j - self.i < self.kind.min_span:
-            raise LickorishError(f"degenerate interval {self.kind.value}[{self.i},{self.j}]")
+    def __init__(self, kind: IntervalKind, i: int, j: int) -> None:
+        if j - i < kind.min_span:
+            raise LickorishError(f"degenerate interval {kind.value}[{i},{j}]")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     @property
     def chain_length_m(self) -> int:
@@ -432,16 +476,19 @@ class ClaimCase(Enum):
     INTERVAL = "interval"
 
 
-@dataclass(frozen=True)
-class EnclosureClaim:
-    """Upper bound on an enclosing subsurface: genus, boundary count,
-    and whether the enclosure is required to have connected complement."""
+class EnclosureClaim(FrozenRecord):
+    """Upper bound on an enclosing subsurface, genus and boundary count,
+    which must also have connected complement; ``interval`` is the
+    enclosing interval of a non-chain."""
 
-    genus_bound: int
-    boundary_bound: int
-    nonseparating_required: bool
-    case_tag: str
-    interval: Optional[Interval] = None  # the enclosing interval of a non-chain
+    __slots__ = ("genus_bound", "boundary_bound", "case_tag", "interval")
+
+    def __init__(self, genus_bound: int, boundary_bound: int, case_tag: str,
+                 interval: Optional[Interval] = None) -> None:
+        object.__setattr__(self, "genus_bound", genus_bound)
+        object.__setattr__(self, "boundary_bound", boundary_bound)
+        object.__setattr__(self, "case_tag", case_tag)
+        object.__setattr__(self, "interval", interval)
 
 
 def separating_chain_form(s: CurveSet) -> Optional[tuple[int, int]]:
@@ -477,14 +524,14 @@ def classify_chain(s: CurveSet, g: int) -> EnclosureClaim:
 def _chain_claim(s: CurveSet, m: int) -> EnclosureClaim:
     """:func:`classify_chain` for a set already known to be an m-chain."""
     if m % 2 == 0:
-        return EnclosureClaim(m // 2, 1, True, ClaimCase.CHAIN_EVEN.value)
+        return EnclosureClaim(m // 2, 1, ClaimCase.CHAIN_EVEN.value)
     sep = separating_chain_form(s)
     if sep is not None:
         i, j = sep
         if m != 2 * (j - i) + 3:
             raise LickorishError(f"separating chain a{i}..a{j} has length {m}, not {2 * (j - i) + 3}")
-        return EnclosureClaim(j - i + 1, 1, True, ClaimCase.CHAIN_ODD_SEPARATING.value)
-    return EnclosureClaim((m - 1) // 2, 2, True, ClaimCase.CHAIN_ODD.value)
+        return EnclosureClaim(j - i + 1, 1, ClaimCase.CHAIN_ODD_SEPARATING.value)
+    return EnclosureClaim((m - 1) // 2, 2, ClaimCase.CHAIN_ODD.value)
 
 
 def interval_claim(iv: Interval) -> tuple[int, int]:
@@ -515,7 +562,7 @@ def size_classify(s: CurveSet, g: int) -> EnclosureClaim:
         return _chain_claim(s, len(order))
     iv, m = enclosing_interval(s)
     h, b = interval_claim(iv)
-    return EnclosureClaim(h, b, True, f"{ClaimCase.INTERVAL.value}:{iv.label()}:m={m}", iv)
+    return EnclosureClaim(h, b, f"{ClaimCase.INTERVAL.value}:{iv.label()}:m={m}", iv)
 
 
 def claim_fits_clause(claim: EnclosureClaim, size: int) -> bool:

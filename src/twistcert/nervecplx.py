@@ -9,9 +9,8 @@ enough to recognise the sphere obstruction at the sizes that occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, groupby
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 
 Vertex = Hashable
@@ -152,8 +151,7 @@ def gf2_rank(rows: list[int]) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(NamedTuple):
     """Reduced mod-2 Betti numbers b~_0 .. b~_dim."""
 
     values: tuple[int, ...]

@@ -18,11 +18,10 @@ pattern repeats per handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .lickorish import CurveSet, curve_names, is_connected_mask
+from .lickorish import CurveSet, FrozenRecord, curve_names, is_connected_mask
 
 
 class SurfaceError(ValueError):
@@ -37,8 +36,7 @@ _CHIRALITY_BG = 0
 _CHIRALITY_GB = 1
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """A 4-valent crossing: slots 0..3 counterclockwise, curve_x on
     slots (0, 2) and curve_y on slots (1, 3)."""
 
@@ -51,8 +49,7 @@ class Crossing:
         return (self.curve_x, self.curve_y, self.curve_x, self.curve_y)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """One arc of a curve between consecutive crossings along it.
     ``darts`` are the two endpoint darts (vertex * 4 + slot)."""
 
@@ -360,23 +357,24 @@ class _Restriction:
 # reports
 
 
-@dataclass(frozen=True)
-class SubsurfaceReport:
+class SubsurfaceReport(FrozenRecord):
     """Genus and boundary data of an enclosing subsurface plus the census
     of its complement inside the closed genus-g surface."""
 
-    genus: int
-    boundary_count: int
-    complement_components: tuple[tuple[int, int], ...]
-    complement_connected: bool
-    euler_char: int
+    __slots__ = ("genus", "boundary_count", "complement_components", "complement_connected", "euler_char")
 
-    def __post_init__(self) -> None:
-        if self.euler_char != 2 - 2 * self.genus - self.boundary_count:
+    def __init__(self, genus: int, boundary_count: int, complement_components: tuple[tuple[int, int], ...],
+                 complement_connected: bool, euler_char: int) -> None:
+        if euler_char != 2 - 2 * genus - boundary_count:
             raise SurfaceError(
-                f"euler characteristic {self.euler_char} does not match genus {self.genus} "
-                f"with {self.boundary_count} boundary circles"
+                f"euler characteristic {euler_char} does not match genus {genus} "
+                f"with {boundary_count} boundary circles"
             )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary_count", boundary_count)
+        object.__setattr__(self, "complement_components", complement_components)
+        object.__setattr__(self, "complement_connected", complement_connected)
+        object.__setattr__(self, "euler_char", euler_char)
 
 
 def _as_mask(rg: RibbonGraph, s: CurveSet | Iterable[str]) -> int:
@@ -439,8 +437,7 @@ def complement_census(
 # cut-and-paste assemblies (the packing constructions)
 
 
-@dataclass(frozen=True)
-class AssemblyPlan:
+class AssemblyPlan(NamedTuple):
     """Pieces-and-gluings description of a closed surface, with some
     pieces marked as the packed copies."""
 

@@ -14,7 +14,6 @@ window and the claim bounds, not on the subset inside.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import lickorish as lk
@@ -22,12 +21,17 @@ from . import surface as sf
 from .bootstrap import count_inequality
 
 
-@dataclass
-class SweepResult:
-    name: str
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+class SweepResult(lk.Record):
+    """Cases checked and violations found by one sweep, and its time."""
+
+    __slots__ = ("name", "checked", "violations", "elapsed")
+
+    def __init__(self, name: str, checked: int = 0, violations: list[str] | None = None,
+                 elapsed: float = 0.0) -> None:
+        self.name = name
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
@@ -162,7 +166,7 @@ def _check_size(enclosures: dict, g: int, rg, s: lk.CurveSet, out: SweepResult) 
     if not lk.claim_fits_clause(claim, len(s)):
         bad(f"claim ({claim.genus_bound},{claim.boundary_bound}) fits neither clause for size {len(s)}")
     iv = claim.interval  # None for a chain, which encloses itself
-    key = (g, s.mask if iv is None else iv, claim.genus_bound, claim.boundary_bound, claim.nonseparating_required)
+    key = (g, s.mask if iv is None else iv, claim.genus_bound, claim.boundary_bound)
     if key not in enclosures:
         support = s if iv is None else lk.extended_support(iv, g)
         rep = sf.min_enclosing_subsurface(rg, support, fill=True)
@@ -170,7 +174,7 @@ def _check_size(enclosures: dict, g: int, rg, s: lk.CurveSet, out: SweepResult) 
         if rep.genus > claim.genus_bound or rep.boundary_count > claim.boundary_bound:
             problems.append(f"enclosure ({rep.genus},{rep.boundary_count}) exceeds "
                             f"claim ({claim.genus_bound},{claim.boundary_bound})")
-        if claim.nonseparating_required and len(rep.complement_components) > 1:
+        if len(rep.complement_components) > 1:
             problems.append("enclosure complement is disconnected")
         enclosures[key] = support, problems
     support, problems = enclosures[key]

@@ -107,10 +107,11 @@ def test_acceptance_7_certificates():
     _report(7, "certificates", result, 300.0)
 
 
-def _mutate_once(doc: dict, rng: random.Random) -> str | None:
-    """Apply one random single-field mutation to a certificate document.
-    Returns a description, or None when the chosen spot has nothing to
-    mutate (caller retries)."""
+def _mutate_once(doc: dict, rng: random.Random) -> str:
+    """Apply one random single-field mutation to a certificate document
+    and return a description.  A params or witnesses object with no
+    integer or string to edit gets a stray key instead (every node's
+    witnesses is empty in format 0.4.0)."""
     nodes = doc["nodes"]
     node = rng.choice(nodes)
     mode = rng.random()
@@ -149,12 +150,14 @@ def _mutate_once(doc: dict, rng: random.Random) -> str | None:
         key, old = rng.choice(str_leaves)
         target[key] = old + "_x"
         return f"node {node['id']}: {target_name}.{key} {old!r} edited"
-    return None
+    target["stray"] = rng.choice((-1, 1, 7))
+    return f"node {node['id']}: {target_name}.stray added"
 
 
 def test_acceptance_8_mutation_robustness():
     """200 random single-field mutations each trigger at least one
-    verifier violation."""
+    verifier violation; a mutated witness is named as a ``witnesses``
+    violation."""
     t0 = time.perf_counter()
     rng = random.Random(0xBD15)
     base_docs = [
@@ -164,17 +167,21 @@ def test_acceptance_8_mutation_robustness():
         bs.derive_technical(5, 3).to_json(),
     ]
     result = sweeps.SweepResult("mutations")
+    witness_mutations = 0
     while result.checked < 200:
         doc = json.loads(rng.choice(base_docs))
         desc = _mutate_once(doc, rng)
-        if desc is None:
-            continue
         result.checked += 1
         violations = bs.verify(bs.certificate_from_json_dict(doc), exhaustive_max_genus=4)
         if not violations:
             result.violations.append(f"undetected mutation: {desc}")
+        elif ": witnesses." in desc:
+            witness_mutations += 1
+            if not any(v.field == "witnesses" for v in violations):
+                result.violations.append(f"mutated witness not named: {desc}")
     result.elapsed = time.perf_counter() - t0
     _report(8, "mutation-robustness", result, 120.0)
+    assert witness_mutations > 0
 
 
 def test_acceptance_9_nerve_join_homology():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -267,7 +266,7 @@ def test_coverage_requires_every_split_node():
     masks = lk.connected_masks(4)
     assert bs._exhaustive_coverage(cert, masks) == []
     nodes = tuple(n for n in cert.nodes if not (n.rule == "split_commuting" and n.params["size"] == 5))
-    violations = bs._exhaustive_coverage(dataclasses.replace(cert, nodes=nodes), masks)
+    violations = bs._exhaustive_coverage(cert._replace(nodes=nodes), masks)
     assert [(v.field, v.claimed) for v in violations] == [("split", 5)]
 
 

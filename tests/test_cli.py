@@ -184,6 +184,14 @@ def test_cli_import_leaves_numpy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # dataclasses imports inspect, ast, dis and tokenize: ~20 ms of start-up per command
+    code = "import sys, twistcert.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
+
+
 def test_check_refuses_a_file_over_the_byte_limit(tmp_path, monkeypatch, capsys):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])

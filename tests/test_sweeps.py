@@ -19,8 +19,7 @@ def _size_keys(g):
     keys = set()
     for mask in lk.connected_masks(g):
         claim = lk.size_classify(lk.CurveSet(g, mask), g)
-        keys.add((mask if claim.interval is None else claim.interval,
-                  claim.genus_bound, claim.boundary_bound, claim.nonseparating_required))
+        keys.add((mask if claim.interval is None else claim.interval, claim.genus_bound, claim.boundary_bound))
     return keys
 
 
