@@ -224,13 +224,7 @@ class Failure(NamedTuple):
     blocking_rule: str
     tag: str
     message: str
-    params: dict = {}  # shared by every Failure built without params; never mutated
-
-
-class DerivationBlocked(Exception):
-    def __init__(self, blocking_rule: str, tag: str, message: str, params: Optional[dict] = None):
-        super().__init__(message)
-        self.failure = Failure(blocking_rule, tag, message, params or {})
+    params: dict
 
 
 def _typed(obj, key: str, kind: type, where: str):
@@ -292,40 +286,6 @@ _NODE_KEYS = frozenset(key for key, _ in _NODE_FIELDS)
 
 
 # ---------------------------------------------------------------------------
-# single rule steps
-
-
-def genus1_step(g: int, dim: int) -> RuleApp:
-    """Base of the induction: every one- or two-curve subset has a fixed
-    point, provided the twist in a handle-separating loop does.
-
-    The step decomposes the surface into g disjoint one-holed tori, uses
-    the orbit axiom to move the handle-separating loop onto each of their
-    boundaries, intersects the commuting twist fixed sets, and applies
-    the torsion bootstrap (n = g factors, singleton subsets) to the
-    punctured-torus quotients.  It needs dim < g.
-    """
-    if not isinstance(g, int) or g < 3:
-        raise BootstrapError("genus1_step applies for genus >= 3; genus 2 uses the R-tree fact")
-    if dim < 0:
-        raise BootstrapError("dim must be non-negative")
-    if dim >= g:
-        raise DerivationBlocked(
-            "genus1_step",
-            "DIM_TOO_LARGE",
-            f"torsion bootstrap over {g} punctured-torus factors needs dim < {g}, got {dim}",
-            {"g": g, "dim": dim},
-        )
-    return RuleApp(
-        id=-1,
-        rule="genus1_step",
-        params={"g": g, "dim": dim, "size_limit": 2},
-        premises=(),
-        witnesses={},
-    )
-
-
-# ---------------------------------------------------------------------------
 # certificate schemas
 
 
@@ -367,10 +327,15 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
         tuple(axiom_ids[a.value] for a in _THEOREM_AXIOMS[theorem]),
     )
 
-    g1 = genus1_step(g, dim)
+    # Base of the induction, size_le(2): every one- or two-curve subset
+    # has a fixed point if the handle-separating twist does.  Cut the
+    # surface into g one-holed tori, move that loop onto each boundary by
+    # the orbit axiom, intersect the commuting twist fixed sets and apply
+    # the torsion bootstrap (n = g factors, singletons) to the punctured-
+    # torus quotients.  Needs dim < g: both callers stop first at dim >= g.
     genus1_id = add(
-        g1.rule,
-        g1.params,
+        "genus1_step",
+        {"g": g, "dim": dim, "size_limit": 2},
         (
             handle_id,
             axiom_ids[Axiom.R_TORSION.value],
@@ -378,12 +343,11 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
             axiom_ids[Axiom.SL2Z_TORSION_GENERATION.value],
             axiom_ids[Axiom.HELLY.value],
         ),
-        g1.witnesses,
     )
 
     # Strong induction on subset size, one link per size: every size-s
     # node rests on the size_le(s-1) node, and the size_induction node
-    # of size s collects them into size_le(s).  genus1_step is size_le(2).
+    # of size s collects them into size_le(s).
     size_le_id = genus1_id
     for size in range(3, 3 * g):
         new_ids = [add("split_commuting", {"size": size}, (size_le_id,))]
@@ -717,7 +681,7 @@ def _exhaustive_coverage(cert: Certificate, masks: list[int]) -> list[Violation]
     if not any(node.rule == "genus1_step" for node in cert.nodes):
         return [Violation(-1, "coverage", "size<=2", None, None,
                           "no genus1_step node covers small subsets")]
-    for size in sorted(disconnected_sizes(g, masks)):
+    for size in sorted(disconnected_sizes(g)):
         if size >= 3 and size not in split_sizes:
             return [Violation(-1, "coverage", "split", size, sorted(split_sizes),
                               f"no split node for disconnected subsets of size {size}")]

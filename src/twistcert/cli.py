@@ -223,7 +223,7 @@ def _cmd_check(args) -> int:
         if len(data) > MAX_CERTIFICATE_BYTES:
             raise ValueError(f"file exceeds {MAX_CERTIFICATE_BYTES} bytes")
         cert = certificate_from_json(data.decode("utf-8"))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, RecursionError) as exc:
         print(f"error: cannot load certificate {args.file}: {exc}", file=sys.stderr)
         return 2
     bound = args.exhaustive_max_genus

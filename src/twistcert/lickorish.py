@@ -20,10 +20,8 @@ would add ~20 ms to the start of every command.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from math import comb
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
@@ -182,7 +180,6 @@ def intersecting_pairs(g: int) -> list[tuple[str, str]]:
     return pairs
 
 
-@lru_cache(maxsize=None)
 def adjacency(g: int) -> dict[str, frozenset[str]]:
     """Intersection-graph adjacency of the full generator set."""
     adj: dict[str, set[str]] = {name: set() for name in curve_names(g)}
@@ -247,12 +244,16 @@ def connected_masks(g: int) -> list[int]:
     return out
 
 
-def disconnected_sizes(g: int, connected_subsets: list[int]) -> set[int]:
-    """Sizes k that some disconnected k-subset has: exactly those where
-    C(3g-1, k) exceeds the number of k-masks in ``connected_subsets``."""
-    n = 3 * g - 1
-    connected = Counter(mask.bit_count() for mask in connected_subsets)
-    return {k for k in range(1, n + 1) if comb(n, k) > connected[k]}
+def disconnected_sizes(g: int) -> set[int]:
+    """Sizes k that some disconnected k-subset has: 2..3g-2.
+
+    One curve, and the full set (the whole intersection tree), are
+    connected.  b_1 crosses only a_1 and g_1, so the other 3g-3 curves
+    form a subtree, which has a connected subset of every size 1..3g-3
+    (grow one neighbour at a time); a_1, which crosses only b_1, joined
+    to one of size k-1 is a disconnected k-subset.
+    """
+    return set(range(2, 3 * g - 1))
 
 
 def _has_branch(g: int, mask: int) -> bool:

@@ -18,7 +18,6 @@ pattern repeats per handle.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .lickorish import CurveSet, FrozenRecord, curve_names, is_connected_mask
@@ -186,7 +185,7 @@ class RibbonGraph:
         self._next_two = [self.sigma(self.sigma(e)) for e in iota]
 
 
-def build_lickorish_surface(
+def lickorish_surface(
     g: int,
     chirality: tuple[int, int, int] = (_CHIRALITY_AB, _CHIRALITY_BG, _CHIRALITY_GB),
 ) -> RibbonGraph:
@@ -251,12 +250,6 @@ def build_lickorish_surface(
     if rg.num_vertices != 3 * g - 2 or rg.num_arcs != 2 * (3 * g - 2):
         raise SurfaceError("crossing/arc counts are off")
     return rg
-
-
-@lru_cache(maxsize=32)
-def lickorish_surface(g: int) -> RibbonGraph:
-    """Cached canonical surface for genus ``g``."""
-    return build_lickorish_surface(g)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +410,7 @@ def min_enclosing_subsurface(
         boundary_count=boundary,
         complement_components=tuple(census),
         complement_connected=len(census) == 1,
-        euler_char=2 - 2 * genus - boundary,
+        euler_char=chi,
     )
 
 

@@ -34,15 +34,10 @@ def test_count_small_sweep():
 
 
 def test_genus1_step():
-    node = bs.genus1_step(3, 2)
+    node = next(n for n in bs.derive_technical(3, 2).nodes if n.rule == "genus1_step")
     # the torsion bootstrap's n = g factors and k = 1 are derived, not stored
     assert node.params == {"g": 3, "dim": 2, "size_limit": 2} and node.witnesses == {}
     assert len(sf.pack_subsurfaces(3, "fit1", 1).marked_pieces) == node.params["g"]
-    with pytest.raises(bs.DerivationBlocked) as exc:
-        bs.genus1_step(3, 3)
-    assert exc.value.failure.tag == "DIM_TOO_LARGE"
-    with pytest.raises(bs.BootstrapError):
-        bs.genus1_step(2, 1)  # genus 2 goes through the R-tree fact
 
 
 def test_derive_technical_round_trip():

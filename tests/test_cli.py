@@ -192,6 +192,29 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     assert proc.stdout.strip() == "False False"
 
 
+@pytest.mark.parametrize("module", ["lickorish", "surface", "nervecplx", "bootstrap", "sweeps", "cli"])
+def test_module_imports_alone(module):
+    proc = subprocess.run([sys.executable, "-c", f"import twistcert.{module}"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_no_layer():
+    code = "import sys, twistcert; print(sorted(m for m in sys.modules if m.startswith('twistcert.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_check_deeply_nested_file_is_load_error(tmp_path):
+    # 200 KB, far under the byte limit, but the JSON parser recurses once per bracket
+    out = tmp_path / "deep.json"
+    out.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli("check", str(out))
+    assert proc.returncode == 2
+    assert "cannot load certificate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_refuses_a_file_over_the_byte_limit(tmp_path, monkeypatch, capsys):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])

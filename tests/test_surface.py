@@ -26,7 +26,7 @@ def test_build_counts_g2():
 
 def test_build_rejects_low_genus():
     with pytest.raises(sf.SurfaceError):
-        sf.build_lickorish_surface(1)
+        sf.lickorish_surface(1)
 
 
 def test_capped_genus_matches_target():
@@ -187,7 +187,7 @@ def test_handedness_pattern_is_load_bearing():
     """Negative control: giving both g-crossing families the same
     handedness produces a consistent surface but the wrong window
     enclosures, so the frozen pattern is not arbitrary."""
-    rg = sf.build_lickorish_surface(4, chirality=(0, 0, 0))
+    rg = sf.lickorish_surface(4, chirality=(0, 0, 0))
     supp = lk.extended_support(lk.Interval(lk.IntervalKind.AA, 2, 3), 4)
     rep = sf.min_enclosing_subsurface(rg, supp, fill=True)
     assert (rep.genus, rep.boundary_count) != (2, 1)
@@ -312,6 +312,18 @@ def test_subsurface_report_rejects_wrong_euler_characteristic():
     with pytest.raises(sf.SurfaceError):
         sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=(),
                             complement_connected=True, euler_char=0)
+
+
+def test_enclosure_refuses_odd_euler_parity(monkeypatch):
+    """A measured chi of 0 with one boundary circle fits no surface:
+    2 - chi - boundary is odd, so the genus would be floored."""
+    class OddRestriction:
+        def __init__(self, rg, mask):
+            self.ss_crossings, self.rfaces, self.complement = 0, [0], [(1, 1)]
+
+    monkeypatch.setattr(sf, "_Restriction", OddRestriction)
+    with pytest.raises(sf.SurfaceError):
+        sf.min_enclosing_subsurface(sf.lickorish_surface(2), ["a1"])
 
 
 def _reference_restriction(rg, mask):
