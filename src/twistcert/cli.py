@@ -28,6 +28,7 @@ from . import lickorish as lk
 from . import nervecplx as nc
 from . import sweeps
 from .bootstrap import (
+    BootstrapError,
     EXHAUSTIVE_DEFAULT,
     EXHAUSTIVE_HARD_CAP,
     Failure,
@@ -158,10 +159,27 @@ _DERIVERS = {
 }
 
 
+# The largest certificate file ``check`` reads: genus 3,582 at most (862,261
+# bytes at genus 400); a larger file is refused before it is parsed.
+MAX_CERTIFICATE_BYTES = 8_000_000
+# The largest genus ``certify`` derives: at genus 3,582 the largest file
+# (main, a four-digit dim) is 7,998,303 bytes, at 3,583 every file exceeds
+# MAX_CERTIFICATE_BYTES, which ``check`` would refuse.
+MAX_CERTIFY_GENUS = 3_582
+
+
 def _cmd_certify(args) -> int:
     t0 = time.perf_counter()
     theorem = Theorem(args.theorem)
-    result = _DERIVERS[theorem](args.genus, args.dim)
+    if args.genus > MAX_CERTIFY_GENUS:
+        print(f"error: genus {args.genus} exceeds {MAX_CERTIFY_GENUS}: its certificate would exceed "
+              f"the {MAX_CERTIFICATE_BYTES} bytes that check reads", file=sys.stderr)
+        return 2
+    try:
+        result = _DERIVERS[theorem](args.genus, args.dim)
+    except BootstrapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if isinstance(result, Failure):
         payload = {
             "command": "certify",
@@ -208,11 +226,6 @@ def _cmd_certify(args) -> int:
         lines.append(f"  wrote {args.out}")
     _emit(args, payload, lines, time.perf_counter() - t0)
     return 0
-
-
-# The largest certificate file ``check`` reads: genus 3,582 at most (862,261
-# bytes at genus 400); a larger file is refused before it is parsed.
-MAX_CERTIFICATE_BYTES = 8_000_000
 
 
 def _cmd_check(args) -> int:

@@ -5,6 +5,14 @@ of a family of sets, the join (whose realisation is a sphere when the
 factors are simplex boundaries), and a sphere detector.  Homology is
 computed over the two-element field by boundary-matrix ranks, which is
 enough to recognise the sphere obstruction at the sizes that occur.
+
+The face layers are built and reduced top-down with clearing: once layer
+q+1 is reduced, each q-face that is the lowest bit of a reduced row gets
+no boundary row and no walk over its facets.  The rank is unchanged, as
+that face's row lies in the span of the rows of higher index.  The face
+counts are unchanged: the reduced row has zero boundary, so every facet
+of the cleared face is a facet of another face of that row, of higher
+index, and by downward induction a facet of an uncleared face.
 """
 
 from __future__ import annotations
@@ -45,22 +53,20 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         """Dimension; -1 for the empty complex."""
-        if not self.maximal_faces:
-            return -1
-        return max(len(f) for f in self.maximal_faces) - 1
+        return max(map(len, self.maximal_faces), default=0) - 1
 
     def is_empty(self) -> bool:
         return not self.maximal_faces
 
     def has_simplex(self, face: Iterable[Vertex]) -> bool:
         fs = frozenset(face)
-        if not fs:
-            return True
-        return any(fs <= m for m in self.maximal_faces)
+        return not fs or any(fs <= m for m in self.maximal_faces)
 
     def euler_characteristic(self) -> int:
-        counts, _ = _face_layers(self)
-        return sum((-1) ** q * n for q, n in enumerate(counts))
+        """Alternating face count, every face enumerated (no reduction)."""
+        faces = {frozenset(c) for m in self.maximal_faces for r in range(1, len(m) + 1)
+                 for c in combinations(m, r)}
+        return sum((-1) ** (len(f) - 1) for f in faces)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -79,8 +85,7 @@ def full_simplex(n: int) -> SimplicialComplex:
 
 def boundary_simplex(n: int) -> SimplicialComplex:
     """The boundary of the n-simplex, a combinatorial (n-1)-sphere."""
-    verts = list(range(n + 1))
-    return SimplicialComplex(combinations(verts, n))
+    return SimplicialComplex(combinations(range(n + 1), n))
 
 
 def nerve(family: Sequence[Iterable]) -> SimplicialComplex:
@@ -90,12 +95,9 @@ def nerve(family: Sequence[Iterable]) -> SimplicialComplex:
     n = len(sets)
     # grow simplices by the downward-closure property, tracking the
     # running intersection
-    live: dict[frozenset, frozenset] = {}
-    for i, s in enumerate(sets):
-        if s:
-            live[frozenset([i])] = s
+    live = {frozenset([i]): s for i, s in enumerate(sets) if s}
     all_faces: set[frozenset] = set(live)
-    frontier = dict(live)
+    frontier = live
     while frontier:
         nxt: dict[frozenset, frozenset] = {}
         for face, inter in frontier.items():
@@ -133,12 +135,10 @@ def join_all(complexes: Sequence[SimplicialComplex]) -> SimplicialComplex:
 # homology over the two-element field
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank of a matrix whose rows are given as bitmask integers.
-
-    Each pivot is stored under its lowest set bit, so a row is reduced by
-    looking up its current lowest bit until it vanishes or that bit is new.
-    """
+def _pivots(rows: Iterable[int]) -> dict[int, int]:
+    """Row-reduce bitmask rows over the two-element field.  Each pivot is
+    stored under its lowest set bit, so a row is reduced by looking up its
+    current lowest bit until it vanishes or that bit is new."""
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
@@ -148,7 +148,12 @@ def gf2_rank(rows: list[int]) -> int:
                 pivots[low] = row
                 break
             row ^= pivot
-    return len(pivots)
+    return pivots
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank of a matrix whose rows are given as bitmask integers."""
+    return len(_pivots(rows))
 
 
 class BettiVector(NamedTuple):
@@ -157,45 +162,41 @@ class BettiVector(NamedTuple):
     values: tuple[int, ...]
 
     def __getitem__(self, k: int) -> int:
-        if 0 <= k < len(self.values):
-            return self.values[k]
-        return 0
+        return self.values[k] if 0 <= k < len(self.values) else 0
 
 
-def _face_layers(k: SimplicialComplex) -> tuple[list[int], list[list[int]]]:
-    """Face counts per dimension and the mod-2 boundary rows of each layer.
+def _boundary_rows(layer: dict[int, int], below: dict[int, int], cleared: set[int]) -> Iterator[int]:
+    """Boundary rows of the uncleared faces, over facet indices that ``below`` gives on first sight."""
+    for face, index in layer.items():
+        if index in cleared:
+            continue
+        row, rest = 0, face
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row |= 1 << below.setdefault(face ^ low, len(below))
+        yield row
 
-    Faces are bitmasks over the positions of ``vertex_labels``.  The layers
-    are built top-down: the maximal faces seed their own layer, and each
-    q-face adds its facets to layer q-1 while its boundary row (one bit per
-    facet's index in that layer) is built.  ``rows[0]`` is empty.
-    """
+
+def betti_z2(k: SimplicialComplex) -> BettiVector:
+    """Reduced Betti numbers over the two-element field via boundary ranks,
+    with clearing.  Faces are bitmasks over the positions of
+    ``vertex_labels``, indexed in order of discovery within their layer."""
+    if k.dim < 0:
+        return BettiVector(())
     bit = {v: 1 << i for i, v in enumerate(k.vertex_labels)}
     layers: list[dict[int, int]] = [{} for _ in range(k.dim + 1)]
     for face in k.maximal_faces:
         layer = layers[len(face) - 1]
         layer[sum(bit[v] for v in face)] = len(layer)
-    rows: list[list[int]] = [[] for _ in layers]
-    for q in range(k.dim, 0, -1):
-        below = layers[q - 1]
-        for face in layers[q]:
-            row, rest = 0, face
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row |= 1 << below.setdefault(face ^ low, len(below))
-            rows[q].append(row)
-    return [len(layer) for layer in layers], rows
-
-
-def betti_z2(k: SimplicialComplex) -> BettiVector:
-    """Reduced Betti numbers over the two-element field via boundary ranks."""
-    if k.dim < 0:
-        return BettiVector(())
-    counts, rows = _face_layers(k)
     # rank of the boundary map C_q -> C_{q-1}; q = 0 is the augmentation
-    ranks = [1] + [gf2_rank(layer_rows) for layer_rows in rows[1:]] + [0]
-    return BettiVector(tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(len(counts))))
+    ranks = [1] * (k.dim + 1) + [0]
+    cleared: set[int] = set()
+    for q in range(k.dim, 0, -1):
+        pivots = _pivots(_boundary_rows(layers[q], layers[q - 1], cleared))
+        ranks[q] = len(pivots)
+        cleared = {low.bit_length() - 1 for low in pivots}
+    return BettiVector(tuple(len(layers[q]) - ranks[q] - ranks[q + 1] for q in range(k.dim + 1)))
 
 
 def is_homology_sphere(k: SimplicialComplex, d: int) -> bool:
@@ -203,8 +204,7 @@ def is_homology_sphere(k: SimplicialComplex, d: int) -> bool:
     d-sphere concentrated in its own top dimension d."""
     if k.dim != d:
         return False
-    betti = betti_z2(k)
-    return all(betti[q] == (1 if q == d else 0) for q in range(d + 1))
+    return betti_z2(k).values == tuple(int(q == d) for q in range(d + 1))
 
 
 def compositions(limit: int) -> Iterator[tuple[int, ...]]:

@@ -230,6 +230,37 @@ def test_check_refuses_a_file_over_the_byte_limit(tmp_path, monkeypatch, capsys)
     assert captured.err == f"error: cannot load certificate {out}: file exceeds {size - 1} bytes\n"
 
 
+@pytest.mark.parametrize("argv", [("--genus", "1", "--dim", "0"), ("--genus", "3", "--dim", "-1")])
+def test_certify_bad_genus_or_dim_is_usage_error(argv):
+    proc = run_cli("certify", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_certify_genus_limit_is_the_largest_file_check_reads():
+    # the file grows with the digits of dim, so g - 1 gives the largest at g
+    g = cli.MAX_CERTIFY_GENUS
+    for derive in (bs.derive_technical, bs.derive_main, bs.derive_kg):
+        assert len(derive(g, g - 1).to_json().encode()) <= cli.MAX_CERTIFICATE_BYTES
+    # kg with a one-digit dim is the smallest file at g + 1
+    assert len(bs.derive_kg(g + 1, 0).to_json().encode()) > cli.MAX_CERTIFICATE_BYTES
+
+
+def test_certify_refuses_a_genus_over_the_limit_before_deriving(tmp_path, monkeypatch, capsys):
+    def derive(g, dim):
+        raise AssertionError(f"derived genus {g}")
+
+    monkeypatch.setattr(cli, "_DERIVERS", dict.fromkeys(cli._DERIVERS, derive))
+    out = tmp_path / "cert.json"
+    for genus in (cli.MAX_CERTIFY_GENUS + 1, 10**8):
+        assert main(["certify", "--genus", str(genus), "--dim", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: genus {genus} exceeds {cli.MAX_CERTIFY_GENUS}: ")
+    assert not out.exists()
+
+
 def _set(path, value):
     def edit(doc):
         target = doc

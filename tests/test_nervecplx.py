@@ -172,8 +172,15 @@ def _complexes(draw):
     return nc.SimplicialComplex(faces)
 
 
+# the 6-vertex real projective plane: every pair of vertices is an edge of
+# two triangles; mod 2 it has reduced Betti numbers (0, 1, 1)
+_RP2 = nc.SimplicialComplex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                             (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)])
+
+
 @settings(max_examples=300, deadline=2000)
 @given(_complexes())
+@example(_RP2)
 @example(nc.SimplicialComplex([]))
 @example(nc.SimplicialComplex([[7]]))
 @example(nc.SimplicialComplex([["v"]]))
@@ -187,6 +194,34 @@ def test_betti_matches_dense_reference(k):
     else:
         # Euler-Poincare for reduced homology
         assert sum((-1) ** q * b for q, b in enumerate(betti)) == chi - 1
+
+
+@st.composite
+def _tagged_complexes(draw, tag, max_vertices):
+    """A nonempty complex on labels (tag, 0) .. (tag, max_vertices - 1)."""
+    n = draw(st.integers(1, max_vertices))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=5), min_size=1, max_size=5))
+    return nc.SimplicialComplex([[(tag, v) for v in face] for face in faces])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_betti_of_join_obeys_kunneth(data):
+    """Over a field, b~_r(K * L) = sum over i + j = r - 1 of b~_i(K) b~_j(L)
+    for nonempty K and L; the join has up to 12 vertices and its own
+    Betti numbers come from the clearing reduction alone."""
+    k = data.draw(_tagged_complexes("u", 11))
+    l = data.draw(_tagged_complexes("v", 12 - len(k.vertex_labels)))
+    bk, bl = nc.BettiVector(_reference_betti(k)), nc.BettiVector(_reference_betti(l))
+    joined = nc.join(k, l)
+    expected = tuple(sum(bk[i] * bl[r - 1 - i] for i in range(r)) for r in range(joined.dim + 1))
+    assert nc.betti_z2(joined).values == expected
+
+
+def test_betti_rp2():
+    assert nc.betti_z2(_RP2).values == (0, 1, 1)
+    assert _RP2.euler_characteristic() == 1
+    assert not nc.is_homology_sphere(_RP2, 2)
 
 
 @settings(max_examples=300, deadline=2000)
