@@ -13,63 +13,20 @@ This module knows nothing about the surface itself: it handles curve
 identifiers, the intersection graph (a tree), chains, the nine interval
 kinds, and the enclosure claims used by the derivation engine.  The
 semantic counterpart (regular neighbourhoods, genus bookkeeping) lives
-in ``twistcert.surface``.  The record base classes here serve every
-layer: the package imports no ``dataclasses``, which with ``inspect``
-would add ~20 ms to the start of every command.
+in ``twistcert.surface``.  Frozen records throughout the package are
+``typing.NamedTuple``s: the package imports no ``dataclasses``, which
+with ``inspect`` would add ~20 ms to the start of every command.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class LickorishError(ValueError):
     """Invalid curve set, interval, or genus parameter."""
-
-
-# ---------------------------------------------------------------------------
-# records
-
-
-class Record:
-    """Base of the records that validate their input or are built once
-    per subset.  A subclass names its fields in ``__slots__`` and sets
-    them in ``__init__``; equality and repr go by the fields in that
-    order, as for a dataclass."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        if cls.__slots__:
-            cls._values = attrgetter(*cls.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A hashable :class:`Record` whose fields cannot be assigned after
-    ``__init__``, which sets them with ``object.__setattr__``."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,24 +66,27 @@ def parse_curve(name: str, g: int) -> tuple[str, int]:
         idx = int(name[1:])
     except ValueError:
         raise LickorishError(f"bad curve id {name!r}") from None
+    if f"{name[0]}{idx}" != name:  # int() also reads "1_0", " 1", "+1", "01" and non-ASCII digits
+        raise LickorishError(f"bad curve id {name!r}")
     hi = g - 1 if name[0] == "g" else g
     if not 1 <= idx <= hi:
         raise LickorishError(f"curve id {name!r} out of range for genus {g}")
     return name[0], idx
 
 
-class CurveSet(FrozenRecord):
+class CurveSet(NamedTuple("_CurveSet", [("genus", int), ("mask", int)])):
     """A subset of the generator curves at a fixed genus: bit i of
-    ``mask`` is the curve whose :func:`curve_index` is i."""
+    ``mask`` is the curve whose :func:`curve_index` is i.  ``len`` is
+    the number of curves, so namedtuple's ``_make`` and ``_replace``,
+    which compare it with the field count, do not apply."""
 
-    __slots__ = ("genus", "mask")
+    __slots__ = ()
 
-    def __init__(self, genus: int, mask: int) -> None:
+    def __new__(cls, genus: int, mask: int) -> "CurveSet":
         _check_genus(genus)
         if type(mask) is not int or not 0 <= mask < 1 << (3 * genus - 1):
             raise LickorishError(f"mask {mask!r} out of range for genus {genus}")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "mask", mask)
+        return tuple.__new__(cls, (genus, mask))
 
     @classmethod
     def of(cls, g: int, names: Iterable[str]) -> "CurveSet":
@@ -171,13 +131,21 @@ def lam(g: int) -> CurveSet:
     return CurveSet(g, (1 << (3 * g - 1)) - 1)
 
 
-def intersecting_pairs(g: int) -> list[tuple[str, str]]:
-    """The 3g-2 crossing pairs, each of multiplicity one."""
+def crossing_pairs(g: int) -> list[tuple[int, int]]:
+    """The 3g-2 crossings, each of multiplicity one, as pairs of
+    :func:`curve_index` values, a family at a time: a_i x b_i for
+    i = 1..g, then b_i x g_i and b_{i+1} x g_i for i = 1..g-1."""
     _check_genus(g)
-    pairs = [(f"a{i}", f"b{i}") for i in range(1, g + 1)]
-    pairs += [(f"b{i}", f"g{i}") for i in range(1, g)]
-    pairs += [(f"b{i + 1}", f"g{i}") for i in range(1, g)]
+    pairs = [(i, g + i) for i in range(g)]
+    pairs += [(g + i, 2 * g + i) for i in range(g - 1)]
+    pairs += [(g + i + 1, 2 * g + i) for i in range(g - 1)]
     return pairs
+
+
+def intersecting_pairs(g: int) -> list[tuple[str, str]]:
+    """The :func:`crossing_pairs` by curve id."""
+    names = curve_names(g)
+    return [(names[x], names[y]) for x, y in crossing_pairs(g)]
 
 
 def adjacency(g: int) -> dict[str, frozenset[str]]:
@@ -192,8 +160,12 @@ def adjacency(g: int) -> dict[str, frozenset[str]]:
 @lru_cache(maxsize=None)
 def adjacency_masks(g: int) -> tuple[int, ...]:
     """Per-curve neighbour bitmasks, indexed by :func:`curve_index`."""
-    adj = adjacency(g)
-    return tuple(CurveSet.of(g, adj[name]).mask for name in curve_names(g))
+    pairs = crossing_pairs(g)
+    adj = [0] * (3 * g - 1)
+    for x, y in pairs:
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
+    return tuple(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +251,8 @@ def chain_order(s: CurveSet) -> Optional[list[str]]:
     if _has_branch(g, mask):
         return None
     adj = adjacency_masks(g)
-    ends = []
-    for i in _bits(mask):
-        degree = (adj[i] & mask).bit_count()
-        if degree > 2:
-            return None
-        if degree == 1:
-            ends.append(i)
+    # with no branch every degree is at most 2: only b_i has three neighbours
+    ends = [i for i in _bits(mask) if (adj[i] & mask).bit_count() == 1]
     if len(ends) != 2:
         return None  # degree-0 piece or a cycle; either way not a chain
     order = [ends[0]]
@@ -338,17 +305,15 @@ class IntervalKind(Enum):
 _KIND_ORDER = {k: n for n, k in enumerate(IntervalKind)}
 
 
-class Interval(FrozenRecord):
+class Interval(NamedTuple("_Interval", [("kind", IntervalKind), ("i", int), ("j", int)])):
     """One of the interval-like subsets, identified by kind and endpoints."""
 
-    __slots__ = ("kind", "i", "j")
+    __slots__ = ()
 
-    def __init__(self, kind: IntervalKind, i: int, j: int) -> None:
+    def __new__(cls, kind: IntervalKind, i: int, j: int) -> "Interval":
         if j - i < kind.min_span:
             raise LickorishError(f"degenerate interval {kind.value}[{i},{j}]")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
+        return tuple.__new__(cls, (kind, i, j))
 
     @property
     def chain_length_m(self) -> int:
@@ -477,19 +442,15 @@ class ClaimCase(Enum):
     INTERVAL = "interval"
 
 
-class EnclosureClaim(FrozenRecord):
+class EnclosureClaim(NamedTuple):
     """Upper bound on an enclosing subsurface, genus and boundary count,
     which must also have connected complement; ``interval`` is the
     enclosing interval of a non-chain."""
 
-    __slots__ = ("genus_bound", "boundary_bound", "case_tag", "interval")
-
-    def __init__(self, genus_bound: int, boundary_bound: int, case_tag: str,
-                 interval: Optional[Interval] = None) -> None:
-        object.__setattr__(self, "genus_bound", genus_bound)
-        object.__setattr__(self, "boundary_bound", boundary_bound)
-        object.__setattr__(self, "case_tag", case_tag)
-        object.__setattr__(self, "interval", interval)
+    genus_bound: int
+    boundary_bound: int
+    case_tag: str
+    interval: Optional[Interval] = None
 
 
 def separating_chain_form(s: CurveSet) -> Optional[tuple[int, int]]:

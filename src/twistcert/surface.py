@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .lickorish import CurveSet, FrozenRecord, curve_names, is_connected_mask
+from .lickorish import CurveSet, crossing_pairs, curve_names, is_connected_mask
 
 
 class SurfaceError(ValueError):
@@ -198,53 +198,34 @@ def lickorish_surface(
     """
     if not isinstance(g, int) or g < 2:
         raise SurfaceError(f"genus must be an integer >= 2, got {g!r}")
+    names = curve_names(g)
+    pairs = crossing_pairs(g)  # crossing v is pair v
     bit_ab, bit_bg, bit_gb = chirality
+    flips = [bool(bit_ab)] * g + [bool(bit_bg)] * (g - 1) + [bool(bit_gb)] * (g - 1)
+    crossings = [Crossing(names[x], names[y], flip) for (x, y), flip in zip(pairs, flips)]
 
-    crossings: list[Crossing] = []
-    vertex_id: dict[tuple[str, str], int] = {}
+    def enter(c: int, v: int) -> int:
+        """Dart where curve ``c`` enters crossing ``v``; it leaves from the
+        opposite slot, ``enter(c, v) ^ 2``."""
+        if c == pairs[v][0]:
+            return 4 * v
+        return 4 * v + (3 if flips[v] else 1)
 
-    def add_crossing(curve_x: str, curve_y: str, flipped: bool) -> None:
-        vertex_id[(curve_x, curve_y)] = len(crossings)
-        crossings.append(Crossing(curve_x, curve_y, flipped))
-
-    for i in range(1, g + 1):
-        add_crossing(f"a{i}", f"b{i}", bool(bit_ab))
-    for i in range(1, g):
-        add_crossing(f"b{i}", f"g{i}", bool(bit_bg))
-    for i in range(1, g):
-        add_crossing(f"b{i + 1}", f"g{i}", bool(bit_gb))
-
-    def ports(curve: str, vx: tuple[str, str]) -> tuple[int, int]:
-        """(enter_dart, exit_dart) of ``curve`` at crossing ``vx``."""
-        v = vertex_id[vx]
-        c = crossings[v]
-        if curve == c.curve_x:
-            return 4 * v + 0, 4 * v + 2
-        if not c.flipped:
-            return 4 * v + 1, 4 * v + 3
-        return 4 * v + 3, 4 * v + 1
-
-    # cyclic crossing itinerary of every curve
-    def itinerary(curve: str) -> list[tuple[str, str]]:
-        kind, idx = curve[0], int(curve[1:])
-        if kind == "a":
-            return [(curve, f"b{idx}")]
-        if kind == "g":
-            return [(f"b{idx}", curve), (f"b{idx + 1}", curve)]
-        stops: list[tuple[str, str]] = []
-        if idx > 1:
-            stops.append((curve, f"g{idx - 1}"))
-        stops.append((f"a{idx}", curve))
-        if idx < g:
-            stops.append((curve, f"g{idx}"))
-        return stops
+    def itinerary(c: int) -> list[int]:
+        """Crossings along curve ``c`` in cyclic order, a_i x b_i, b_i x g_i
+        and b_{i+1} x g_i being crossings i-1, g+i-1 and 2g+i-2."""
+        if c < g:
+            return [c]
+        if c >= 2 * g:
+            return [c - g, c - 1]
+        i = c - g + 1  # c is b_i
+        return [2 * g + i - 3] * (i > 1) + [i - 1] + [g + i - 1] * (i < g)
 
     arcs: list[Arc] = []
-    for curve in curve_names(g):
-        stops = itinerary(curve)
-        for k, stop in enumerate(stops):
-            nxt = stops[(k + 1) % len(stops)]
-            arcs.append(Arc(curve, (ports(curve, stop)[1], ports(curve, nxt)[0])))
+    for c, curve in enumerate(names):
+        stops = itinerary(c)
+        for v, nxt in zip(stops, stops[1:] + stops[:1]):
+            arcs.append(Arc(curve, (enter(c, v) ^ 2, enter(c, nxt))))
 
     rg = RibbonGraph(g, crossings, arcs)
     if rg.num_vertices != 3 * g - 2 or rg.num_arcs != 2 * (3 * g - 2):
@@ -350,24 +331,24 @@ class _Restriction:
 # reports
 
 
-class SubsurfaceReport(FrozenRecord):
+class SubsurfaceReport(NamedTuple("_SubsurfaceReport", [
+    ("genus", int), ("boundary_count", int), ("complement_components", tuple),
+    ("complement_connected", bool), ("euler_char", int),
+])):
     """Genus and boundary data of an enclosing subsurface plus the census
     of its complement inside the closed genus-g surface."""
 
-    __slots__ = ("genus", "boundary_count", "complement_components", "complement_connected", "euler_char")
+    __slots__ = ()
 
-    def __init__(self, genus: int, boundary_count: int, complement_components: tuple[tuple[int, int], ...],
-                 complement_connected: bool, euler_char: int) -> None:
+    def __new__(cls, genus: int, boundary_count: int, complement_components: tuple[tuple[int, int], ...],
+                complement_connected: bool, euler_char: int) -> "SubsurfaceReport":
         if euler_char != 2 - 2 * genus - boundary_count:
             raise SurfaceError(
                 f"euler characteristic {euler_char} does not match genus {genus} "
                 f"with {boundary_count} boundary circles"
             )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary_count", boundary_count)
-        object.__setattr__(self, "complement_components", complement_components)
-        object.__setattr__(self, "complement_connected", complement_connected)
-        object.__setattr__(self, "euler_char", euler_char)
+        return tuple.__new__(cls, (genus, boundary_count, complement_components,
+                                   complement_connected, euler_char))
 
 
 def _as_mask(rg: RibbonGraph, s: CurveSet | Iterable[str]) -> int:

@@ -21,7 +21,7 @@ from . import surface as sf
 from .bootstrap import count_inequality
 
 
-class SweepResult(lk.Record):
+class SweepResult:
     """Cases checked and violations found by one sweep, and its time."""
 
     __slots__ = ("name", "checked", "violations", "elapsed")

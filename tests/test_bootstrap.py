@@ -46,6 +46,19 @@ def test_derive_technical_round_trip():
     assert bs.verify(cert) == []
 
 
+def test_dim_zero_certificate_verifies():
+    cert = bs.derive_technical(3, 0)
+    assert isinstance(cert, bs.Certificate) and cert.dim == 0
+    assert bs.verify(cert) == []
+
+
+def test_exhaustive_coverage_at_exactly_the_bound():
+    report = {}
+    assert bs.verify(bs.derive_technical(4, 3), exhaustive_max_genus=4, report=report) == []
+    # 111 connected subsets at genus 4, less 11 singletons and 10 crossing pairs
+    assert report["coverage"] == {"mode": "exhaustive", "max_genus": 4, "connected_subsets": 90}
+
+
 def test_derive_failures_at_dim_g():
     for g in (3, 4):
         for derive in (bs.derive_technical, bs.derive_main, bs.derive_kg):

@@ -88,6 +88,17 @@ def test_classify_rejects_disconnected():
     assert main(["classify", "--genus", "3", "--set", "a1,a2"]) == 2
 
 
+def test_classify_rejects_non_canonical_curve_id(capsys):
+    assert main(["classify", "--genus", "12", "--set", "a1_0,b1_0"]) == 2
+    assert "bad curve id 'a1_0'" in capsys.readouterr().err
+
+
+def test_check_accepts_a_dim_zero_certificate(tmp_path):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--genus", "3", "--dim", "0", "--theorem", "technical", "--out", str(out)]) == 0
+    assert main(["check", str(out)]) == 0
+
+
 def test_usage_error_exit_code():
     proc = run_cli("lemma", "nosuchlemma")
     assert proc.returncode == 2

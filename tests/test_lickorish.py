@@ -48,6 +48,24 @@ def test_genus_validation():
         lk.CurveSet.of(3, ["g3"])
 
 
+@pytest.mark.parametrize("name", ["a1_0", "a+1", "a 1", "a01", "a\u0661"])
+def test_curve_ids_must_be_canonical(name):
+    # int() reads each index as 10 or 1, both valid at genus 12
+    with pytest.raises(lk.LickorishError, match="bad curve id"):
+        lk.CurveSet.of(12, [name])
+
+
+def test_crossing_table_matches_the_named_families():
+    for g in range(2, 13):
+        named = [(f"a{i}", f"b{i}") for i in range(1, g + 1)]
+        named += [(f"b{i}", f"g{i}") for i in range(1, g)]
+        named += [(f"b{i + 1}", f"g{i}") for i in range(1, g)]
+        assert lk.intersecting_pairs(g) == named
+        assert lk.crossing_pairs(g) == [(lk.curve_index(x, g), lk.curve_index(y, g)) for x, y in named]
+        adj = lk.adjacency(g)
+        assert lk.adjacency_masks(g) == tuple(lk.CurveSet.of(g, adj[name]).mask for name in lk.curve_names(g))
+
+
 def test_curve_index_round_trip():
     for g in (2, 3, 5):
         names = lk.curve_names(g)

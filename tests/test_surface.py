@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +196,65 @@ def test_handedness_pattern_is_load_bearing():
     good = sf.lickorish_surface(4)
     rep = sf.min_enclosing_subsurface(good, supp, fill=True)
     assert (rep.genus, rep.boundary_count) == (2, 1)
+
+
+def _name_built_surface(g, chirality):
+    """Reference builder that keys crossings by curve-name pairs and
+    parses each curve's index from its name."""
+    bit_ab, bit_bg, bit_gb = chirality
+    crossings = []
+    vertex_id = {}
+
+    def add_crossing(curve_x, curve_y, flipped):
+        vertex_id[(curve_x, curve_y)] = len(crossings)
+        crossings.append(sf.Crossing(curve_x, curve_y, flipped))
+
+    for i in range(1, g + 1):
+        add_crossing(f"a{i}", f"b{i}", bool(bit_ab))
+    for i in range(1, g):
+        add_crossing(f"b{i}", f"g{i}", bool(bit_bg))
+    for i in range(1, g):
+        add_crossing(f"b{i + 1}", f"g{i}", bool(bit_gb))
+
+    def ports(curve, vx):
+        v = vertex_id[vx]
+        c = crossings[v]
+        if curve == c.curve_x:
+            return 4 * v + 0, 4 * v + 2
+        if not c.flipped:
+            return 4 * v + 1, 4 * v + 3
+        return 4 * v + 3, 4 * v + 1
+
+    def itinerary(curve):
+        kind, idx = curve[0], int(curve[1:])
+        if kind == "a":
+            return [(curve, f"b{idx}")]
+        if kind == "g":
+            return [(f"b{idx}", curve), (f"b{idx + 1}", curve)]
+        stops = []
+        if idx > 1:
+            stops.append((curve, f"g{idx - 1}"))
+        stops.append((f"a{idx}", curve))
+        if idx < g:
+            stops.append((curve, f"g{idx}"))
+        return stops
+
+    arcs = []
+    for curve in lk.curve_names(g):
+        stops = itinerary(curve)
+        for k, stop in enumerate(stops):
+            nxt = stops[(k + 1) % len(stops)]
+            arcs.append(sf.Arc(curve, (ports(curve, stop)[1], ports(curve, nxt)[0])))
+    return sf.RibbonGraph(g, crossings, arcs)
+
+
+@pytest.mark.parametrize("chirality", list(itertools.product((0, 1), repeat=3)))
+def test_surface_matches_name_built_reference(chirality):
+    for g in range(2, 13):
+        rg, ref = sf.lickorish_surface(g, chirality), _name_built_surface(g, chirality)
+        assert rg.vertices == ref.vertices, g
+        assert rg.arcs == ref.arcs, g
+        assert rg.faces == ref.faces, g
 
 
 # ---------------------------------------------------------------------------
