@@ -34,16 +34,7 @@ from enum import Enum
 from typing import Any, NamedTuple, Optional
 
 from . import __version__
-from .lickorish import (
-    CurveSet,
-    LickorishError,
-    claim_fits_clause,
-    connected_masks,
-    curve_names,
-    disconnected_sizes,
-    is_connected_mask,
-    size_classify,
-)
+from .lickorish import classified_subsets, curve_names, disconnected_sizes
 from .surface import AssemblyPlan, SurfaceError, assembly_problems, pack_count, pack_subsurfaces
 
 
@@ -79,22 +70,17 @@ _BASE_AXIOMS = (
     Axiom.SL2Z_TORSION_GENERATION,
 )
 
-_THEOREM_AXIOMS = {
-    Theorem.TECHNICAL: (Axiom.HANDLE_SEPARATING_TWIST_ELLIPTIC,),
-    Theorem.MAIN: (Axiom.SEMISIMPLE, Axiom.FINITE_ABELIANIZATION, Axiom.L1LOOP),
-    Theorem.KG: (Axiom.SEPARATING_TWISTS_IN_KERNEL,),
-}
-
-_HANDLE_RULE_VIA = {
-    Theorem.TECHNICAL: "hypothesis",
-    Theorem.MAIN: "semisimple",
-    Theorem.KG: "kernel",
+# per theorem: the handle node's ``via`` and the axioms that node cites
+_THEOREMS = {
+    Theorem.TECHNICAL: ("hypothesis", (Axiom.HANDLE_SEPARATING_TWIST_ELLIPTIC,)),
+    Theorem.MAIN: ("semisimple", (Axiom.SEMISIMPLE, Axiom.FINITE_ABELIANIZATION, Axiom.L1LOOP)),
+    Theorem.KG: ("kernel", (Axiom.SEPARATING_TWISTS_IN_KERNEL,)),
 }
 
 
 def allowed_axioms(theorem: Theorem) -> frozenset[str]:
     tags = set(a.value for a in _BASE_AXIOMS)
-    tags.update(a.value for a in _THEOREM_AXIOMS[theorem])
+    tags.update(a.value for a in _THEOREMS[theorem][1])
     tags.add(Axiom.R_TREE_FIXED_POINT.value)
     return frozenset(tags)
 
@@ -317,14 +303,15 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
         add("r_tree_step", {"g": g, "dim": dim}, (ax,))
         return nodes
 
+    via, theorem_axioms = _THEOREMS[theorem]
     axiom_ids: dict[str, int] = {}
-    for axiom in _BASE_AXIOMS + _THEOREM_AXIOMS[theorem]:
+    for axiom in _BASE_AXIOMS + theorem_axioms:
         axiom_ids[axiom.value] = add("axiom", {"tag": axiom.value})
 
     handle_id = add(
         "handle_separating_twist_elliptic",
-        {"via": _HANDLE_RULE_VIA[theorem]},
-        tuple(axiom_ids[a.value] for a in _THEOREM_AXIOMS[theorem]),
+        {"via": via},
+        tuple(axiom_ids[a.value] for a in theorem_axioms),
     )
 
     # Base of the induction, size_le(2): every one- or two-curve subset
@@ -373,7 +360,7 @@ def _expected_node_count(g: int, theorem: Theorem) -> int:
     3..3g-1 (split, one per schema profile, size_induction) and conclude."""
     if g == 2:
         return 2
-    return len(_BASE_AXIOMS + _THEOREM_AXIOMS[theorem]) + 15 * g - 12
+    return len(_BASE_AXIOMS + _THEOREMS[theorem][1]) + 15 * g - 12
 
 
 def _derive(g: int, dim: int, theorem: Theorem) -> Certificate | Failure:
@@ -410,7 +397,7 @@ def _expected_axioms(g: int, theorem: Theorem) -> tuple[str, ...]:
     """The sorted axiom list of a genus-g certificate."""
     if g == 2:
         return (Axiom.R_TREE_FIXED_POINT.value,)
-    return tuple(sorted(a.value for a in _BASE_AXIOMS + _THEOREM_AXIOMS[theorem]))
+    return tuple(sorted(a.value for a in _BASE_AXIOMS + _THEOREMS[theorem][1]))
 
 
 def derive_technical(g: int, dim: int) -> Certificate | Failure:
@@ -531,9 +518,7 @@ def verify(
     violations = _check_inventory(cert)
     coverage = coverage_mode(cert.genus, exhaustive_max_genus, reached=not violations)
     if coverage["mode"] == "exhaustive":
-        masks = connected_masks(cert.genus)
-        coverage["connected_subsets"] = sum(1 for mask in masks if mask.bit_count() >= 3)
-        violations = _exhaustive_coverage(cert, masks)
+        violations, coverage["connected_subsets"] = _exhaustive_coverage(cert)
     if report is not None:
         report["coverage"] = coverage
     return violations
@@ -661,13 +646,14 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
     return violations
 
 
-def _exhaustive_coverage(cert: Certificate, masks: list[int]) -> list[Violation]:
-    """Confirm some node concludes every subset of the generator set.
+def _exhaustive_coverage(cert: Certificate) -> tuple[list[Violation], int]:
+    """Confirm some node concludes every subset of the generator set;
+    return the violations and the count of enumerated subsets of size >= 3.
 
     Subsets of size <= 2 fall to the genus1_step node and disconnected
-    ones to the split_commuting node of their size; every connected
-    subset of size >= 3 in ``masks`` (the enumerated connected subsets)
-    is re-classified and matched against a connected_bootstrap node.
+    ones to the split_commuting node of their size; every enumerated
+    subset is re-classified, and each of size >= 3 is matched against a
+    connected_bootstrap node.  After 21 violations the scan only counts.
     """
     g = cert.genus
     conn_nodes: dict[tuple[int, int], int] = {}  # (size, boundary) -> genus cap
@@ -680,35 +666,28 @@ def _exhaustive_coverage(cert: Certificate, masks: list[int]) -> list[Violation]
             conn_nodes[key] = max(conn_nodes.get(key, -1), node.params["claim_genus"])
     if not any(node.rule == "genus1_step" for node in cert.nodes):
         return [Violation(-1, "coverage", "size<=2", None, None,
-                          "no genus1_step node covers small subsets")]
+                          "no genus1_step node covers small subsets")], 0
     for size in sorted(disconnected_sizes(g)):
         if size >= 3 and size not in split_sizes:
             return [Violation(-1, "coverage", "split", size, sorted(split_sizes),
-                              f"no split node for disconnected subsets of size {size}")]
+                              f"no split node for disconnected subsets of size {size}")], 0
     violations: list[Violation] = []
-    for mask in masks:
-        size = mask.bit_count()
-        if size <= 2:
+    counted = 0
+    for s, claim, defect in classified_subsets(g):
+        size = s.mask.bit_count()
+        counted += size >= 3
+        if len(violations) > 20:
             continue
-        s = CurveSet(g, mask)
-        if not is_connected_mask(g, mask):
-            violations.append(Violation(-1, "coverage", "enumerator", s.sorted_members(), None,
-                                        "enumerated subset is disconnected"))
-            continue
-        try:
-            claim = size_classify(s, g)
-        except LickorishError as exc:
-            violations.append(Violation(-1, "coverage", "classifier", s.sorted_members(), None,
-                                        f"classifier failed: {exc}"))
-            continue
-        if not claim_fits_clause(claim, size):
+        if defect is not None and defect[0] == "clause":
             violations.append(Violation(-1, "coverage", "clause", (claim.genus_bound, claim.boundary_bound),
                                         size, "claim does not fit either classification clause"))
+        elif defect is not None:
+            violations.append(Violation(-1, "coverage", defect[0], s.sorted_members(), None, defect[1]))
+        if claim is None or size <= 2:
+            continue
         cap = conn_nodes.get((size, claim.boundary_bound), -1)
         if claim.genus_bound > cap:
             violations.append(Violation(
                 -1, "coverage", "connected", (size, claim.genus_bound, claim.boundary_bound), cap,
                 f"no schema node covers {s.sorted_members()}"))
-            if len(violations) > 20:
-                return violations
-    return violations
+    return violations, counted

@@ -68,24 +68,23 @@ def _sweep_report(args, result: sweeps.SweepResult, extra: Optional[dict] = None
     return 0 if result.passed else 1
 
 
+# the sweep behind each ``lemma`` name; a sweep over curve subsets starts at genus 2
+_LEMMAS = {
+    "goodchains": sweeps.sweep_goodchains,
+    "badchains": sweeps.sweep_badchains,
+    "size": sweeps.sweep_size_soundness,
+    "fit": sweeps.sweep_fit,
+    "count": sweeps.sweep_count,
+}
+
+
 def _cmd_lemma(args) -> int:
     lo, hi = args.genus_min, args.genus_max
     if lo > hi:
         print("error: --genus-min exceeds --genus-max", file=sys.stderr)
         return 2
     extra = {"lemma": args.which, "genus_min": lo, "genus_max": hi}
-    if args.which == "goodchains":
-        return _sweep_report(args, sweeps.sweep_goodchains(max(lo, 2), hi), extra)
-    if args.which == "badchains":
-        return _sweep_report(args, sweeps.sweep_badchains(max(lo, 2), hi), extra)
-    if args.which == "size":
-        return _sweep_report(args, sweeps.sweep_size_soundness(max(lo, 2), hi), extra)
-    if args.which == "fit":
-        return _sweep_report(args, sweeps.sweep_fit(max(lo, 1), hi), extra)
-    if args.which == "count":
-        return _sweep_report(args, sweeps.sweep_count(max(lo, 1), hi), extra)
-    print(f"error: unknown lemma {args.which!r}", file=sys.stderr)
-    return 2
+    return _sweep_report(args, _LEMMAS[args.which](max(lo, 1), hi), extra)
 
 
 def _cmd_classify(args) -> int:
@@ -93,15 +92,11 @@ def _cmd_classify(args) -> int:
     t0 = time.perf_counter()
     if args.set:
         names = [n.strip() for n in args.set.split(",") if n.strip()]
-        try:
-            s = lk.CurveSet.of(g, names)
-            if not names or not lk.is_connected_mask(g, s.mask):
-                print("error: classify needs a nonempty connected set", file=sys.stderr)
-                return 2
-            claim = lk.size_classify(s, g)
-        except lk.LickorishError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        s = lk.CurveSet.of(g, names)  # main reports a LickorishError: exit 2
+        if not names or not lk.is_connected_mask(g, s.mask):
+            print("error: classify needs a nonempty connected set", file=sys.stderr)
             return 2
+        claim = lk.size_classify(s, g)
         payload = {
             "command": "classify",
             "genus": g,
@@ -124,19 +119,13 @@ def _cmd_classify(args) -> int:
     counts: dict[str, int] = {}
     failures: list[str] = []
     checked = 0
-    for mask in lk.connected_masks(g):
-        s = lk.CurveSet(g, mask)
-        if not lk.is_connected_mask(g, mask):
-            failures.append(f"{s.sorted_members()}: enumerated subset is disconnected")
-            continue
-        checked += 1
-        try:
-            claim = lk.size_classify(s, g)
-        except lk.LickorishError as exc:
-            failures.append(f"{s.sorted_members()}: {exc}")
-            continue
-        key = f"({claim.genus_bound},{claim.boundary_bound})"
-        counts[key] = counts.get(key, 0) + 1
+    for s, claim, defect in lk.classified_subsets(g):
+        if defect is not None:
+            failures.append(f"{s.sorted_members()}: {defect[1]}")
+        checked += defect is None or defect[0] != "enumerator"
+        if claim is not None:
+            key = f"({claim.genus_bound},{claim.boundary_bound})"
+            counts[key] = counts.get(key, 0) + 1
     payload = {
         "command": "classify",
         "genus": g,
@@ -280,7 +269,6 @@ def _demo_helly1d(trials: int, seed: int) -> sweeps.SweepResult:
     1-skeleton is the whole simplex."""
     rng = random.Random(seed)
     result = sweeps.SweepResult("helly1d")
-    t0 = time.perf_counter()
     for _ in range(trials):
         n = rng.randint(2, 7)
         fam = []
@@ -295,15 +283,13 @@ def _demo_helly1d(trials: int, seed: int) -> sweeps.SweepResult:
         )
         if full_skeleton and not nv.has_simplex(range(n)):
             result.violations.append(f"family {sorted(map(sorted, fam))}: 1-skeleton full but nerve incomplete")
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return result.done()
 
 
 def _demo_sphere_joins(limit: int = 7) -> sweeps.SweepResult:
     """Joins of simplex boundaries carry the homology of the sphere of
     dimension (sum of the k_i) - 1, for every composition up to the cap."""
     result = sweeps.SweepResult("sphere-joins")
-    t0 = time.perf_counter()
     for parts, joined, sphere in nc.sphere_joins(nc.compositions(limit)):
         result.checked += 1
         if not sphere:
@@ -311,8 +297,7 @@ def _demo_sphere_joins(limit: int = 7) -> sweeps.SweepResult:
                 f"join of boundaries {parts}: not a homology {sum(parts) - 1}-sphere "
                 f"(betti {nc.betti_z2(joined).values})"
             )
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return result.done()
 
 
 def _cmd_nerve(args) -> int:
@@ -332,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lemma", help="brute-force one lemma over a genus range")
-    p.add_argument("which", choices=["goodchains", "badchains", "size", "fit", "count"])
+    p.add_argument("which", choices=_LEMMAS)
     p.add_argument("--genus-min", type=int, default=2)
     p.add_argument("--genus-max", type=int, default=5)
     p.add_argument("--json", action="store_true")

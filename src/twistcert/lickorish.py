@@ -48,6 +48,11 @@ def _check_genus(g: int) -> None:
         raise LickorishError(f"genus must be an integer >= 2, got {g!r}")
 
 
+def _make_checked(cls, iterable):
+    """namedtuple's ``_make``, which ``_replace`` calls, through ``cls(...)`` and so its checks."""
+    return cls(*iterable)
+
+
 def curve_index(name: str, g: int) -> int:
     """Dense index of a curve id: a_i -> i-1, b_i -> g+i-1, g_i -> 2g+i-1."""
     kind, idx = parse_curve(name, g)
@@ -77,10 +82,10 @@ def parse_curve(name: str, g: int) -> tuple[str, int]:
 class CurveSet(NamedTuple("_CurveSet", [("genus", int), ("mask", int)])):
     """A subset of the generator curves at a fixed genus: bit i of
     ``mask`` is the curve whose :func:`curve_index` is i.  ``len`` is
-    the number of curves, so namedtuple's ``_make`` and ``_replace``,
-    which compare it with the field count, do not apply."""
+    the number of curves."""
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(cls, genus: int, mask: int) -> "CurveSet":
         _check_genus(genus)
@@ -309,6 +314,7 @@ class Interval(NamedTuple("_Interval", [("kind", IntervalKind), ("i", int), ("j"
     """One of the interval-like subsets, identified by kind and endpoints."""
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(cls, kind: IntervalKind, i: int, j: int) -> "Interval":
         if j - i < kind.min_span:
@@ -470,21 +476,11 @@ def separating_chain_form(s: CurveSet) -> Optional[tuple[int, int]]:
     return None
 
 
-def classify_chain(s: CurveSet, g: int) -> EnclosureClaim:
-    """Enclosure claim for a chain: even chains close up to genus m/2
+def _chain_claim(s: CurveSet, m: int) -> EnclosureClaim:
+    """Enclosure claim for an m-chain: even chains close up to genus m/2
     with one boundary circle, odd non-separating chains to genus
     (m-1)/2 with two, and the separating odd family to the handle
     window of genus (m-1)/2 with a single boundary circle."""
-    if s.genus != g:
-        raise LickorishError("genus mismatch")
-    order = chain_order(s)
-    if order is None:
-        raise LickorishError(f"{sorted(s.members)} is not a chain")
-    return _chain_claim(s, len(order))
-
-
-def _chain_claim(s: CurveSet, m: int) -> EnclosureClaim:
-    """:func:`classify_chain` for a set already known to be an m-chain."""
     if m % 2 == 0:
         return EnclosureClaim(m // 2, 1, ClaimCase.CHAIN_EVEN.value)
     sep = separating_chain_form(s)
@@ -536,3 +532,27 @@ def claim_fits_clause(claim: EnclosureClaim, size: int) -> bool:
     if size % 2 == 0:
         return (h <= l and b <= 1) or (h <= l - 1 and b <= 3)
     return (h <= l and b <= 2) or (h <= l - 1 and b <= 3)
+
+
+def classified_subsets(g: int) -> Iterator[tuple[CurveSet, Optional[EnclosureClaim], Optional[tuple[str, str]]]]:
+    """Each subset :func:`connected_masks` enumerates, in its order, as
+    (set, claim, defect); a defect is a (kind, message) pair, kind
+    ``enumerator`` (the set is disconnected) or ``classifier``
+    (:func:`size_classify` raised), both with no claim, or ``clause``
+    (:func:`claim_fits_clause` refuses the claim)."""
+    for mask in connected_masks(g):
+        s = CurveSet(g, mask)
+        if not is_connected_mask(g, mask):
+            yield s, None, ("enumerator", "enumerated subset is disconnected")
+            continue
+        try:
+            claim = size_classify(s, g)
+        except LickorishError as exc:
+            yield s, None, ("classifier", f"classifier failed: {exc}")
+            continue
+        size = mask.bit_count()
+        if claim_fits_clause(claim, size):
+            yield s, claim, None
+        else:
+            h, b = claim.genus_bound, claim.boundary_bound
+            yield s, claim, ("clause", f"claim ({h},{b}) fits neither clause for size {size}")

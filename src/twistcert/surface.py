@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .lickorish import CurveSet, crossing_pairs, curve_names, is_connected_mask
+from .lickorish import CurveSet, _make_checked, crossing_pairs, curve_names, is_connected_mask
 
 
 class SurfaceError(ValueError):
@@ -339,6 +339,7 @@ class SubsurfaceReport(NamedTuple("_SubsurfaceReport", [
     of its complement inside the closed genus-g surface."""
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(cls, genus: int, boundary_count: int, complement_components: tuple[tuple[int, int], ...],
                 complement_connected: bool, euler_char: int) -> "SubsurfaceReport":

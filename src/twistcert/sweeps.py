@@ -6,15 +6,15 @@ violation found.  The CLI and the acceptance suite both run these.
 
 Sweeps over curve subsets visit only the connected ones, enumerated
 directly by :func:`twistcert.lickorish.connected_masks`; each is still
-confirmed connected before it is checked.  The size sweep checks each
-claim's enclosure once per distinct window or chain: it depends on the
-window and the claim bounds, not on the subset inside.
+confirmed connected before it is checked.  The size sweep takes each
+subset's claim from :func:`twistcert.lickorish.classified_subsets` and
+checks its enclosure once per distinct window or chain: it depends on
+the window and the claim bounds, not on the subset inside.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
 
 from . import lickorish as lk
 from . import surface as sf
@@ -22,29 +22,34 @@ from .bootstrap import count_inequality
 
 
 class SweepResult:
-    """Cases checked and violations found by one sweep, and its time."""
+    """Cases checked and violations found by one sweep, and its time from
+    construction to :meth:`done`."""
 
-    __slots__ = ("name", "checked", "violations", "elapsed")
+    __slots__ = ("name", "checked", "violations", "elapsed", "started")
 
-    def __init__(self, name: str, checked: int = 0, violations: list[str] | None = None,
-                 elapsed: float = 0.0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.checked = checked
-        self.violations = [] if violations is None else violations
-        self.elapsed = elapsed
+        self.checked = 0
+        self.violations: list[str] = []
+        self.elapsed = 0.0
+        self.started = time.perf_counter()
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
+    def done(self) -> "SweepResult":
+        self.elapsed = time.perf_counter() - self.started
+        return self
+
 
 def _scan_connected(name: str, genus_min: int, genus_max: int, check) -> SweepResult:
     """Run check(g, rg, s, result) on every connected subset s of every
-    genus in range, rg being the genus-g surface.  Each enumerated mask is
-    confirmed connected first, so an enumerator bug shows as a violation."""
+    genus in range from 2, rg being the genus-g surface.  Each enumerated
+    mask is confirmed connected first, so an enumerator bug shows as a
+    violation."""
     result = SweepResult(name)
-    t0 = time.perf_counter()
-    for g in range(genus_min, genus_max + 1):
+    for g in range(max(genus_min, 2), genus_max + 1):
         rg = sf.lickorish_surface(g)
         for mask in lk.connected_masks(g):
             s = lk.CurveSet(g, mask)
@@ -52,8 +57,7 @@ def _scan_connected(name: str, genus_min: int, genus_max: int, check) -> SweepRe
                 result.violations.append(f"g={g} {s.sorted_members()}: enumerated subset is disconnected")
                 continue
             check(g, rg, s, result)
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return result.done()
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +122,6 @@ def sweep_intervals(genus_min: int, genus_max: int) -> SweepResult:
     the whole surface (boundary 0 instead of 1).
     """
     result = SweepResult("intervals")
-    t0 = time.perf_counter()
     for g in range(genus_min, genus_max + 1):
         rg = sf.lickorish_surface(g)
         for iv in lk.all_intervals(g):
@@ -142,48 +145,35 @@ def sweep_intervals(genus_min: int, genus_max: int) -> SweepResult:
                     f"g={g} {iv.label()}: complement census {rep.complement_components} "
                     f"should have {want_components} component(s)"
                 )
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return result.done()
 
 
 # ---------------------------------------------------------------------------
 # soundness of the size classifier
 
 
-def _check_size(enclosures: dict, g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
-    """Check s's claim against s, then add the ribbon-graph problems of
-    its key, the claim's window (s itself for a chain) and bounds, which
-    ``enclosures`` holds from the key's first subset on."""
-    def bad(message: str) -> None:
-        out.violations.append(f"g={g} {s.sorted_members()}: {message}")
-
-    out.checked += 1
-    try:
-        claim = lk.size_classify(s, g)
-    except lk.LickorishError as exc:
-        bad(f"classifier failed: {exc}")
-        return
-    if not lk.claim_fits_clause(claim, len(s)):
-        bad(f"claim ({claim.genus_bound},{claim.boundary_bound}) fits neither clause for size {len(s)}")
+def _check_size(enclosures: dict, g: int, rg, s: lk.CurveSet, claim: lk.EnclosureClaim, problems: list) -> None:
+    """Add to ``problems`` those that read s itself, then the ribbon-graph
+    ones of its key, the claim's window (s itself for a chain) and bounds,
+    which ``enclosures`` holds from the key's first subset on."""
     iv = claim.interval  # None for a chain, which encloses itself
     key = (g, s.mask if iv is None else iv, claim.genus_bound, claim.boundary_bound)
     if key not in enclosures:
         support = s if iv is None else lk.extended_support(iv, g)
         rep = sf.min_enclosing_subsurface(rg, support, fill=True)
-        problems = []
+        found = []
         if rep.genus > claim.genus_bound or rep.boundary_count > claim.boundary_bound:
-            problems.append(f"enclosure ({rep.genus},{rep.boundary_count}) exceeds "
-                            f"claim ({claim.genus_bound},{claim.boundary_bound})")
+            found.append(f"enclosure ({rep.genus},{rep.boundary_count}) exceeds "
+                         f"claim ({claim.genus_bound},{claim.boundary_bound})")
         if len(rep.complement_components) > 1:
-            problems.append("enclosure complement is disconnected")
-        enclosures[key] = support, problems
-    support, problems = enclosures[key]
+            found.append("enclosure complement is disconnected")
+        enclosures[key] = support, found
+    support, found = enclosures[key]
     if iv is not None and iv.chain_length_m >= len(s):
-        bad(f"enclosing interval {iv.label()} has m={iv.chain_length_m} >= |S|")
+        problems.append(f"enclosing interval {iv.label()} has m={iv.chain_length_m} >= |S|")
     if s.mask & ~support.mask:  # never for a chain, its own support
-        bad(f"support of {iv.label()} does not contain the set")
-    for problem in problems:
-        bad(problem)
+        problems.append(f"support of {iv.label()} does not contain the set")
+    problems += found
 
 
 def sweep_size_soundness(genus_min: int, genus_max: int) -> SweepResult:
@@ -192,8 +182,17 @@ def sweep_size_soundness(genus_min: int, genus_max: int) -> SweepResult:
     boundary bounds and has connected (or empty) complement.  That check
     runs once per distinct window or chain (and claim bounds), the checks
     that read the subset itself once per subset."""
+    result = SweepResult("size")
     enclosures: dict = {}
-    return _scan_connected("size", genus_min, genus_max, partial(_check_size, enclosures))
+    for g in range(max(genus_min, 2), genus_max + 1):
+        rg = sf.lickorish_surface(g)
+        for s, claim, defect in lk.classified_subsets(g):
+            problems = [] if defect is None else [defect[1]]
+            if claim is not None:
+                _check_size(enclosures, g, rg, s, claim, problems)
+            result.checked += defect is None or defect[0] != "enumerator"
+            result.violations += [f"g={g} {s.sorted_members()}: {p}" for p in problems]
+    return result.done()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +232,6 @@ def sweep_count(genus_min: int, genus_max: int) -> SweepResult:
     [2, 2g], scanned per genus over the blocks where the floor is
     constant and spot-checked against the scalar evaluator."""
     result = SweepResult("count")
-    t0 = time.perf_counter()
     for g in range(genus_min, genus_max + 1):
         families = _count_families(g)
         result.checked += 2 * g - 1
@@ -251,15 +249,13 @@ def sweep_count(genus_min: int, genus_max: int) -> SweepResult:
                     result.violations.append(
                         f"g={g} k={kk}: block-scan lhs {lhs} disagrees with count_inequality ({cc.lhs})"
                     )
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return result.done()
 
 
 def sweep_fit(genus_min: int, genus_max: int) -> SweepResult:
     """All packings in range emit the advertised number of marked pieces
     and pass the assembly checks, including the non-separating ones."""
     result = SweepResult("fit")
-    t0 = time.perf_counter()
     for g in range(genus_min, genus_max + 1):
         for ell in range(1, g + 1):
             for kind, expected in (
@@ -286,5 +282,4 @@ def sweep_fit(genus_min: int, genus_max: int) -> SweepResult:
                 problems = sf.assembly_problems(plan, g)
                 for p in problems:
                     result.violations.append(f"g={g} {kind} ell={ell}: {p}")
-    result.elapsed = time.perf_counter() - t0
-    return result
+    return result.done()

@@ -123,6 +123,9 @@ def test_verifier_rejects_inflated_packing_count():
     violations = bs.verify(bs.certificate_from_json_dict(doc))
     assert violations
     assert any(v.node_id == node["id"] for v in violations)
+    assert [(v.node_id, v.rule, v.field, v.claimed["pack_ell"], v.recomputed["pack_ell"]) for v in violations] == [
+        (node["id"], "connected_bootstrap", "params", ell - 1, ell)
+    ]
 
 
 def test_verifier_rejects_deleted_premise_edge():
@@ -192,6 +195,7 @@ def test_verifier_rejects_overclaimed_dim():
     doc["header"]["dim"] = 3
     violations = bs.verify(bs.certificate_from_json_dict(doc))
     assert violations
+    assert [(v.node_id, v.rule, v.field, v.claimed, v.recomputed) for v in violations] == [(-1, "header", "dim", 3, 2)]
 
 
 def test_verifier_rejects_dropped_node():
@@ -200,6 +204,9 @@ def test_verifier_rejects_dropped_node():
     dropped = doc["nodes"].pop(len(doc["nodes"]) - 2)
     violations = bs.verify(bs.certificate_from_json_dict(doc))
     assert violations
+    assert [(v.node_id, v.rule, v.field, v.claimed, v.recomputed) for v in violations] == [
+        (-1, "inventory", "node_count", 37, 38)
+    ]
 
 
 def test_size_induction_chain():
@@ -271,11 +278,23 @@ def test_schema_verification_above_exhaustive_bound():
 
 def test_coverage_requires_every_split_node():
     cert = bs.derive_technical(4, 3)
-    masks = lk.connected_masks(4)
-    assert bs._exhaustive_coverage(cert, masks) == []
+    assert bs._exhaustive_coverage(cert) == ([], 90)
     nodes = tuple(n for n in cert.nodes if not (n.rule == "split_commuting" and n.params["size"] == 5))
-    violations = bs._exhaustive_coverage(cert._replace(nodes=nodes), masks)
+    violations, counted = bs._exhaustive_coverage(cert._replace(nodes=nodes))
     assert [(v.field, v.claimed) for v in violations] == [("split", 5)]
+    assert counted == 0  # the structural check fails before any subset is enumerated
+
+
+def test_coverage_reports_21_violations_and_counts_every_subset():
+    # no connected_bootstrap node of size 3 or 4: 32 subsets at genus 5 are uncovered
+    cert = bs.derive_technical(5, 4)
+    nodes = tuple(n for n in cert.nodes if not (n.rule == "connected_bootstrap" and n.params["size"] in (3, 4)))
+    violations, counted = bs._exhaustive_coverage(cert._replace(nodes=nodes))
+    assert [v.field for v in violations] == ["connected"] * 21
+    first = violations[0]
+    assert (first.node_id, first.rule, first.claimed, first.recomputed) == (-1, "coverage", (3, 1, 2), -1)
+    assert first.message == "no schema node covers ['a1', 'b1', 'g1']"
+    assert counted == 222  # the scan stops reporting, not counting
 
 
 def test_expected_node_count_closed_form():

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from twistcert import bootstrap as bs
 from twistcert import cli
+from twistcert import lickorish as lk
 from twistcert import surface as sf
+from twistcert import sweeps
 from twistcert.bootstrap import EXHAUSTIVE_HARD_CAP, RuleApp
 from twistcert.cli import main
 
@@ -82,6 +84,25 @@ def test_classify_all_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["checked"] == 15
     assert doc["pass"] is True
+
+
+def test_scans_report_a_disconnected_enumerated_subset(monkeypatch, capsys):
+    # the enumerator also yields {a1, a2}: classify --all, the size sweep and
+    # exhaustive coverage each cross-check it and report it
+    original = lk.connected_masks
+    monkeypatch.setattr(lk, "connected_masks", lambda g: sorted(original(g) + [0b11]))
+    assert main(["classify", "--genus", "3", "--all", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["violations"] == ["['a1', 'a2']: enumerated subset is disconnected"]
+    assert doc["checked"] == 45 and doc["pass"] is False
+    result = sweeps.sweep_size_soundness(3, 3)
+    assert result.violations == ["g=3 ['a1', 'a2']: enumerated subset is disconnected"]
+    assert result.checked == 45
+    violations, counted = bs._exhaustive_coverage(bs.derive_technical(3, 2))
+    assert [(v.field, v.claimed, v.message) for v in violations] == [
+        ("enumerator", ["a1", "a2"], "enumerated subset is disconnected")
+    ]
+    assert counted == 30
 
 
 def test_classify_rejects_disconnected():

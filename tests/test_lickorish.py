@@ -281,22 +281,33 @@ def test_enclosing_interval_minimality_and_m_bound():
             assert s.members <= lk.extended_support(iv, g).members
 
 
+def test_records_validate_on_replace():
+    # namedtuple's _replace builds through _make, which must not skip __new__'s checks
+    with pytest.raises(lk.LickorishError):
+        lk.Interval(lk.IntervalKind.GG, 1, 2)._replace(j=1)
+    with pytest.raises(lk.LickorishError):
+        lk.CurveSet(3, 5)._replace(mask=(1 << 40) | 1)
+    with pytest.raises(lk.LickorishError):
+        lk.CurveSet._make((1, 1))
+    assert lk.Interval(lk.IntervalKind.GG, 1, 2)._replace(j=3) == lk.Interval(lk.IntervalKind.GG, 1, 3)
+    assert lk.CurveSet(3, 5)._replace(mask=7) == lk.CurveSet(3, 7)
+    assert lk.CurveSet._make((3, 5)) == lk.CurveSet(3, 5)
+
+
 def test_classify_chain_examples():
-    assert lk.classify_chain(cs(2, "a1", "b1"), 2) == lk.EnclosureClaim(1, 1, "chain-even")
-    claim = lk.classify_chain(cs(2, "a1", "b1", "g1", "b2", "a2"), 2)
+    assert lk.size_classify(cs(2, "a1", "b1"), 2) == lk.EnclosureClaim(1, 1, "chain-even")
+    claim = lk.size_classify(cs(2, "a1", "b1", "g1", "b2", "a2"), 2)
     assert (claim.genus_bound, claim.boundary_bound) == (2, 1)
     assert claim.case_tag == "chain-odd-separating"
-    claim = lk.classify_chain(cs(3, "b1", "g1", "b2"), 3)
+    claim = lk.size_classify(cs(3, "b1", "g1", "b2"), 3)
     assert (claim.genus_bound, claim.boundary_bound) == (1, 2)
-    with pytest.raises(lk.LickorishError):
-        lk.classify_chain(cs(3, "a2", "b2", "g1", "g2"), 3)
 
 
 def test_classify_chain_rejects_inconsistent_separating_form(monkeypatch):
     # a 3-chain cannot be the separating family of [a1,a3] (length 7)
     monkeypatch.setattr(lk, "separating_chain_form", lambda s: (1, 3))
     with pytest.raises(lk.LickorishError):
-        lk.classify_chain(cs(3, "b1", "g1", "b2"), 3)
+        lk.size_classify(cs(3, "b1", "g1", "b2"), 3)
 
 
 def test_separating_chain_form():

@@ -375,6 +375,14 @@ def test_subsurface_report_rejects_wrong_euler_characteristic():
                             complement_connected=True, euler_char=0)
 
 
+def test_subsurface_report_validates_on_replace():
+    report = sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=((2, 1),),
+                                 complement_connected=True, euler_char=-1)
+    with pytest.raises(sf.SurfaceError):
+        report._replace(genus=2)
+    assert report._replace(genus=2, euler_char=-3).genus == 2
+
+
 def test_enclosure_refuses_odd_euler_parity(monkeypatch):
     """A measured chi of 0 with one boundary circle fits no surface:
     2 - chi - boundary is odd, so the genus would be floored."""
