@@ -387,17 +387,10 @@ def _derive(g: int, dim: int, theorem: Theorem) -> Certificate | Failure:
         genus=g,
         dim=dim,
         theorem=theorem,
-        axioms=_expected_axioms(g, theorem),
+        axioms=tuple(sorted(n.params["tag"] for n in nodes if n.rule == "axiom")),
         nodes=tuple(nodes),
         conclusion=nodes[-1].judgment,
     )
-
-
-def _expected_axioms(g: int, theorem: Theorem) -> tuple[str, ...]:
-    """The sorted axiom list of a genus-g certificate."""
-    if g == 2:
-        return (Axiom.R_TREE_FIXED_POINT.value,)
-    return tuple(sorted(a.value for a in _BASE_AXIOMS + _THEOREMS[theorem][1]))
 
 
 def derive_technical(g: int, dim: int) -> Certificate | Failure:
@@ -561,7 +554,7 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
 
     expected = _expected_nodes(g, dim, theorem)
 
-    expected_axioms = _expected_axioms(g, theorem)
+    expected_axioms = tuple(sorted(n.params["tag"] for n in expected if n.rule == "axiom"))
     if tuple(cert.axioms) != expected_axioms:
         bad(-1, "header", "axioms", list(cert.axioms), list(expected_axioms), "axiom list mismatch")
 

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``lemma <goodchains|badchains|size|fit|count>`` -- brute-force sweeps
-  over a genus range; exit 1 when any case fails.
+  over a genus range; exit 1 when any case fails, 2 when none is checked.
 * ``classify`` -- enclosure claims for one subset or all connected ones.
 * ``certify`` -- derive a fixed-point certificate and write it to a file.
 * ``check`` -- independently re-verify a certificate file.
@@ -84,7 +84,11 @@ def _cmd_lemma(args) -> int:
         print("error: --genus-min exceeds --genus-max", file=sys.stderr)
         return 2
     extra = {"lemma": args.which, "genus_min": lo, "genus_max": hi}
-    return _sweep_report(args, _LEMMAS[args.which](max(lo, 1), hi), extra)
+    result = _LEMMAS[args.which](max(lo, 1), hi)
+    if not result.checked:
+        print(f"error: lemma {args.which} checks no case at genus {lo}..{hi}", file=sys.stderr)
+        return 2
+    return _sweep_report(args, result, extra)
 
 
 def _cmd_classify(args) -> int:

@@ -194,29 +194,44 @@ def is_connected_mask(g: int, mask: int) -> bool:
     return edges == mask.bit_count() - 1
 
 
+def _spine_runs(g: int) -> Iterator[tuple[int, int, int]]:
+    """(p, q, mask) for each run p..q of positions on the spine
+    b_1, g_1, b_2, ..., g_{g-1}, b_g of the intersection tree, where b_i
+    sits at position 2(i-1) and g_i at 2i-1.  The tree is a caterpillar:
+    a_i, curve bit i-1, hangs from b_i and so from position 2(i-1)."""
+    for p in range(2 * g - 1):
+        run = 0
+        for q in range(p, 2 * g - 1):
+            run |= 1 << ((g if q % 2 == 0 else 2 * g) + q // 2)
+            yield p, q, run
+
+
 def connected_masks(g: int) -> list[int]:
-    """Every nonempty connected subset as a bitmask, in ascending order.
-
-    Extension-set recursion (Wernicke's ESU): each set is rooted at its
-    lowest curve and grows only by neighbours above the root that are
-    exclusive, i.e. not yet adjacent to the set, so each connected set
-    is produced exactly once without scanning all 2^(3g-1) masks.
+    """Every nonempty connected subset as a bitmask, in ascending order:
+    the subtrees of the caterpillar, each an a alone, or a spine run with
+    any subset of the a's hanging from its b's, for the run p..q the
+    contiguous a bits (p+1)//2..q//2 (none for a lone g).
     """
-    adj = adjacency_masks(g)
-    out: list[int] = []
+    out = [1 << i for i in range(g)]  # each a alone
+    for p, q, run in _spine_runs(g):
+        lo, hi = (p + 1) // 2, q // 2
+        out += [run | pend << lo for pend in range(1 << (hi - lo + 1))]
+    out.sort()
+    return out
 
-    def extend(sub: int, ext: int, closed: int, above: int) -> None:
-        out.append(sub)
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            nbrs = adj[bit.bit_length() - 1]
-            extend(sub | bit, ext | (nbrs & above & ~closed), closed | nbrs, above)
 
-    for root in range(len(adj)):
-        bit = 1 << root
-        above = -(bit << 1)  # every index above the root
-        extend(bit, adj[root] & above, bit | adj[root], above)
+def chain_masks(g: int) -> list[int]:
+    """Every chain, each once, as a bitmask in ascending order: the paths
+    of the intersection tree, n(n+1)/2 of them for its n = 3g-1 curves.
+    A path is a curve alone, or the spine run between two curves with
+    both curves: an a alone, or a spine run with the a hanging from
+    either end b, both or neither.
+    """
+    hang = [(0, 1 << p // 2) if p % 2 == 0 else (0,) for p in range(2 * g - 1)]  # the a at p, if any
+    out = [1 << i for i in range(g)]  # each a alone
+    for p, q, run in _spine_runs(g):
+        # a set, as for p == q both ends hang the same a
+        out += {run | left | right for left in hang[p] for right in hang[q]}
     out.sort()
     return out
 
@@ -297,10 +312,6 @@ class IntervalKind(Enum):
         self.left, self.right = letters
         # least j-i for the endpoint-to-endpoint chain to make sense
         self.min_span = int(self.left == self.right or self.left == "g")
-
-    @property
-    def order(self) -> int:
-        return _KIND_ORDER[self]
 
     def last_j(self, g: int) -> int:
         """Largest right endpoint at genus g: a g_j end needs j <= g-1."""
@@ -389,7 +400,7 @@ def all_intervals(g: int) -> tuple[Interval, ...]:
         for i in range(1, g + 1)
         for j in range(i + kind.min_span, kind.last_j(g) + 1)
     ]
-    out.sort(key=lambda iv: (iv.chain_length_m, iv.kind.order, iv.i, iv.j))
+    out.sort(key=lambda iv: (iv.chain_length_m, _KIND_ORDER[iv.kind], iv.i, iv.j))
     return tuple(out)
 
 
@@ -439,15 +450,6 @@ def enclosing_interval(s: CurveSet) -> tuple[Interval, int]:
 # enclosure claims
 
 
-class ClaimCase(Enum):
-    """Which classification branch produced an enclosure claim."""
-
-    CHAIN_EVEN = "chain-even"
-    CHAIN_ODD = "chain-odd"
-    CHAIN_ODD_SEPARATING = "chain-odd-separating"
-    INTERVAL = "interval"
-
-
 class EnclosureClaim(NamedTuple):
     """Upper bound on an enclosing subsurface, genus and boundary count,
     which must also have connected complement; ``interval`` is the
@@ -482,14 +484,14 @@ def _chain_claim(s: CurveSet, m: int) -> EnclosureClaim:
     (m-1)/2 with two, and the separating odd family to the handle
     window of genus (m-1)/2 with a single boundary circle."""
     if m % 2 == 0:
-        return EnclosureClaim(m // 2, 1, ClaimCase.CHAIN_EVEN.value)
+        return EnclosureClaim(m // 2, 1, "chain-even")
     sep = separating_chain_form(s)
     if sep is not None:
         i, j = sep
         if m != 2 * (j - i) + 3:
             raise LickorishError(f"separating chain a{i}..a{j} has length {m}, not {2 * (j - i) + 3}")
-        return EnclosureClaim(j - i + 1, 1, ClaimCase.CHAIN_ODD_SEPARATING.value)
-    return EnclosureClaim((m - 1) // 2, 2, ClaimCase.CHAIN_ODD.value)
+        return EnclosureClaim(j - i + 1, 1, "chain-odd-separating")
+    return EnclosureClaim((m - 1) // 2, 2, "chain-odd")
 
 
 def interval_claim(iv: Interval) -> tuple[int, int]:
@@ -520,7 +522,7 @@ def size_classify(s: CurveSet, g: int) -> EnclosureClaim:
         return _chain_claim(s, len(order))
     iv, m = enclosing_interval(s)
     h, b = interval_claim(iv)
-    return EnclosureClaim(h, b, f"{ClaimCase.INTERVAL.value}:{iv.label()}:m={m}", iv)
+    return EnclosureClaim(h, b, f"interval:{iv.label()}:m={m}", iv)
 
 
 def claim_fits_clause(claim: EnclosureClaim, size: int) -> bool:

@@ -4,12 +4,14 @@ Each sweep re-derives one of the enclosure facts by brute force on the
 ribbon-graph model and reports the number of cases checked plus every
 violation found.  The CLI and the acceptance suite both run these.
 
-Sweeps over curve subsets visit only the connected ones, enumerated
-directly by :func:`twistcert.lickorish.connected_masks`; each is still
-confirmed connected before it is checked.  The size sweep takes each
-subset's claim from :func:`twistcert.lickorish.classified_subsets` and
-checks its enclosure once per distinct window or chain: it depends on
-the window and the claim bounds, not on the subset inside.
+The chain sweeps visit only the chains, the paths of the intersection
+tree, enumerated directly by :func:`twistcert.lickorish.chain_masks`;
+each is still confirmed a chain by
+:func:`twistcert.lickorish.chain_order` before it is checked.  The size
+sweep takes each connected subset's claim from
+:func:`twistcert.lickorish.classified_subsets` and checks its enclosure
+once per distinct window or chain: it depends on the window and the
+claim bounds, not on the subset inside.
 """
 
 from __future__ import annotations
@@ -43,20 +45,21 @@ class SweepResult:
         return self
 
 
-def _scan_connected(name: str, genus_min: int, genus_max: int, check) -> SweepResult:
-    """Run check(g, rg, s, result) on every connected subset s of every
-    genus in range from 2, rg being the genus-g surface.  Each enumerated
-    mask is confirmed connected first, so an enumerator bug shows as a
-    violation."""
+def _scan_chains(name: str, genus_min: int, genus_max: int, check) -> SweepResult:
+    """Run check(g, rg, s, m, result) on every chain s of every genus in
+    range from 2, rg being the genus-g surface and m the chain's length.
+    Each enumerated mask is confirmed a chain first, so an enumerator bug
+    shows as a violation."""
     result = SweepResult(name)
     for g in range(max(genus_min, 2), genus_max + 1):
         rg = sf.lickorish_surface(g)
-        for mask in lk.connected_masks(g):
+        for mask in lk.chain_masks(g):
             s = lk.CurveSet(g, mask)
-            if not lk.is_connected_mask(g, mask):
-                result.violations.append(f"g={g} {s.sorted_members()}: enumerated subset is disconnected")
+            order = lk.chain_order(s)
+            if order is None:
+                result.violations.append(f"g={g} {s.sorted_members()}: enumerated subset is not a chain")
                 continue
-            check(g, rg, s, result)
+            check(g, rg, s, len(order), result)
     return result.done()
 
 
@@ -64,12 +67,8 @@ def _scan_connected(name: str, genus_min: int, genus_max: int, check) -> SweepRe
 # chain lemma (raw regular neighbourhoods)
 
 
-def _check_chain(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
-    order = lk.chain_order(s)
-    if order is None:
-        return
+def _check_chain(g: int, rg, s: lk.CurveSet, m: int, out: SweepResult) -> None:
     out.checked += 1
-    m = len(order)
     rep = sf.min_enclosing_subsurface(rg, s, fill=False)
     want = (m // 2, 1) if m % 2 == 0 else ((m - 1) // 2, 2)
     if (rep.genus, rep.boundary_count) != want:
@@ -82,12 +81,11 @@ def _check_chain(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
 def sweep_goodchains(genus_min: int, genus_max: int) -> SweepResult:
     """Every chain's raw neighbourhood is genus floor(m/2) with one
     boundary circle (m even) or two (m odd)."""
-    return _scan_connected("goodchains", genus_min, genus_max, _check_chain)
+    return _scan_chains("goodchains", genus_min, genus_max, _check_chain)
 
 
-def _check_separating(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
-    order = lk.chain_order(s)
-    if order is None or len(order) % 2 == 0:
+def _check_separating(g: int, rg, s: lk.CurveSet, m: int, out: SweepResult) -> None:
+    if m % 2 == 0:
         return
     out.checked += 1
     rep = sf.min_enclosing_subsurface(rg, s, fill=False)
@@ -103,7 +101,7 @@ def _check_separating(g: int, rg, s: lk.CurveSet, out: SweepResult) -> None:
 def sweep_badchains(genus_min: int, genus_max: int) -> SweepResult:
     """The separating chains are exactly the family obtained from the
     two-a-endpoint windows by deleting interior a-curves."""
-    return _scan_connected("badchains", genus_min, genus_max, _check_separating)
+    return _scan_chains("badchains", genus_min, genus_max, _check_separating)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,20 @@ def test_scans_report_a_disconnected_enumerated_subset(monkeypatch, capsys):
     assert counted == 30
 
 
+@pytest.mark.parametrize("argv", [
+    ("size", "--genus-min", "0", "--genus-max", "1", "--json"),
+    ("count", "--genus-min", "-3", "--genus-max", "0"),
+    ("goodchains", "--genus-min", "1", "--genus-max", "1"),
+])
+def test_lemma_run_that_checks_nothing_is_usage_error(argv, capsys):
+    # no genus in the range is one the sweep covers: nothing is checked,
+    # so the run proves nothing and must not pass
+    assert main(["lemma", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_rejects_disconnected():
     assert main(["classify", "--genus", "3", "--set", "a1,a2"]) == 2
 

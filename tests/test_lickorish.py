@@ -155,6 +155,20 @@ def test_connected_masks_count_caterpillar_subtrees():
     assert [len(lk.connected_masks(g)) for g in (5, 6, 7, 12)] == [249, 531, 1101, 36783]
 
 
+def test_chain_masks_are_the_chains_among_the_connected_subsets():
+    for g in range(2, 13):
+        chains = [m for m in lk.connected_masks(g) if lk.chain_order(lk.CurveSet(g, m)) is not None]
+        assert lk.chain_masks(g) == chains, g
+
+
+def test_chain_masks_count_the_paths_of_the_tree():
+    # a tree on n = 3g-1 vertices has n(n+1)/2 paths, one vertex included
+    for g in range(2, 41):
+        masks = lk.chain_masks(g)
+        assert all(x < y for x, y in zip(masks, masks[1:])), g
+        assert len(masks) == (3 * g - 1) * (3 * g) // 2, g
+
+
 def test_disconnected_sizes_match_brute_force():
     for g in range(2, 7):
         brute = {m.bit_count() for m in range(1, 1 << (3 * g - 1)) if not lk.is_connected_mask(g, m)}

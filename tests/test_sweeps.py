@@ -5,6 +5,7 @@ from __future__ import annotations
 from twistcert import lickorish as lk
 from twistcert import surface as sf
 from twistcert import sweeps
+from twistcert.cli import main
 
 
 def test_size_sweep_counts_connected_subsets():
@@ -99,6 +100,17 @@ def test_size_sweep_reports_a_failed_window_on_every_subset_in_it(monkeypatch):
     monkeypatch.setattr(sf, "min_enclosing_subsurface", inflated)
     result = sweeps.sweep_size_soundness(g, g)
     assert result.violations == expected
+
+
+def test_chain_sweeps_report_an_enumerated_non_chain(monkeypatch):
+    # the enumerator also yields {a1, a2}: each chain sweep confirms the
+    # chain order of every mask it is given and reports this one
+    original = lk.chain_masks
+    monkeypatch.setattr(lk, "chain_masks", lambda g: sorted(original(g) + [0b11]))
+    for sweep in (sweeps.sweep_goodchains, sweeps.sweep_badchains):
+        result = sweep(3, 3)
+        assert result.violations == ["g=3 ['a1', 'a2']: enumerated subset is not a chain"], sweep
+    assert main(["lemma", "goodchains", "--genus-min", "3", "--genus-max", "3"]) == 1
 
 
 def _per_k_low(g, bound):
