@@ -213,18 +213,6 @@ class Failure(NamedTuple):
     params: dict
 
 
-def _typed(obj, key: str, kind: type, where: str):
-    """obj[key], which must hold a JSON value of the given type."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
-    if key not in obj:
-        raise ValueError(f"{where}: missing {key!r}")
-    value = obj[key]
-    if not (type(value) is int if kind is int else isinstance(value, kind)):
-        raise ValueError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
 def _inexact(obj) -> Optional[str]:
     """Where a JSON object or list holds a true, false or fraction at any
     depth, as the path below obj and the type found, or None: the checker
@@ -240,35 +228,26 @@ def _inexact(obj) -> Optional[str]:
 
 # Integers are matched by exact type: JSON true/false load as bool, a subclass of int.
 _INT_TYPE = frozenset({int})
-# a node's keys with their JSON types, in the order the loader checks them
+# each object of the format: its keys with their JSON types, in the order
+# the loader checks them; a conclusion's other keys are its payload
+_CERT_FIELDS = (("header", dict), ("axioms", list), ("nodes", list), ("conclusion", dict))
+_HEADER_FIELDS = (("genus", int), ("dim", int), ("theorem", str), ("version", str))
 _NODE_FIELDS = (("id", int), ("rule", str), ("params", dict), ("premises", list), ("witnesses", dict))
+_CONCLUSION_FIELDS = (("form", str),)
 
 
-def _node_from_json(n, pos: int) -> RuleApp:
-    """A node of a certificate document, type-checked in one walk; its
-    location is formatted only when a check fails."""
-    if type(n) is not dict:
-        raise ValueError(f"nodes[{pos}]: expected an object, got {type(n).__name__}")
-    for key, kind in _NODE_FIELDS:
-        value = n.get(key)
+def _fields(obj, fields, where: str, unknown: list) -> None:
+    """Check that obj is a JSON object holding every key of ``fields``
+    with its type, and add its other keys to ``unknown`` as (where, key)."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+    for key, kind in fields:
+        value = obj.get(key)
         if type(value) is not kind:
-            raise ValueError(f"nodes[{pos}]: missing {key!r}" if key not in n
-                             else f"nodes[{pos}].{key}: expected {kind.__name__}, got {type(value).__name__}")
-        if kind is dict:
-            defect = _inexact(value)
-        elif kind is list and not _INT_TYPE.issuperset(map(type, value)):
-            defect = ": expected a list of integers"
-        else:
-            continue
-        if defect:
-            raise ValueError(f"nodes[{pos}].{key}{defect}")
-    return RuleApp(n["id"], n["rule"], n["params"], tuple(n["premises"]), n["witnesses"])
-
-
-# the keys of the certificate, its header and a node; verify names any other
-_CERT_KEYS = frozenset("header axioms nodes conclusion".split())
-_HEADER_KEYS = frozenset("genus dim theorem version".split())
-_NODE_KEYS = frozenset(key for key, _ in _NODE_FIELDS)
+            raise ValueError(f"{where}: missing {key!r}" if key not in obj
+                             else f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    if len(obj) > len(fields):  # every key of the table is present, so others are too
+        unknown += [(where, k) for k in sorted(obj.keys() - {key for key, _ in fields})]
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +256,13 @@ _NODE_KEYS = frozenset(key for key, _ in _NODE_FIELDS)
 
 def _schema_profiles(size: int, g: int) -> list[tuple[int, int, str, int]]:
     """(claim genus cap H, boundary B, packing kind, packing parameter)
-    for the schema nodes covering connected subsets of the given size."""
+    for the schema nodes covering connected subsets of the given size;
+    at g >= 3 and size >= 3, H >= 1 for B = 2 and H >= 0 for B = 3."""
     l = size // 2
     h1 = min(l, g)
     h2 = min(l, g - 1) if size % 2 else min(l - 1, g - 1)
     h3 = min(l - 1, g - 2)
-    profiles = [(h1, 1, "fit1", h1)]
-    if h2 >= 1:
-        profiles.append((h2, 2, "fit3", h2))
-    if h3 >= 0:
-        profiles.append((h3, 3, "fit2", h3 + 1))
-    return profiles
+    return [(h1, 1, "fit1", h1), (h2, 2, "fit3", h2), (h3, 3, "fit2", h3 + 1)]
 
 
 def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
@@ -431,11 +406,6 @@ class Violation(NamedTuple):
         )
 
 
-def _judgment_from_json(obj, where: str) -> Judgment:
-    form = _typed(obj, "form", str, where)
-    return Judgment(form, {k: v for k, v in obj.items() if k != "form"})
-
-
 def certificate_from_json_dict(doc: dict) -> Certificate:
     """Build a certificate from its JSON document.
 
@@ -444,25 +414,31 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
     inside :func:`verify`; every well-typed defect is left to ``verify``,
     keys outside the format too (``unknown_keys``).
     """
-    header = _typed(doc, "header", dict, "certificate")
-    axioms = _typed(doc, "axioms", list, "certificate")
+    unknown: list[tuple[str, str]] = []
+    _fields(doc, _CERT_FIELDS, "certificate", unknown)
+    header, axioms, conclusion = doc["header"], doc["axioms"], doc["conclusion"]
+    _fields(header, _HEADER_FIELDS, "header", unknown)
     if not all(isinstance(a, str) for a in axioms):
         raise ValueError("certificate.axioms: expected a list of strings")
-    unknown = [("certificate", k) for k in sorted(doc.keys() - _CERT_KEYS)]
-    unknown += [("header", k) for k in sorted(header.keys() - _HEADER_KEYS)]
     nodes = []
-    for pos, n in enumerate(_typed(doc, "nodes", list, "certificate")):
-        nodes.append(_node_from_json(n, pos))
-        if len(n) > len(_NODE_KEYS):  # it holds every key of the format
-            unknown += [(f"nodes[{pos}]", k) for k in sorted(n.keys() - _NODE_KEYS)]
+    for pos, n in enumerate(doc["nodes"]):
+        where = f"nodes[{pos}]"
+        _fields(n, _NODE_FIELDS, where, unknown)
+        for key in ("params", "witnesses"):
+            if defect := _inexact(n[key]):
+                raise ValueError(f"{where}.{key}{defect}")
+        if not _INT_TYPE.issuperset(map(type, n["premises"])):
+            raise ValueError(f"{where}.premises: expected a list of integers")
+        nodes.append(RuleApp(n["id"], n["rule"], n["params"], tuple(n["premises"]), n["witnesses"]))
+    _fields(conclusion, _CONCLUSION_FIELDS, "conclusion", [])
     return Certificate(
-        genus=_typed(header, "genus", int, "header"),
-        dim=_typed(header, "dim", int, "header"),
-        theorem=Theorem(_typed(header, "theorem", str, "header")),
+        genus=header["genus"],
+        dim=header["dim"],
+        theorem=Theorem(header["theorem"]),
         axioms=tuple(axioms),
         nodes=tuple(nodes),
-        conclusion=_judgment_from_json(_typed(doc, "conclusion", dict, "certificate"), "conclusion"),
-        version=_typed(header, "version", str, "header"),
+        conclusion=Judgment(conclusion["form"], {k: v for k, v in conclusion.items() if k != "form"}),
+        version=header["version"],
         unknown_keys=tuple(unknown),
     )
 

@@ -21,7 +21,7 @@ import json
 import random
 import sys
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import __version__
 from . import lickorish as lk
@@ -41,12 +41,17 @@ from .bootstrap import (
 )
 
 
-def _emit(args, payload: dict, human_lines: list[str], elapsed: float) -> None:
+def _emit(args, payload: dict, human_lines: list[str], elapsed: float, violations: Sequence = ()) -> None:
+    """Print the JSON payload, or the human lines and the first 20 violations."""
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         for line in human_lines:
             print(line)
+        for v in violations[:20]:
+            print(f"  violation: {v}")
+        if len(violations) > 20:
+            print(f"  ... and {len(violations) - 20} more")
         print(f"wall time: {elapsed:.2f}s")
 
 
@@ -60,11 +65,8 @@ def _sweep_report(args, result: sweeps.SweepResult, extra: Optional[dict] = None
     if extra:
         payload.update(extra)
     status = "PASS" if result.passed else "FAIL"
-    lines = [f"{args.command}: {status} ({result.checked} cases, {len(result.violations)} violations)"]
-    lines += [f"  violation: {v}" for v in result.violations[:20]]
-    if len(result.violations) > 20:
-        lines.append(f"  ... and {len(result.violations) - 20} more")
-    _emit(args, payload, lines, result.elapsed)
+    lines = [f"{args.command} {result.name}: {status} ({result.checked} cases, {len(result.violations)} violations)"]
+    _emit(args, payload, lines, result.elapsed, result.violations)
     return 0 if result.passed else 1
 
 
@@ -261,10 +263,7 @@ def _cmd_check(args) -> int:
                      f"(exhaustive bound: genus {coverage['max_genus']})")
     else:
         lines.append(f"  coverage: schema-only, no subset enumerated (exhaustive bound: genus {coverage['max_genus']})")
-    lines += [f"  violation: {v}" for v in violations[:20]]
-    if len(violations) > 20:
-        lines.append(f"  ... and {len(violations) - 20} more")
-    _emit(args, payload, lines, time.perf_counter() - t0)
+    _emit(args, payload, lines, time.perf_counter() - t0, violations)
     return 0 if not violations else 1
 
 

@@ -18,7 +18,7 @@ pattern repeats per handle.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lickorish import CurveSet, _make_checked, crossing_pairs, curve_names, is_connected_mask
 
@@ -454,25 +454,12 @@ def assembly_problems(plan: AssemblyPlan, g: int) -> list[str]:
         neighbours[pa].add(pb)
         neighbours[pb].add(pa)
 
-    def connected(nodes: set[int]) -> bool:
-        if not nodes:
-            return True
-        seen = {min(nodes)}
-        frontier = [min(nodes)]
-        while frontier:
-            cur = frontier.pop()
-            for nb in neighbours[cur]:
-                if nb in nodes and nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        return seen == nodes
-
-    separating = _cut_vertices(neighbours)
-    if separating is None:
+    separating, components = _cut_vertices(neighbours)
+    if components > 1:
         problems.append("gluing graph is not connected")
-        # no cut vertices to read off: test each marked piece on its own
-        all_nodes = set(range(len(plan.pieces)))
-        separating = {m for m in plan.marked_pieces if m in all_nodes and not connected(all_nodes - {m})}
+        # the rest is split already: deleting a piece leaves it connected
+        # only when the piece is alone in one of exactly two components
+        separating = {v for v, nbs in enumerate(neighbours) if components > 2 or not nbs <= {v}}
 
     if len(set(plan.marked_pieces)) != len(plan.marked_pieces):
         problems.append("marked pieces are not distinct")
@@ -484,50 +471,51 @@ def assembly_problems(plan: AssemblyPlan, g: int) -> list[str]:
     return problems
 
 
-def _cut_vertices(neighbours: list[set[int]]) -> Optional[set[int]]:
-    """Cut vertices of a graph given by neighbour sets, or None when the
-    graph is not connected.
+def _cut_vertices(neighbours: list[set[int]]) -> tuple[set[int], int]:
+    """Cut vertices of each connected component of a graph given by
+    neighbour sets, and the number of components.
 
-    One iterative depth-first search from vertex 0 with Hopcroft-Tarjan
+    One iterative depth-first search per component with Hopcroft-Tarjan
     lowpoints: a non-root vertex v is a cut vertex when some DFS child w
     has low[w] >= disc[v], and the root when it has two DFS children.
     Self-loops and the edge back to the parent only ever lower low[] to a
     discovery time the test already allows, so neither needs skipping.
     """
     n = len(neighbours)
-    if n == 0:
-        return set()
     disc = [-1] * n
     low = [0] * n
-    disc[0] = 0
-    visited = 1
-    root_children = 0
+    visited = components = 0
     cut: set[int] = set()
-    stack = [(0, iter(neighbours[0]))]
-    while stack:
-        v, pending = stack[-1]
-        for w in pending:
-            if disc[w] < 0:
-                disc[w] = low[w] = visited
-                visited += 1
-                stack.append((w, iter(neighbours[w])))
-                break
-            low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if not stack:
-                break
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
-            if u == 0:
-                root_children += 1
-            elif low[v] >= disc[u]:
-                cut.add(u)
-    if visited < n:
-        return None
-    if root_children > 1:
-        cut.add(0)
-    return cut
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        components += 1
+        disc[root] = low[root] = visited
+        visited += 1
+        root_children = 0
+        stack = [(root, iter(neighbours[root]))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                if disc[w] < 0:
+                    disc[w] = low[w] = visited
+                    visited += 1
+                    stack.append((w, iter(neighbours[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if u == root:
+                    root_children += 1
+                elif low[v] >= disc[u]:
+                    cut.add(u)
+        if root_children > 1:
+            cut.add(root)
+    return cut, components
 
 
 def pack_count(g: int, kind: str, ell: int) -> int:

@@ -308,7 +308,9 @@ def test_schema_arithmetic_implied_by_count_lemma():
     dimension side condition, across a wide range of genera."""
     for g in range(3, 150):
         for size in range(3, 3 * g):
-            for (_h, _b, kind, ell) in bs._schema_profiles(size, g):
+            profiles = bs._schema_profiles(size, g)
+            assert len(profiles) == 3, (g, size)
+            for (_h, _b, kind, ell) in profiles:
                 n = sf.pack_count(g, kind, ell)
                 assert n >= 1, (g, size, kind, ell)
                 assert n * (size - 1) >= g, (g, size, kind, ell)

@@ -44,6 +44,16 @@ def test_lemma_fit():
     assert main(["lemma", "fit", "--genus-min", "1", "--genus-max", "8"]) == 0
 
 
+@pytest.mark.parametrize("title", [
+    "lemma goodchains", "lemma badchains", "lemma size", "lemma fit", "lemma count",
+    "nerve helly1d", "nerve sphere-joins",
+])
+def test_human_report_title_names_the_sweep(capsys, title):
+    command, name = title.split()
+    assert main([command, name, "--genus-max", "3"] if command == "lemma" else [command, "--demo", name]) == 0
+    assert capsys.readouterr().out.startswith(f"{title}: PASS (")
+
+
 def test_certify_then_check_round_trip(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["certify", "--genus", "3", "--dim", "2", "--theorem", "technical",
@@ -336,6 +346,40 @@ def test_check_malformed_certificate_is_load_error(tmp_path, probe):
     assert proc.returncode == 2
     assert "cannot load certificate" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _delete(path):
+    def edit(doc):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        del target[path[-1]]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: [doc], "certificate: expected an object, got list"),
+    (_delete(("nodes",)), "certificate: missing 'nodes'"),
+    (_set(("axioms",), {}), "certificate.axioms: expected list, got dict"),
+    (_delete(("header", "version")), "header: missing 'version'"),
+    (_set(("header", "genus"), True), "header.genus: expected int, got bool"),
+    (_set(("nodes", 3), 7), "nodes[3]: expected an object, got int"),
+    (_delete(("nodes", 3, "rule")), "nodes[3]: missing 'rule'"),
+    (_set(("nodes", 3, "id"), "3"), "nodes[3].id: expected int, got str"),
+    (_delete(("conclusion", "form")), "conclusion: missing 'form'"),
+    (_set(("conclusion", "form"), 1), "conclusion.form: expected str, got int"),
+], ids=["document-not-object", "document-missing", "document-type", "header-missing", "header-type",
+        "node-not-object", "node-missing", "node-type", "conclusion-missing", "conclusion-type"])
+def test_check_load_error_names_the_defect(tmp_path, capsys, edit, message):
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    out.write_text(json.dumps(edit(json.loads(out.read_text()))))
+    capsys.readouterr()
+    assert main(["check", str(out), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot load certificate {out}: {message}\n"
 
 
 def _as_format_0_2_0(doc):

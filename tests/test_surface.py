@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistcert import lickorish as lk
@@ -316,16 +316,26 @@ def test_assembly_rejects_separating_marked_piece():
     assert any("disconnects" in p for p in problems)
 
 
+@st.composite
+def _gluing_graphs(draw):
+    """(pieces, edges, marked pieces) of a random gluing multigraph."""
+    n = draw(st.integers(1, 9))
+    piece = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(piece, piece), max_size=14))
+    return n, edges, tuple(draw(st.lists(piece, max_size=n)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_assembly_marked_cut_pieces_match_brute_force(data):
+@given(_gluing_graphs())
+@example((3, [(0, 1)], (2, 0)))  # two components, one a lone marked piece
+@example((3, [(0, 1), (2, 2)], (2, 1)))  # the lone piece glued to itself
+@example((4, [(0, 1), (2, 2)], (2, 3)))  # three components, two of them lone pieces
+@example((0, [], ()))  # no pieces
+def test_assembly_marked_cut_pieces_match_brute_force(graph):
     """Random gluing multigraphs, self-loops and repeated gluings
     included: a marked piece is reported as disconnecting exactly when
     deleting it (brute force) leaves the rest of the graph disconnected."""
-    n = data.draw(st.integers(1, 9), label="pieces")
-    piece = st.integers(0, n - 1)
-    edges = data.draw(st.lists(st.tuples(piece, piece), max_size=14), label="edges")
-    marked = tuple(data.draw(st.lists(piece, max_size=n), label="marked"))
+    n, edges, marked = graph
     slots = [0] * n
     gluings = []
     for a, b in edges:
