@@ -236,18 +236,20 @@ _NODE_FIELDS = (("id", int), ("rule", str), ("params", dict), ("premises", list)
 _CONCLUSION_FIELDS = (("form", str),)
 
 
-def _fields(obj, fields, where: str, unknown: list) -> None:
+def _fields(obj, fields, where: str, unknown: list, pos: Optional[int] = None) -> None:
     """Check that obj is a JSON object holding every key of ``fields``
-    with its type, and add its other keys to ``unknown`` as (where, key)."""
+    with its type, and add its other keys to ``unknown`` as (where, key).
+    ``where`` is a format string taking a node's position ``pos``, built
+    only for a defect or a key outside the format."""
     if type(obj) is not dict:
-        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+        raise ValueError(f"{where.format(pos)}: expected an object, got {type(obj).__name__}")
     for key, kind in fields:
         value = obj.get(key)
         if type(value) is not kind:
-            raise ValueError(f"{where}: missing {key!r}" if key not in obj
-                             else f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+            raise ValueError(f"{where.format(pos)}: missing {key!r}" if key not in obj else
+                             f"{where.format(pos)}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     if len(obj) > len(fields):  # every key of the table is present, so others are too
-        unknown += [(where, k) for k in sorted(obj.keys() - {key for key, _ in fields})]
+        unknown += [(where.format(pos), k) for k in sorted(obj.keys() - {key for key, _ in fields})]
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +424,12 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
         raise ValueError("certificate.axioms: expected a list of strings")
     nodes = []
     for pos, n in enumerate(doc["nodes"]):
-        where = f"nodes[{pos}]"
-        _fields(n, _NODE_FIELDS, where, unknown)
+        _fields(n, _NODE_FIELDS, "nodes[{}]", unknown, pos)
         for key in ("params", "witnesses"):
             if defect := _inexact(n[key]):
-                raise ValueError(f"{where}.{key}{defect}")
+                raise ValueError(f"nodes[{pos}].{key}{defect}")
         if not _INT_TYPE.issuperset(map(type, n["premises"])):
-            raise ValueError(f"{where}.premises: expected a list of integers")
+            raise ValueError(f"nodes[{pos}].premises: expected a list of integers")
         nodes.append(RuleApp(n["id"], n["rule"], n["params"], tuple(n["premises"]), n["witnesses"]))
     _fields(conclusion, _CONCLUSION_FIELDS, "conclusion", [])
     return Certificate(

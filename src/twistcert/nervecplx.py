@@ -191,12 +191,15 @@ def betti_z2(k: SimplicialComplex) -> BettiVector:
         layer[sum(bit[v] for v in face)] = len(layer)
     # rank of the boundary map C_q -> C_{q-1}; q = 0 is the augmentation
     ranks = [1] * (k.dim + 1) + [0]
+    sizes = [0] * (k.dim + 1)
     cleared: set[int] = set()
     for q in range(k.dim, 0, -1):
-        pivots = _pivots(_boundary_rows(layers[q], layers[q - 1], cleared))
-        ranks[q] = len(pivots)
+        layer = layers.pop()  # once reduced, only its size is read again
+        pivots = _pivots(_boundary_rows(layer, layers[-1], cleared))
+        ranks[q], sizes[q] = len(pivots), len(layer)
         cleared = {low.bit_length() - 1 for low in pivots}
-    return BettiVector(tuple(len(layers[q]) - ranks[q] - ranks[q + 1] for q in range(k.dim + 1)))
+    sizes[0] = len(layers[0])
+    return BettiVector(tuple(sizes[q] - ranks[q] - ranks[q + 1] for q in range(k.dim + 1)))
 
 
 def is_homology_sphere(k: SimplicialComplex, d: int) -> bool:

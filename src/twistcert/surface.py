@@ -146,40 +146,26 @@ class RibbonGraph:
         """Per-arc and per-crossing tables read by :class:`_Restriction`.
 
         Curve bits follow :func:`~twistcert.lickorish.curve_index`, so a
-        subset mask tests membership.  Complement nodes are the faces
-        0..F-1 followed by one node per arc.  Each arc stores its curve
-        bit, its node and the faces on its two sides.  Each crossing
-        stores its two curve bits and, per state (bit 0: curve_x kept,
-        bit 1: curve_y kept), the node pairs the complement joins there
-        and the corner faces that gain a sector.  The trace tables give,
+        subset mask tests membership.  Each arc stores its curve bit and
+        the faces on its two sides.  Each crossing stores its two curve
+        bits and, per state (bit 0: curve_x kept, bit 1: curve_y kept),
+        the corner faces that gain a sector.  A crossing needs no union:
+        the sectors it merges are corners on the two sides of a dropped
+        arc there, which that arc already joins.  The trace tables give,
         per dart d, the crossing at the far end of its arc and the darts
         one and two slots on from there.
         """
-        dart_face, iota, dart_arc = self._dart_face, self._iota, self._dart_arc
-        n_faces = len(self.faces)
+        dart_face, iota = self._dart_face, self._iota
         bit = {name: 1 << i for i, name in enumerate(curve_names(self.genus))}
-        self._arc_table = tuple(
-            (bit[arc.curve], n_faces + a_idx, dart_face[arc.darts[0]], dart_face[arc.darts[1]])
-            for a_idx, arc in enumerate(self.arcs)
-        )
-        crossings = []
-        for v, crossing in enumerate(self.vertices):
-            # c[k]: face covering the corner between slots k and k+1;
-            # n[k]: node of the arc leaving slot k
-            c = [dart_face[iota[4 * v + k]] for k in range(4)]
-            n = [n_faces + dart_arc[4 * v + k] for k in range(4)]
-            # state 0, neither curve kept: corners and germs make one sector
-            by_state = [(tuple((c[0], other) for other in c[1:] + n), (c[0],))]
-            for s in (0, 1):
-                # state 1 + s, only the curve on slots s, s+2 kept: each of
-                # its sides joins the corner past it and the dropped germ
-                unions = tuple((c[base], past) for base in (s, s + 2)
-                               for past in (c[(base + 1) % 4], n[(base + 1) % 4]))
-                by_state.append((unions, (c[s], c[s + 2])))
-            by_state.append(((), tuple(c)))  # state 3, both kept: four sectors
-            crossings.append((bit[crossing.curve_x], bit[crossing.curve_y], tuple(by_state)))
-        self._crossing_table = tuple(crossings)
-        self._dart_bit = [self._arc_table[a][0] for a in dart_arc]
+        self._arc_table = tuple((bit[arc.curve], dart_face[arc.darts[0]], dart_face[arc.darts[1]])
+                                for arc in self.arcs)
+        # c[k]: face covering the corner between slots k and k+1; the states
+        # make one sector, one on each side of the kept curve, or four
+        corners = [tuple(dart_face[e] for e in iota[d:d + 4]) for d in range(0, len(iota), 4)]
+        self._crossing_table = tuple(
+            (bit[crossing.curve_x], bit[crossing.curve_y], (c[:1], c[0::2], c[1::2], c))
+            for crossing, c in zip(self.vertices, corners))
+        self._dart_bit = [self._arc_table[a][0] for a in self._dart_arc]
         self._far_vertex = [e >> 2 for e in iota]
         self._next_one = [self.sigma(e) for e in iota]
         self._next_two = [self.sigma(self.sigma(e)) for e in iota]
@@ -244,38 +230,26 @@ class _Restriction:
     past the dropped slots while tracing, which is exactly isotoping the
     dropped strand off the picture.  ``complement`` lists the (genus,
     boundary) of each piece of the surface cut along the kept curves.
+    The pieces are the faces joined across dropped arcs: every sector a
+    crossing merges lies on the two sides of a dropped arc there, so
+    crossings add sectors to the Euler characteristic but no union.
     """
 
     def __init__(self, rg: RibbonGraph, mask: int):
         n_faces = rg.num_faces
-        n_nodes = n_faces + rg.num_arcs
-        # Euler characteristic contributions per node: sectors - edges +
-        # faces, counted on the surface cut along the kept curves
-        chi = [1] * n_faces + [0] * rg.num_arcs
-        pairs: list[tuple[int, int]] = []
-        for bit, node, face0, face1 in rg._arc_table:
-            if bit & mask:  # one boundary edge on each side
-                chi[face0] -= 1
-                chi[face1] -= 1
-            else:
-                chi[node] -= 1
-                pairs.append((node, face0))
-                pairs.append((node, face1))
-        both_kept = []
-        for bit_x, bit_y, by_state in rg._crossing_table:
-            state = (1 if bit_x & mask else 0) | (2 if bit_y & mask else 0)
-            unions, bumps = by_state[state]
-            pairs += unions
-            for face in bumps:
-                chi[face] += 1
-            both_kept.append(state == 3)
-        self.ss_crossings = both_kept.count(True)  # crossings internal to the subset
-
-        # union-find that links the larger root under the smaller, so
-        # every parent index is at most its child's and one ascending
-        # pass resolves all roots
-        parent = list(range(n_nodes))
-        for x, y in pairs:
+        # Euler characteristic contributions per face (sectors - edges +
+        # faces, counted on the surface cut along the kept curves), and a
+        # union-find over the faces that links the larger root under the
+        # smaller, so every parent index is at most its child's and one
+        # ascending pass resolves all roots
+        chi = [1] * n_faces
+        parent = list(range(n_faces))
+        for bit, x, y in rg._arc_table:
+            chi[x] -= 1
+            if bit & mask:  # kept: one boundary edge on each side
+                chi[y] -= 1
+                continue
+            # dropped: one interior edge, joining its two sides
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
@@ -286,11 +260,17 @@ class _Restriction:
                 parent[y] = x
             elif y < x:
                 parent[x] = y
-        for node in range(n_nodes):
-            parent[node] = parent[parent[node]]
-        comp_chi = [0] * n_nodes
-        for node in range(n_nodes):
-            comp_chi[parent[node]] += chi[node]
+        both_kept = []
+        for bit_x, bit_y, by_state in rg._crossing_table:
+            state = (1 if bit_x & mask else 0) | (2 if bit_y & mask else 0)
+            for face in by_state[state]:
+                chi[face] += 1
+            both_kept.append(state == 3)
+        self.ss_crossings = both_kept.count(True)  # crossings internal to the subset
+        comp_chi = [0] * n_faces
+        for face in range(n_faces):
+            parent[face] = parent[parent[face]]
+            comp_chi[parent[face]] += chi[face]
 
         # boundary circles of the smoothed neighbourhood: orbits of the
         # skip-rotation next-dart map over kept darts, each on the rim of
@@ -299,7 +279,7 @@ class _Restriction:
         far, next_one, next_two = rg._far_vertex, rg._next_one, rg._next_two
         n_darts = len(dart_bit)
         seen = [False] * n_darts
-        comp_bnd = [0] * n_nodes
+        comp_bnd = [0] * n_faces
         self.rfaces: list[tuple[int, ...]] = []
         for start in range(n_darts):
             if seen[start] or not dart_bit[start] & mask:
@@ -317,7 +297,7 @@ class _Restriction:
             self.rfaces.append(tuple(cycle))
 
         comps = []
-        for root in sorted({parent[f] for f in range(n_faces)}):
+        for root in sorted(set(parent)):
             c_chi, c_bnd = comp_chi[root], comp_bnd[root]
             if c_bnd == 0:
                 raise SurfaceError("complement piece with no boundary circle")

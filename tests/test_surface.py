@@ -496,13 +496,17 @@ def test_restriction_kernel_matches_reference_union_find():
     import random
 
     rng = random.Random(7)
-    cases = [(g, range(1, 1 << (3 * g - 1))) for g in (2, 3, 4)]
-    cases += [(g, [rng.randrange(1, 1 << (3 * g - 1)) for _ in range(500)]) for g in (6, 7, 8)]
-    for g, masks in cases:  # every nonempty mask, disconnected ones included
-        rg = sf.lickorish_surface(g)
+    default = (sf._CHIRALITY_AB, sf._CHIRALITY_BG, sf._CHIRALITY_GB)
+    cases = [(g, default, range(1, 1 << (3 * g - 1))) for g in (2, 3, 4)]
+    cases += [(g, default, [rng.randrange(1, 1 << (3 * g - 1)) for _ in range(500)]) for g in (6, 7, 8)]
+    # the face rule holds for any rotation system, so every handedness triple
+    cases += [(g, chirality, range(1, 1 << (3 * g - 1)))
+              for g in (2, 3) for chirality in itertools.product((0, 1), repeat=3)]
+    for g, chirality, masks in cases:  # every nonempty mask, disconnected ones included
+        rg = sf.lickorish_surface(g, chirality)
         for mask in masks:
             r = sf._Restriction(rg, mask)
             ss, rfaces, census = _reference_restriction(rg, mask)
-            assert r.ss_crossings == ss, (g, mask)
-            assert r.rfaces == rfaces, (g, mask)
-            assert sorted(r.complement) == census, (g, mask)
+            assert r.ss_crossings == ss, (g, chirality, mask)
+            assert r.rfaces == rfaces, (g, chirality, mask)
+            assert sorted(r.complement) == census, (g, chirality, mask)
