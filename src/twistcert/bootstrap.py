@@ -18,7 +18,8 @@ smaller node, so each node has O(1) premises and the certificate grows
 linearly with the genus.
 
 A node stores nothing the checker can recompute from its rule and
-params: its judgment is a function of the two (:attr:`RuleApp.judgment`),
+params: its judgment, a JSON object such as the certificate's
+``conclusion``, is a function of the two (:attr:`RuleApp.judgment`),
 and a packing is named by ``(pack_kind, pack_ell)`` alone, so the
 checker rebuilds and assembly-checks each distinct packing once.  The
 bootstrap's factor count n = ``pack_count(g, pack_kind, pack_ell)`` and
@@ -95,11 +96,10 @@ class CountCheck(NamedTuple):
     g: int
     k: int
     lhs: int
-    rhs: int
 
     @property
     def holds(self) -> bool:
-        return self.lhs >= self.rhs
+        return self.lhs >= self.g
 
 
 def count_inequality(g: int, k: int) -> CountCheck:
@@ -113,21 +113,11 @@ def count_inequality(g: int, k: int) -> CountCheck:
         lhs = (k - 1) * (2 * g // k)
     else:
         lhs = (k - 1) * (2 * (g - 1) // (k - 1))
-    return CountCheck(g, k, lhs, g)
+    return CountCheck(g, k, lhs)
 
 
 # ---------------------------------------------------------------------------
 # judgments, rule applications, certificates
-
-
-class Judgment(NamedTuple):
-    """What a node asserts; schema forms quantify over subsets."""
-
-    form: str
-    payload: dict
-
-    def to_json(self) -> dict:
-        return {"form": self.form, **self.payload}
 
 
 class RuleApp(NamedTuple):
@@ -141,29 +131,26 @@ class RuleApp(NamedTuple):
     witnesses: dict
 
     @property
-    def judgment(self) -> Judgment:
-        """What the node asserts, fixed by its rule and params; the
-        certificate format does not store it."""
+    def judgment(self) -> dict:
+        """What the node asserts, as its JSON object: a ``form`` and the
+        form's fields, fixed by the node's rule and params; schema forms
+        quantify over subsets.  The certificate format does not store it."""
         p = self.params
         if self.rule == "axiom":
-            return Judgment("Axiom", {"tag": p["tag"]})
+            return {"form": "Axiom", "tag": p["tag"]}
         if self.rule == "handle_separating_twist_elliptic":
-            return Judgment("EllipticSubgroup", {"tag": "handle_separating_twist"})
+            return {"form": "EllipticSubgroup", "tag": "handle_separating_twist"}
         if self.rule in ("r_tree_step", "conclude"):
-            return Judgment("Elliptic", {"curves": curve_names(p["g"])})
+            return {"form": "Elliptic", "curves": curve_names(p["g"])}
         if self.rule == "genus1_step":
-            return Judgment("EllipticSchema", {"scope": "size_le", "size": p["size_limit"]})
+            return {"form": "EllipticSchema", "scope": "size_le", "size": p["size_limit"]}
         if self.rule == "size_induction":
-            return Judgment("EllipticSchema", {"scope": "size_le", "size": p["size"]})
+            return {"form": "EllipticSchema", "scope": "size_le", "size": p["size"]}
         if self.rule == "split_commuting":
-            return Judgment("EllipticSchema", {"scope": "disconnected_of_size", "size": p["size"]})
+            return {"form": "EllipticSchema", "scope": "disconnected_of_size", "size": p["size"]}
         if self.rule == "connected_bootstrap":
-            return Judgment("EllipticSchema", {
-                "scope": "connected_of_size",
-                "size": p["size"],
-                "claim_genus": p["claim_genus"],
-                "claim_boundary": p["claim_boundary"],
-            })
+            return {"form": "EllipticSchema", "scope": "connected_of_size", "size": p["size"],
+                    "claim_genus": p["claim_genus"], "claim_boundary": p["claim_boundary"]}
         raise BootstrapError(f"unknown rule {self.rule!r}")
 
     def to_json(self) -> dict:
@@ -182,7 +169,7 @@ class Certificate(NamedTuple):
     theorem: Theorem
     axioms: tuple[str, ...]
     nodes: tuple[RuleApp, ...]
-    conclusion: Judgment
+    conclusion: dict
     version: str = __version__
     unknown_keys: tuple[tuple[str, str], ...] = ()  # (where, key) read outside the format
 
@@ -196,7 +183,7 @@ class Certificate(NamedTuple):
             },
             "axioms": list(self.axioms),
             "nodes": [n.to_json() for n in self.nodes],
-            "conclusion": self.conclusion.to_json(),
+            "conclusion": self.conclusion,
         }
 
     def to_json(self) -> str:
@@ -229,7 +216,7 @@ def _inexact(obj) -> Optional[str]:
 # Integers are matched by exact type: JSON true/false load as bool, a subclass of int.
 _INT_TYPE = frozenset({int})
 # each object of the format: its keys with their JSON types, in the order
-# the loader checks them; a conclusion's other keys are its payload
+# the loader checks them; a conclusion's other keys are its form's fields
 _CERT_FIELDS = (("header", dict), ("axioms", list), ("nodes", list), ("conclusion", dict))
 _HEADER_FIELDS = (("genus", int), ("dim", int), ("theorem", str), ("version", str))
 _NODE_FIELDS = (("id", int), ("rule", str), ("params", dict), ("premises", list), ("witnesses", dict))
@@ -438,7 +425,7 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
         theorem=Theorem(header["theorem"]),
         axioms=tuple(axioms),
         nodes=tuple(nodes),
-        conclusion=Judgment(conclusion["form"], {k: v for k, v in conclusion.items() if k != "form"}),
+        conclusion={"form": conclusion["form"], **conclusion},  # form first, as derived, for violation text
         version=header["version"],
         unknown_keys=tuple(unknown),
     )
@@ -483,12 +470,13 @@ def verify(
     re-classified and matched against a covering node.  Subset coverage
     runs only once every other check has passed; when ``report`` is
     given, its ``coverage`` key receives the :func:`coverage_mode` that
-    actually ran.
+    actually ran, and after a coverage scan its ``found`` key the number
+    of violations the scan found, of which the list holds the first 21.
     """
     violations = _check_inventory(cert)
     coverage = coverage_mode(cert.genus, exhaustive_max_genus, reached=not violations)
     if coverage["mode"] == "exhaustive":
-        violations, coverage["connected_subsets"] = _exhaustive_coverage(cert)
+        violations, coverage["connected_subsets"] = _exhaustive_coverage(cert, report)
     if report is not None:
         report["coverage"] = coverage
     return violations
@@ -604,26 +592,27 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
             if size <= 2 * g:
                 cc = count_inequality(g, size)
                 if not cc.holds:
-                    bad(node.id, node.rule, "count", (cc.lhs, cc.rhs), None, "count inequality fails")
+                    bad(node.id, node.rule, "count", (cc.lhs, g), None, "count inequality fails")
         elif node.rule == "r_tree_step":
             if g != 2 or dim > 1:
                 bad(node.id, node.rule, "dim", (g, dim), (2, 1), "R-tree step needs genus 2 and dim <= 1")
 
     # conclusion
-    if cert.conclusion.to_json() != {"form": "Elliptic", "curves": curve_names(g)}:
-        bad(-1, "conclusion", "conclusion", cert.conclusion.to_json(),
-            {"form": "Elliptic", "curves": curve_names(g)}, "conclusion must cover the full generator set")
+    full = {"form": "Elliptic", "curves": curve_names(g)}
+    if cert.conclusion != full:
+        bad(-1, "conclusion", "conclusion", cert.conclusion, full, "conclusion must cover the full generator set")
     return violations
 
 
-def _exhaustive_coverage(cert: Certificate) -> tuple[list[Violation], int]:
+def _exhaustive_coverage(cert: Certificate, report: Optional[dict] = None) -> tuple[list[Violation], int]:
     """Confirm some node concludes every subset of the generator set;
     return the violations and the count of enumerated subsets of size >= 3.
 
     Subsets of size <= 2 fall to the genus1_step node and disconnected
     ones to the split_commuting node of their size; every enumerated
     subset is re-classified, and each of size >= 3 is matched against a
-    connected_bootstrap node.  After 21 violations the scan only counts.
+    connected_bootstrap node.  After 21 violations the scan only counts,
+    the violations into ``report["found"]`` when ``report`` is given.
     """
     g = cert.genus
     conn_nodes: dict[tuple[int, int], int] = {}  # (size, boundary) -> genus cap
@@ -642,10 +631,13 @@ def _exhaustive_coverage(cert: Certificate) -> tuple[list[Violation], int]:
             return [Violation(-1, "coverage", "split", size, sorted(split_sizes),
                               f"no split node for disconnected subsets of size {size}")], 0
     violations: list[Violation] = []
-    counted = 0
+    counted = found = 0
     for s, claim, defect in classified_subsets(g):
         size = s.mask.bit_count()
         counted += size >= 3
+        uncovered = claim is not None and size >= 3 and claim.genus_bound > conn_nodes.get(
+            (size, claim.boundary_bound), -1)
+        found += (defect is not None) + uncovered
         if len(violations) > 20:
             continue
         if defect is not None and defect[0] == "clause":
@@ -653,11 +645,10 @@ def _exhaustive_coverage(cert: Certificate) -> tuple[list[Violation], int]:
                                         size, "claim does not fit either classification clause"))
         elif defect is not None:
             violations.append(Violation(-1, "coverage", defect[0], s.sorted_members(), None, defect[1]))
-        if claim is None or size <= 2:
-            continue
-        cap = conn_nodes.get((size, claim.boundary_bound), -1)
-        if claim.genus_bound > cap:
+        if uncovered:
             violations.append(Violation(
-                -1, "coverage", "connected", (size, claim.genus_bound, claim.boundary_bound), cap,
-                f"no schema node covers {s.sorted_members()}"))
+                -1, "coverage", "connected", (size, claim.genus_bound, claim.boundary_bound),
+                conn_nodes.get((size, claim.boundary_bound), -1), f"no schema node covers {s.sorted_members()}"))
+    if report is not None:
+        report["found"] = found
     return violations, counted

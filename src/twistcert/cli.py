@@ -41,8 +41,9 @@ from .bootstrap import (
 )
 
 
-def _emit(args, payload: dict, human_lines: list[str], elapsed: float, violations: Sequence = ()) -> None:
-    """Print the JSON payload, or the human lines and the first 20 violations."""
+def _emit(args, payload: dict, human_lines: list[str], elapsed: float,
+          violations: Sequence = (), found: int = 0) -> None:
+    """Print the JSON payload, or the human lines, the first 20 violations and how many more were found."""
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
@@ -50,8 +51,9 @@ def _emit(args, payload: dict, human_lines: list[str], elapsed: float, violation
             print(line)
         for v in violations[:20]:
             print(f"  violation: {v}")
-        if len(violations) > 20:
-            print(f"  ... and {len(violations) - 20} more")
+        more = max(len(violations), found) - 20
+        if more > 0:
+            print(f"  ... and {more} more")
         print(f"wall time: {elapsed:.2f}s")
 
 
@@ -102,7 +104,7 @@ def _cmd_classify(args) -> int:
         if not names or not lk.is_connected_mask(g, s.mask):
             print("error: classify needs a nonempty connected set", file=sys.stderr)
             return 2
-        claim = lk.size_classify(s, g)
+        claim = lk.size_classify(s)
         payload = {
             "command": "classify",
             "genus": g,
@@ -263,7 +265,7 @@ def _cmd_check(args) -> int:
                      f"(exhaustive bound: genus {coverage['max_genus']})")
     else:
         lines.append(f"  coverage: schema-only, no subset enumerated (exhaustive bound: genus {coverage['max_genus']})")
-    _emit(args, payload, lines, time.perf_counter() - t0, violations)
+    _emit(args, payload, lines, time.perf_counter() - t0, violations, report.get("found", 0))
     return 0 if not violations else 1
 
 

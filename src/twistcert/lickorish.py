@@ -55,16 +55,6 @@ def _make_checked(cls, iterable):
 
 def curve_index(name: str, g: int) -> int:
     """Dense index of a curve id: a_i -> i-1, b_i -> g+i-1, g_i -> 2g+i-1."""
-    kind, idx = parse_curve(name, g)
-    if kind == "a":
-        return idx - 1
-    if kind == "b":
-        return g + idx - 1
-    return 2 * g + idx - 1
-
-
-def parse_curve(name: str, g: int) -> tuple[str, int]:
-    """Split ``"b3"`` into ``("b", 3)``, validating the index for genus g."""
     if not name or name[0] not in "abg":
         raise LickorishError(f"bad curve id {name!r}")
     try:
@@ -76,7 +66,7 @@ def parse_curve(name: str, g: int) -> tuple[str, int]:
     hi = g - 1 if name[0] == "g" else g
     if not 1 <= idx <= hi:
         raise LickorishError(f"curve id {name!r} out of range for genus {g}")
-    return name[0], idx
+    return _run(g, name[0], idx, idx).bit_length() - 1
 
 
 class CurveSet(NamedTuple("_CurveSet", [("genus", int), ("mask", int)])):
@@ -256,9 +246,10 @@ def _has_branch(g: int, mask: int) -> bool:
     return bool((mask >> g) & mask & gs & (gs << 1))
 
 
-def chain_order(s: CurveSet) -> Optional[list[str]]:
-    """Ordering C_1..C_m with consecutive curves crossing once and all
-    other pairs disjoint, or None when the set is not a chain.
+def chain_order(s: CurveSet) -> Optional[list[int]]:
+    """Ordering C_1..C_m, as :func:`curve_index` values, with consecutive
+    curves crossing once and all other pairs disjoint, or None when the
+    set is not a chain.
 
     A single curve is a 1-chain.
     """
@@ -266,7 +257,7 @@ def chain_order(s: CurveSet) -> Optional[list[str]]:
     if not mask:
         raise LickorishError("chain_order requires a nonempty set")
     if len(s) == 1:
-        return s.sorted_members()
+        return [mask.bit_length() - 1]
     g = s.genus
     if _has_branch(g, mask):
         return None
@@ -284,8 +275,7 @@ def chain_order(s: CurveSet) -> Optional[list[str]]:
         nxt = adj[order[-1]] & mask & ~seen
     if len(order) != len(s):
         return None  # disconnected
-    names = curve_names(s.genus)
-    return [names[i] for i in order]
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +394,7 @@ def all_intervals(g: int) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-def enclosing_interval(s: CurveSet) -> tuple[Interval, int]:
+def enclosing_interval(s: CurveSet) -> Interval:
     """Minimal interval whose extended support contains a connected
     non-chain set, with m strictly below |S|.
 
@@ -437,9 +427,8 @@ def enclosing_interval(s: CurveSet) -> tuple[Interval, int]:
     rt = smask >> (2 * g + hi - 1) & 1  # g_hi in S (there is no g_g)
     kind = (IntervalKind.BB, IntervalKind.BG, IntervalKind.GB, IntervalKind.GG)[2 * lt + rt]
     iv = Interval(kind, lo - lt, hi)
-    m = iv.chain_length_m
-    if m < size:
-        return iv, m
+    if iv.chain_length_m < size:
+        return iv
     raise LickorishError(
         f"no interval with m < {size} encloses {sorted(s.members)}; "
         "this contradicts the size classification and should be reported"
@@ -478,11 +467,12 @@ def separating_chain_form(s: CurveSet) -> Optional[tuple[int, int]]:
     return None
 
 
-def _chain_claim(s: CurveSet, m: int) -> EnclosureClaim:
-    """Enclosure claim for an m-chain: even chains close up to genus m/2
-    with one boundary circle, odd non-separating chains to genus
-    (m-1)/2 with two, and the separating odd family to the handle
-    window of genus (m-1)/2 with a single boundary circle."""
+def _chain_claim(s: CurveSet) -> EnclosureClaim:
+    """Enclosure claim for a chain of m = |S| curves: even chains close
+    up to genus m/2 with one boundary circle, odd non-separating chains
+    to genus (m-1)/2 with two, and the separating odd family to the
+    handle window of genus (m-1)/2 with a single boundary circle."""
+    m = len(s)
     if m % 2 == 0:
         return EnclosureClaim(m // 2, 1, "chain-even")
     sep = separating_chain_form(s)
@@ -504,7 +494,7 @@ def interval_claim(iv: Interval) -> tuple[int, int]:
     return iv.j - iv.i + 1 - (left == "g"), 1 + (left == "g") + (right == "g")
 
 
-def size_classify(s: CurveSet, g: int) -> EnclosureClaim:
+def size_classify(s: CurveSet) -> EnclosureClaim:
     """Enclosure claim for any nonempty connected subset.
 
     Chains classify directly; everything else routes through the
@@ -513,16 +503,13 @@ def size_classify(s: CurveSet, g: int) -> EnclosureClaim:
     connected, so connectivity is tested only when there is none, by
     the guard of :func:`enclosing_interval`.
     """
-    if s.genus != g:
-        raise LickorishError("genus mismatch")
     if not s.mask:
         raise LickorishError("size_classify requires a nonempty connected set")
-    order = chain_order(s)
-    if order is not None:
-        return _chain_claim(s, len(order))
-    iv, m = enclosing_interval(s)
+    if chain_order(s) is not None:
+        return _chain_claim(s)
+    iv = enclosing_interval(s)
     h, b = interval_claim(iv)
-    return EnclosureClaim(h, b, f"interval:{iv.label()}:m={m}", iv)
+    return EnclosureClaim(h, b, f"interval:{iv.label()}:m={iv.chain_length_m}", iv)
 
 
 def claim_fits_clause(claim: EnclosureClaim, size: int) -> bool:
@@ -548,7 +535,7 @@ def classified_subsets(g: int) -> Iterator[tuple[CurveSet, Optional[EnclosureCla
             yield s, None, ("enumerator", "enumerated subset is disconnected")
             continue
         try:
-            claim = size_classify(s, g)
+            claim = size_classify(s)
         except LickorishError as exc:
             yield s, None, ("classifier", f"classifier failed: {exc}")
             continue

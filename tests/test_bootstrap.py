@@ -15,7 +15,7 @@ def test_count_examples():
     cases = [(3, 2, 3), (4, 3, 6), (5, 4, 6)]
     for g, k, lhs in cases:
         c = bs.count_inequality(g, k)
-        assert (c.lhs, c.rhs, c.holds) == (lhs, g, True)
+        assert (c.lhs, c.g, c.holds) == (lhs, g, True)
 
 
 def test_count_range_validation():
@@ -134,7 +134,8 @@ def test_verifier_rejects_deleted_premise_edge():
     node = next(n for n in doc["nodes"] if n["rule"] == "split_commuting" and n["premises"])
     node["premises"] = node["premises"][:-1]
     violations = bs.verify(bs.certificate_from_json_dict(doc))
-    assert any(v.field == "premises" for v in violations)
+    assert [tuple(v) for v in violations] == [
+        (7, "split_commuting", "premises", [], [6], "premise edges do not match")]
 
 
 def test_verifier_rejects_wrong_axioms():
@@ -142,17 +143,37 @@ def test_verifier_rejects_wrong_axioms():
     doc = json.loads(cert.to_json())
     doc["axioms"] = [a for a in doc["axioms"] if a != "HELLY"]
     violations = bs.verify(bs.certificate_from_json_dict(doc))
-    assert any(v.field == "axioms" for v in violations)
+    want = ["HANDLE_SEPARATING_TWIST_ELLIPTIC", "HELLY", "ORBIT_TRANSITIVITY", "R_TORSION",
+            "SL2Z_TORSION_GENERATION"]
+    assert [tuple(v) for v in violations] == [
+        (-1, "header", "axioms", [a for a in want if a != "HELLY"], want, "axiom list mismatch")]
+
+
+def test_verifier_reports_a_tampered_conclusion_form_first():
+    doc = json.loads(bs.derive_technical(3, 2).to_json())
+    doc["conclusion"] = {"curves": ["a1"], "form": "Elliptic"}
+    violations = bs.verify(bs.certificate_from_json_dict(doc))
+    assert [str(v) for v in violations] == [
+        "node -1 [conclusion] conclusion: conclusion must cover the full generator set (claimed "
+        "{'form': 'Elliptic', 'curves': ['a1']}, recomputed {'form': 'Elliptic', 'curves': "
+        "['a1', 'a2', 'a3', 'b1', 'b2', 'b3', 'g1', 'g2']})"]
 
 
 def test_verifier_rejects_tampered_pack_params():
-    for key, edit in (("pack_kind", lambda kind: "fit3" if kind != "fit3" else "fit1"),
-                      ("pack_ell", lambda ell: ell + 1)):
+    # the first connected_bootstrap node, (size 3, genus 1, boundary 1) packed by fit1 with ell = 1;
+    # ell = 2 leaves one fit1 piece at genus 3, and 1 * (3 - 1) = 2 conjugates cannot bound dim 2
+    schema = {"size": 3, "claim_genus": 1, "claim_boundary": 1, "pack_kind": "fit1", "pack_ell": 1}
+    dim_check = (8, "connected_bootstrap", "dim_check", 2, 1, "dimension side condition violated")
+    for key, value, extra in (("pack_kind", "fit3", []), ("pack_ell", 2, [dim_check])):
         doc = json.loads(bs.derive_technical(3, 2).to_json())
         node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
-        node["params"][key] = edit(node["params"][key])
+        assert node["params"] == schema
+        node["params"][key] = value
         violations = bs.verify(bs.certificate_from_json_dict(doc))
-        assert (node["id"], "params") in [(v.node_id, v.field) for v in violations], key
+        assert [tuple(v) for v in violations] == [
+            (8, "connected_bootstrap", "params", node["params"], schema, "parameters do not match the schema"),
+            *extra,
+        ], key
 
 
 def test_verifier_rejects_stray_packing_witness():
@@ -216,7 +237,7 @@ def test_size_induction_chain():
     genus1 = next(n for n in cert.nodes if n.rule == "genus1_step")
     for below, node in zip([genus1] + chain, chain):
         assert node.premises[0] == below.id
-        assert node.judgment.payload == {"scope": "size_le", "size": node.params["size"]}
+        assert node.judgment == {"form": "EllipticSchema", "scope": "size_le", "size": node.params["size"]}
         cited = [cert.nodes[p] for p in node.premises[1:]]
         assert cited[0].rule == "split_commuting"
         assert all(p.params["size"] == node.params["size"] for p in cited)

@@ -205,6 +205,23 @@ def test_check_reports_coverage_mode(tmp_path, capsys):
 
 
 
+def test_check_counts_every_uncovered_subset_past_the_listed_violations(tmp_path, monkeypatch, capsys):
+    # no connected_bootstrap node of size 3 or 4: 32 subsets at genus 5 are
+    # uncovered; the inventory check is bypassed so that coverage runs
+    cert = bs.derive_technical(5, 4)
+    nodes = tuple(n for n in cert.nodes if not (n.rule == "connected_bootstrap" and n.params["size"] in (3, 4)))
+    out = tmp_path / "cert.json"
+    out.write_text(cert._replace(nodes=nodes).to_json())
+    monkeypatch.setattr(bs, "_check_inventory", lambda cert: [])
+    assert main(["check", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    listed = [line.startswith("  violation: node -1 [coverage] connected:") for line in lines[2:23]]
+    assert listed == [True] * 20 + [False]
+    assert lines[22] == "  ... and 12 more"
+    assert main(["check", str(out), "--json"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["violations"]) == 21
+
+
 def test_check_coverage_not_run_when_verification_stops_early(tmp_path):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
@@ -388,7 +405,7 @@ def _as_format_0_2_0(doc):
     doc["header"]["version"] = "0.2.0"
     for node in doc["nodes"]:
         app = RuleApp(node["id"], node["rule"], node["params"], tuple(node["premises"]), node["witnesses"])
-        node["judgment"] = app.judgment.to_json()
+        node["judgment"] = app.judgment
         if node["rule"] in ("genus1_step", "connected_bootstrap"):
             kind, ell = node["params"].get("pack_kind", "fit1"), node["params"].get("pack_ell", 1)
             plan = sf.pack_subsurfaces(doc["header"]["genus"], kind, ell)
@@ -426,7 +443,7 @@ def _format_0_3_0_fields(doc):
             yield node, "params", "n", n
             yield node, "params", "k", k
             yield node, "witnesses", "count", ({"k": None, "lhs": n * k, "rhs": g} if cc is None
-                                               else {"k": p["size"], "lhs": cc.lhs, "rhs": cc.rhs})
+                                               else {"k": p["size"], "lhs": cc.lhs, "rhs": g})
             yield node, "witnesses", "dim_check", {"dim": dim, "bound": n * k}
 
 

@@ -88,12 +88,12 @@ def test_curve_set_is_a_genus_mask_pair():
 
 
 # a build of each immutable record type, and one of its fields; the
-# records holding a dict (Judgment, RuleApp, Certificate, Failure,
-# Violation) are unhashable, so they are left out
+# records holding a dict (RuleApp, Certificate, Failure, Violation)
+# are unhashable, so they are left out
 _FROZEN_RECORDS = {
     "CurveSet": (lambda: lk.CurveSet(3, 0b101), "mask"),
     "Interval": (lambda: lk.Interval(lk.IntervalKind.BG, 1, 2), "j"),
-    "EnclosureClaim": (lambda: lk.size_classify(cs(3, "a2", "b2", "g1", "g2"), 3), "genus_bound"),
+    "EnclosureClaim": (lambda: lk.size_classify(cs(3, "a2", "b2", "g1", "g2")), "genus_bound"),
     "SubsurfaceReport": (lambda: sf.min_enclosing_subsurface(sf.lickorish_surface(3), cs(3, "a1", "b1")), "genus"),
     "Crossing": (lambda: sf.Crossing("a1", "b1", False), "flipped"),
     "Arc": (lambda: sf.Arc("a1", (0, 2)), "darts"),
@@ -176,10 +176,10 @@ def test_disconnected_sizes_match_brute_force():
 
 
 def test_chain_order_examples():
-    assert lk.chain_order(cs(3, "a1", "b1", "g1")) == ["a1", "b1", "g1"]
+    assert lk.chain_order(cs(3, "a1", "b1", "g1")) == [0, 3, 6]  # a1, b1, g1
     assert lk.chain_order(cs(3, "a2", "b2", "g1", "g2")) is None  # b2 has degree 3
-    assert lk.chain_order(cs(3, "b1", "g1", "b2", "g2", "b3")) == ["b1", "g1", "b2", "g2", "b3"]
-    assert lk.chain_order(cs(3, "a1")) == ["a1"]
+    assert lk.chain_order(cs(3, "b1", "g1", "b2", "g2", "b3")) == [3, 6, 4, 7, 5]  # b1, g1, b2, g2, b3
+    assert lk.chain_order(cs(3, "a1")) == [0]
     assert lk.chain_order(cs(3, "a1", "a2")) is None  # disconnected
     with pytest.raises(lk.LickorishError):
         lk.chain_order(lk.CurveSet.of(3, []))
@@ -273,8 +273,8 @@ def test_extended_support_contains_literal():
 
 def test_enclosing_interval_star():
     s = cs(3, "a2", "b2", "g1", "g2")
-    iv, m = lk.enclosing_interval(s)
-    assert (iv.kind, iv.i, iv.j, m) == (lk.IntervalKind.GG, 1, 2, 3)
+    iv = lk.enclosing_interval(s)
+    assert (iv.kind, iv.i, iv.j, iv.chain_length_m) == (lk.IntervalKind.GG, 1, 2, 3)
 
 
 def test_enclosing_interval_rejects_chains():
@@ -290,8 +290,8 @@ def test_enclosing_interval_minimality_and_m_bound():
             s = lk.CurveSet(g, mask)
             if lk.chain_order(s) is not None:
                 continue
-            iv, m = lk.enclosing_interval(s)
-            assert m < len(s)
+            iv = lk.enclosing_interval(s)
+            assert iv.chain_length_m < len(s)
             assert s.members <= lk.extended_support(iv, g).members
 
 
@@ -309,11 +309,11 @@ def test_records_validate_on_replace():
 
 
 def test_classify_chain_examples():
-    assert lk.size_classify(cs(2, "a1", "b1"), 2) == lk.EnclosureClaim(1, 1, "chain-even")
-    claim = lk.size_classify(cs(2, "a1", "b1", "g1", "b2", "a2"), 2)
+    assert lk.size_classify(cs(2, "a1", "b1")) == lk.EnclosureClaim(1, 1, "chain-even")
+    claim = lk.size_classify(cs(2, "a1", "b1", "g1", "b2", "a2"))
     assert (claim.genus_bound, claim.boundary_bound) == (2, 1)
     assert claim.case_tag == "chain-odd-separating"
-    claim = lk.size_classify(cs(3, "b1", "g1", "b2"), 3)
+    claim = lk.size_classify(cs(3, "b1", "g1", "b2"))
     assert (claim.genus_bound, claim.boundary_bound) == (1, 2)
 
 
@@ -321,7 +321,7 @@ def test_classify_chain_rejects_inconsistent_separating_form(monkeypatch):
     # a 3-chain cannot be the separating family of [a1,a3] (length 7)
     monkeypatch.setattr(lk, "separating_chain_form", lambda s: (1, 3))
     with pytest.raises(lk.LickorishError):
-        lk.size_classify(cs(3, "b1", "g1", "b2"), 3)
+        lk.size_classify(cs(3, "b1", "g1", "b2"))
 
 
 def test_separating_chain_form():
@@ -333,24 +333,24 @@ def test_separating_chain_form():
 
 
 def test_size_classify_examples():
-    claim = lk.size_classify(cs(3, "a2", "b2", "g1", "g2"), 3)
+    claim = lk.size_classify(cs(3, "a2", "b2", "g1", "g2"))
     assert (claim.genus_bound, claim.boundary_bound) == (1, 3)
 
-    claim = lk.size_classify(cs(2, "a1", "b1", "g1", "b2", "a2"), 2)
+    claim = lk.size_classify(cs(2, "a1", "b1", "g1", "b2", "a2"))
     assert (claim.genus_bound, claim.boundary_bound) == (2, 1)
 
-    claim = lk.size_classify(cs(2, "a1", "b1"), 2)
+    claim = lk.size_classify(cs(2, "a1", "b1"))
     assert (claim.genus_bound, claim.boundary_bound) == (1, 1)
 
     # a disconnected set has no chain order, so the enclosure's guard rejects it
     with pytest.raises(lk.LickorishError):
-        lk.size_classify(cs(3, "a1", "a2", "b2"), 3)
+        lk.size_classify(cs(3, "a1", "a2", "b2"))
 
 
 def test_size_classify_full_set():
     # the whole generator set is enclosed by the widest b-window
     for g in (3, 4, 5):
-        claim = lk.size_classify(lk.lam(g), g)
+        claim = lk.size_classify(lk.lam(g))
         assert (claim.genus_bound, claim.boundary_bound) == (g, 1)
 
 
@@ -360,7 +360,7 @@ def test_claims_fit_clauses():
             if not lk.is_connected_mask(g, mask):
                 continue
             s = lk.CurveSet(g, mask)
-            claim = lk.size_classify(s, g)
+            claim = lk.size_classify(s)
             assert lk.claim_fits_clause(claim, len(s)), (g, s.sorted_members(), claim)
 
 
@@ -390,7 +390,7 @@ def _linear_enclosing_interval(s, supports):
     support contains the set, if its m is below |S|."""
     for iv, m, emask in supports:
         if s.mask & ~emask == 0:
-            return (iv, m) if m < len(s) else None
+            return iv if m < len(s) else None
     return None
 
 

@@ -19,7 +19,7 @@ def _size_keys(g):
     subsets at genus g, classified one by one."""
     keys = set()
     for mask in lk.connected_masks(g):
-        claim = lk.size_classify(lk.CurveSet(g, mask), g)
+        claim = lk.size_classify(lk.CurveSet(g, mask))
         keys.add((mask if claim.interval is None else claim.interval, claim.genus_bound, claim.boundary_bound))
     return keys
 
@@ -73,6 +73,24 @@ def test_size_sweep_encloses_each_key_once(monkeypatch):
     assert len(calls) == sum(len(_size_keys(g)) for g in range(5, 8))
 
 
+def test_passing_subset_sweeps_build_no_curve_names(monkeypatch):
+    # names are for reports: a chain's order is its curve indices, so a
+    # passing sweep never lists the 3g-1 curve names
+    calls = []
+    original = lk.curve_names
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(lk, "curve_names", counting)
+    for sweep in (sweeps.sweep_goodchains, sweeps.sweep_size_soundness):
+        calls.clear()
+        result = sweep(2, 6)
+        assert result.checked and result.violations == [], sweep.__name__
+        assert calls == [], sweep.__name__
+
+
 def test_size_sweep_reports_a_failed_window_on_every_subset_in_it(monkeypatch):
     g = 6
     window = lk.Interval(lk.IntervalKind.BB, 2, 4)
@@ -90,7 +108,7 @@ def test_size_sweep_reports_a_failed_window_on_every_subset_in_it(monkeypatch):
     expected = []
     for mask in lk.connected_masks(g):
         s = lk.CurveSet(g, mask)
-        claim = lk.size_classify(s, g)
+        claim = lk.size_classify(s)
         if claim.interval == window:
             h, b = claim.genus_bound, claim.boundary_bound
             expected.append(f"g={g} {s.sorted_members()}: enclosure "
