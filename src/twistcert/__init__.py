@@ -8,4 +8,4 @@ below the genus.  Each layer is imported from its own module, such as
 ``twistcert.bootstrap``; importing the package alone loads none of them.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

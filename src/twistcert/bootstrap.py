@@ -17,15 +17,16 @@ and every node of size s+1 cites that node alone instead of every
 smaller node, so each node has O(1) premises and the certificate grows
 linearly with the genus.
 
-A node stores nothing the checker can recompute from its rule and
-params: its judgment, a JSON object such as the certificate's
-``conclusion``, is a function of the two (:attr:`RuleApp.judgment`),
+A node is the JSON object ``{"rule", "params", "premises"}``, and its
+id is its position.  It stores nothing the checker can recompute from
+its rule and params: its judgment, a JSON object such as the
+certificate's ``conclusion``, is a function of the two (:func:`judgment`),
 and a packing is named by ``(pack_kind, pack_ell)`` alone, so the
 checker rebuilds and assembly-checks each distinct packing once.  The
 bootstrap's factor count n = ``pack_count(g, pack_kind, pack_ell)`` and
 conjugate count k = size - 1 are derived too, and with them the
 dimension bound dim < n*k and the counting-lemma instance at k = size;
-no node carries a witness (format 0.4.0).
+no node carries a witness (format 0.5.0).
 """
 
 from __future__ import annotations
@@ -120,47 +121,27 @@ def count_inequality(g: int, k: int) -> CountCheck:
 # judgments, rule applications, certificates
 
 
-class RuleApp(NamedTuple):
-    """One rule application: side conditions are recomputable from
-    params and witnesses alone."""
-
-    id: int
-    rule: str
-    params: dict
-    premises: tuple[int, ...]
-    witnesses: dict
-
-    @property
-    def judgment(self) -> dict:
-        """What the node asserts, as its JSON object: a ``form`` and the
-        form's fields, fixed by the node's rule and params; schema forms
-        quantify over subsets.  The certificate format does not store it."""
-        p = self.params
-        if self.rule == "axiom":
-            return {"form": "Axiom", "tag": p["tag"]}
-        if self.rule == "handle_separating_twist_elliptic":
-            return {"form": "EllipticSubgroup", "tag": "handle_separating_twist"}
-        if self.rule in ("r_tree_step", "conclude"):
-            return {"form": "Elliptic", "curves": curve_names(p["g"])}
-        if self.rule == "genus1_step":
-            return {"form": "EllipticSchema", "scope": "size_le", "size": p["size_limit"]}
-        if self.rule == "size_induction":
-            return {"form": "EllipticSchema", "scope": "size_le", "size": p["size"]}
-        if self.rule == "split_commuting":
-            return {"form": "EllipticSchema", "scope": "disconnected_of_size", "size": p["size"]}
-        if self.rule == "connected_bootstrap":
-            return {"form": "EllipticSchema", "scope": "connected_of_size", "size": p["size"],
-                    "claim_genus": p["claim_genus"], "claim_boundary": p["claim_boundary"]}
-        raise BootstrapError(f"unknown rule {self.rule!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "rule": self.rule,
-            "params": self.params,
-            "premises": list(self.premises),
-            "witnesses": self.witnesses,
-        }
+def judgment(node: dict) -> dict:
+    """What a node asserts, as its JSON object: a ``form`` and the form's
+    fields, fixed by the node's rule and params; schema forms quantify
+    over subsets.  The certificate format does not store it."""
+    rule, p = node["rule"], node["params"]
+    if rule == "axiom":
+        return {"form": "Axiom", "tag": p["tag"]}
+    if rule == "handle_separating_twist_elliptic":
+        return {"form": "EllipticSubgroup", "tag": "handle_separating_twist"}
+    if rule in ("r_tree_step", "conclude"):
+        return {"form": "Elliptic", "curves": curve_names(p["g"])}
+    if rule == "genus1_step":
+        return {"form": "EllipticSchema", "scope": "size_le", "size": p["size_limit"]}
+    if rule == "size_induction":
+        return {"form": "EllipticSchema", "scope": "size_le", "size": p["size"]}
+    if rule == "split_commuting":
+        return {"form": "EllipticSchema", "scope": "disconnected_of_size", "size": p["size"]}
+    if rule == "connected_bootstrap":
+        return {"form": "EllipticSchema", "scope": "connected_of_size", "size": p["size"],
+                "claim_genus": p["claim_genus"], "claim_boundary": p["claim_boundary"]}
+    raise BootstrapError(f"unknown rule {rule!r}")
 
 
 class Certificate(NamedTuple):
@@ -168,7 +149,7 @@ class Certificate(NamedTuple):
     dim: int
     theorem: Theorem
     axioms: tuple[str, ...]
-    nodes: tuple[RuleApp, ...]
+    nodes: tuple[dict, ...]  # each {"rule", "params", "premises"}; its id is its position
     conclusion: dict
     version: str = __version__
     unknown_keys: tuple[tuple[str, str], ...] = ()  # (where, key) read outside the format
@@ -182,7 +163,7 @@ class Certificate(NamedTuple):
                 "version": self.version,
             },
             "axioms": list(self.axioms),
-            "nodes": [n.to_json() for n in self.nodes],
+            "nodes": list(self.nodes),
             "conclusion": self.conclusion,
         }
 
@@ -203,8 +184,8 @@ class Failure(NamedTuple):
 def _inexact(obj) -> Optional[str]:
     """Where a JSON object or list holds a true, false or fraction at any
     depth, as the path below obj and the type found, or None: the checker
-    compares params and witnesses by value, and both compare equal to
-    integers (True == 1 == 1.0)."""
+    compares params by value, and both compare equal to integers
+    (True == 1 == 1.0)."""
     for key, value in (obj.items() if type(obj) is dict else enumerate(obj)):
         if type(value) is bool or type(value) is float:
             return f".{key}: expected no {type(value).__name__}"
@@ -219,7 +200,7 @@ _INT_TYPE = frozenset({int})
 # the loader checks them; a conclusion's other keys are its form's fields
 _CERT_FIELDS = (("header", dict), ("axioms", list), ("nodes", list), ("conclusion", dict))
 _HEADER_FIELDS = (("genus", int), ("dim", int), ("theorem", str), ("version", str))
-_NODE_FIELDS = (("id", int), ("rule", str), ("params", dict), ("premises", list), ("witnesses", dict))
+_NODE_FIELDS = (("rule", str), ("params", dict), ("premises", list))
 _CONCLUSION_FIELDS = (("form", str),)
 
 
@@ -254,12 +235,12 @@ def _schema_profiles(size: int, g: int) -> list[tuple[int, int, str, int]]:
     return [(h1, 1, "fit1", h1), (h2, 2, "fit3", h2), (h3, 3, "fit2", h3 + 1)]
 
 
-def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[RuleApp]:
+def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[dict]:
     """Deterministic node inventory for a successful derivation."""
-    nodes: list[RuleApp] = []
+    nodes: list[dict] = []
 
-    def add(rule, params, premises=(), witnesses=None) -> int:
-        nodes.append(RuleApp(len(nodes), rule, params, tuple(premises), witnesses or {}))
+    def add(rule, params, premises=()) -> int:
+        nodes.append({"rule": rule, "params": params, "premises": list(premises)})
         return len(nodes) - 1
 
     if g == 2:
@@ -351,9 +332,9 @@ def _derive(g: int, dim: int, theorem: Theorem) -> Certificate | Failure:
         genus=g,
         dim=dim,
         theorem=theorem,
-        axioms=tuple(sorted(n.params["tag"] for n in nodes if n.rule == "axiom")),
+        axioms=tuple(sorted(n["params"]["tag"] for n in nodes if n["rule"] == "axiom")),
         nodes=tuple(nodes),
-        conclusion=nodes[-1].judgment,
+        conclusion=judgment(nodes[-1]),
     )
 
 
@@ -409,22 +390,19 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
     _fields(header, _HEADER_FIELDS, "header", unknown)
     if not all(isinstance(a, str) for a in axioms):
         raise ValueError("certificate.axioms: expected a list of strings")
-    nodes = []
     for pos, n in enumerate(doc["nodes"]):
         _fields(n, _NODE_FIELDS, "nodes[{}]", unknown, pos)
-        for key in ("params", "witnesses"):
-            if defect := _inexact(n[key]):
-                raise ValueError(f"nodes[{pos}].{key}{defect}")
+        if defect := _inexact(n["params"]):
+            raise ValueError(f"nodes[{pos}].params{defect}")
         if not _INT_TYPE.issuperset(map(type, n["premises"])):
             raise ValueError(f"nodes[{pos}].premises: expected a list of integers")
-        nodes.append(RuleApp(n["id"], n["rule"], n["params"], tuple(n["premises"]), n["witnesses"]))
     _fields(conclusion, _CONCLUSION_FIELDS, "conclusion", [])
     return Certificate(
         genus=header["genus"],
         dim=header["dim"],
         theorem=Theorem(header["theorem"]),
         axioms=tuple(axioms),
-        nodes=tuple(nodes),
+        nodes=tuple(doc["nodes"]),
         conclusion={"form": conclusion["form"], **conclusion},  # form first, as derived, for violation text
         version=header["version"],
         unknown_keys=tuple(unknown),
@@ -435,11 +413,10 @@ def certificate_from_json(text: str) -> Certificate:
     return certificate_from_json_dict(json.loads(text))
 
 
-EXHAUSTIVE_DEFAULT = 10
 EXHAUSTIVE_HARD_CAP = 15
 
 
-def coverage_mode(g: int, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT, reached: bool = True) -> dict:
+def coverage_mode(g: int, exhaustive_max_genus: int = EXHAUSTIVE_HARD_CAP, reached: bool = True) -> dict:
     """How :func:`verify` covers the subsets of a genus-g certificate.
 
     ``exhaustive`` when 3 <= g <= min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP):
@@ -458,7 +435,7 @@ def coverage_mode(g: int, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT, reache
 
 
 def verify(
-    cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_DEFAULT, report: Optional[dict] = None
+    cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_HARD_CAP, report: Optional[dict] = None
 ) -> list[Violation]:
     """Re-check a certificate from scratch; empty list means Ok.
 
@@ -519,38 +496,33 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
 
     expected = _expected_nodes(g, dim, theorem)
 
-    expected_axioms = tuple(sorted(n.params["tag"] for n in expected if n.rule == "axiom"))
+    expected_axioms = tuple(sorted(n["params"]["tag"] for n in expected if n["rule"] == "axiom"))
     if tuple(cert.axioms) != expected_axioms:
         bad(-1, "header", "axioms", list(cert.axioms), list(expected_axioms), "axiom list mismatch")
 
-    # ids dense and premises acyclic (strictly earlier)
-    for pos, node in enumerate(cert.nodes):
-        if node.id != pos:
-            bad(node.id, node.rule, "id", node.id, pos, "node ids must be dense and ordered")
-        for p in node.premises:
+    # premises acyclic (strictly earlier), and the inventory comparison:
+    # rules, params, premises (a node's judgment is a function of its
+    # rule and params, so it needs no check); a node's id is its position
+    for pos, (got, want) in enumerate(zip(cert.nodes, expected)):
+        rule = got["rule"]
+        for p in got["premises"]:
             if not (0 <= p < pos):
-                bad(node.id, node.rule, "premises", p, f"< {pos}", "premise must reference an earlier node")
-
-    # inventory comparison: rules, params, premises, witnesses (a node's
-    # judgment is a function of its rule and params, so it needs no check)
-    for got, want in zip(cert.nodes, expected):
-        if got.rule != want.rule:
-            bad(got.id, got.rule, "rule", got.rule, want.rule, "unexpected rule at this position")
+                bad(pos, rule, "premises", p, f"< {pos}", "premise must reference an earlier node")
+        if rule != want["rule"]:
+            bad(pos, rule, "rule", rule, want["rule"], "unexpected rule at this position")
             continue
-        if got.params != want.params:
-            bad(got.id, got.rule, "params", got.params, want.params, "parameters do not match the schema")
-        if got.premises != want.premises:
-            bad(got.id, got.rule, "premises", list(got.premises), list(want.premises), "premise edges do not match")
-        if got.witnesses != want.witnesses:
-            bad(got.id, got.rule, "witnesses", got.witnesses, want.witnesses, "witness data does not match recomputation")
+        if got["params"] != want["params"]:
+            bad(pos, rule, "params", got["params"], want["params"], "parameters do not match the schema")
+        if got["premises"] != want["premises"]:
+            bad(pos, rule, "premises", got["premises"], want["premises"], "premise edges do not match")
 
     # (kind, ell) -> the canonical plan and its assembly problems, or None
     # and the refusal: each distinct packing is built and checked once
     packings: dict[tuple[str, int], tuple[Optional[AssemblyPlan], list[str]]] = {}
 
-    def check_packing(node: RuleApp, kind, ell, expected_marked: Optional[int]) -> None:
+    def check_packing(pos: int, rule: str, kind, ell, expected_marked: Optional[int]) -> None:
         if not (isinstance(kind, str) and type(ell) is int):
-            bad(node.id, node.rule, "params.pack", (kind, ell), None, "invalid packing request")
+            bad(pos, rule, "params.pack", (kind, ell), None, "invalid packing request")
             return
         if (kind, ell) not in packings:
             try:
@@ -561,41 +533,42 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
                 packings[kind, ell] = plan, assembly_problems(plan, g)
         plan, problems = packings[kind, ell]
         if plan is None:
-            bad(node.id, node.rule, "params.pack", (kind, ell), None, problems[0])
+            bad(pos, rule, "params.pack", (kind, ell), None, problems[0])
             return
         for p in problems:
-            bad(node.id, node.rule, "packing", p, None, "assembly check failed")
+            bad(pos, rule, "packing", p, None, "assembly check failed")
         if expected_marked is not None and len(plan.marked_pieces) != expected_marked:
-            bad(node.id, node.rule, "packing.marked", len(plan.marked_pieces),
+            bad(pos, rule, "packing.marked", len(plan.marked_pieces),
                 expected_marked, "marked piece count mismatch")
 
     # per-node side conditions, from the node's own data: the bootstrap
     # over n = pack_count(g, kind, ell) packed pieces and k = size - 1
     # conjugates needs dim < n*k, and the counting lemma at k = size
-    for node in cert.nodes:
-        if node.rule == "genus1_step":
-            check_packing(node, "fit1", 1, g)  # g punctured-torus factors
-        elif node.rule == "connected_bootstrap":
-            size = node.params.get("size")
-            kind, ell = node.params.get("pack_kind"), node.params.get("pack_ell")
+    for pos, node in enumerate(cert.nodes):
+        rule, params = node["rule"], node["params"]
+        if rule == "genus1_step":
+            check_packing(pos, rule, "fit1", 1, g)  # g punctured-torus factors
+        elif rule == "connected_bootstrap":
+            size = params.get("size")
+            kind, ell = params.get("pack_kind"), params.get("pack_ell")
             if not isinstance(size, int) or not (3 <= size <= 3 * g - 1):
-                bad(node.id, node.rule, "params.size", size, f"3..{3 * g - 1}", "size out of range")
+                bad(pos, rule, "params.size", size, f"3..{3 * g - 1}", "size out of range")
                 continue
             try:
                 n: Optional[int] = pack_count(g, kind, ell)
             except SurfaceError:
                 n = None
             if n is not None and dim >= n * (size - 1):
-                bad(node.id, node.rule, "dim_check", dim, n * (size - 1) - 1,
+                bad(pos, rule, "dim_check", dim, n * (size - 1) - 1,
                     "dimension side condition violated")
-            check_packing(node, kind, ell, n)
+            check_packing(pos, rule, kind, ell, n)
             if size <= 2 * g:
                 cc = count_inequality(g, size)
                 if not cc.holds:
-                    bad(node.id, node.rule, "count", (cc.lhs, g), None, "count inequality fails")
-        elif node.rule == "r_tree_step":
+                    bad(pos, rule, "count", (cc.lhs, g), None, "count inequality fails")
+        elif rule == "r_tree_step":
             if g != 2 or dim > 1:
-                bad(node.id, node.rule, "dim", (g, dim), (2, 1), "R-tree step needs genus 2 and dim <= 1")
+                bad(pos, rule, "dim", (g, dim), (2, 1), "R-tree step needs genus 2 and dim <= 1")
 
     # conclusion
     full = {"form": "Elliptic", "curves": curve_names(g)}
@@ -618,12 +591,13 @@ def _exhaustive_coverage(cert: Certificate, report: Optional[dict] = None) -> tu
     conn_nodes: dict[tuple[int, int], int] = {}  # (size, boundary) -> genus cap
     split_sizes: set[int] = set()
     for node in cert.nodes:
-        if node.rule == "split_commuting":
-            split_sizes.add(node.params["size"])
-        elif node.rule == "connected_bootstrap":
-            key = (node.params["size"], node.params["claim_boundary"])
-            conn_nodes[key] = max(conn_nodes.get(key, -1), node.params["claim_genus"])
-    if not any(node.rule == "genus1_step" for node in cert.nodes):
+        params = node["params"]
+        if node["rule"] == "split_commuting":
+            split_sizes.add(params["size"])
+        elif node["rule"] == "connected_bootstrap":
+            key = (params["size"], params["claim_boundary"])
+            conn_nodes[key] = max(conn_nodes.get(key, -1), params["claim_genus"])
+    if not any(node["rule"] == "genus1_step" for node in cert.nodes):
         return [Violation(-1, "coverage", "size<=2", None, None,
                           "no genus1_step node covers small subsets")], 0
     for size in sorted(disconnected_sizes(g)):

@@ -29,7 +29,6 @@ from . import nervecplx as nc
 from . import sweeps
 from .bootstrap import (
     BootstrapError,
-    EXHAUSTIVE_DEFAULT,
     EXHAUSTIVE_HARD_CAP,
     Failure,
     Theorem,
@@ -156,13 +155,13 @@ _DERIVERS = {
 }
 
 
-# The largest certificate file ``check`` reads: genus 3,582 at most (862,261
+# The largest certificate file ``check`` reads: genus 4,323 at most (713,546
 # bytes at genus 400); a larger file is refused before it is parsed.
 MAX_CERTIFICATE_BYTES = 8_000_000
-# The largest genus ``certify`` derives: at genus 3,582 the largest file
-# (main, a four-digit dim) is 7,998,303 bytes, at 3,583 every file exceeds
+# The largest genus ``certify`` derives: at genus 4,323 the largest file
+# (main, a four-digit dim) is 7,999,715 bytes, at 4,324 every file exceeds
 # MAX_CERTIFICATE_BYTES, which ``check`` would refuse.
-MAX_CERTIFY_GENUS = 3_582
+MAX_CERTIFY_GENUS = 4_323
 
 
 def _cmd_certify(args) -> int:
@@ -240,8 +239,6 @@ def _cmd_check(args) -> int:
     if bound > EXHAUSTIVE_HARD_CAP:
         print(f"warning: exhaustive bound {bound} capped at genus {EXHAUSTIVE_HARD_CAP}", file=sys.stderr)
         bound = EXHAUSTIVE_HARD_CAP
-    elif bound > EXHAUSTIVE_DEFAULT:
-        print(f"warning: exhaustive sweep above genus {EXHAUSTIVE_DEFAULT} is slow", file=sys.stderr)
     report: dict = {}
     violations = verify(cert, exhaustive_max_genus=bound, report=report)
     coverage = report["coverage"]
@@ -346,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="re-verify a certificate file")
     p.add_argument("file")
-    p.add_argument("--exhaustive-max-genus", type=int, default=EXHAUSTIVE_DEFAULT)
+    p.add_argument("--exhaustive-max-genus", type=int, default=EXHAUSTIVE_HARD_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 

@@ -202,6 +202,7 @@ def connected_masks(g: int) -> list[int]:
     any subset of the a's hanging from its b's, for the run p..q the
     contiguous a bits (p+1)//2..q//2 (none for a lone g).
     """
+    _check_genus(g)
     out = [1 << i for i in range(g)]  # each a alone
     for p, q, run in _spine_runs(g):
         lo, hi = (p + 1) // 2, q // 2
@@ -217,6 +218,7 @@ def chain_masks(g: int) -> list[int]:
     both curves: an a alone, or a spine run with the a hanging from
     either end b, both or neither.
     """
+    _check_genus(g)
     hang = [(0, 1 << p // 2) if p % 2 == 0 else (0,) for p in range(2 * g - 1)]  # the a at p, if any
     out = [1 << i for i in range(g)]  # each a alone
     for p, q, run in _spine_runs(g):

@@ -34,10 +34,10 @@ def test_count_small_sweep():
 
 
 def test_genus1_step():
-    node = next(n for n in bs.derive_technical(3, 2).nodes if n.rule == "genus1_step")
+    node = next(n for n in bs.derive_technical(3, 2).nodes if n["rule"] == "genus1_step")
     # the torsion bootstrap's n = g factors and k = 1 are derived, not stored
-    assert node.params == {"g": 3, "dim": 2, "size_limit": 2} and node.witnesses == {}
-    assert len(sf.pack_subsurfaces(3, "fit1", 1).marked_pieces) == node.params["g"]
+    assert node["params"] == {"g": 3, "dim": 2, "size_limit": 2} and node.keys() == {"rule", "params", "premises"}
+    assert len(sf.pack_subsurfaces(3, "fit1", 1).marked_pieces) == node["params"]["g"]
 
 
 def test_derive_technical_round_trip():
@@ -102,7 +102,7 @@ def test_serialization_byte_stable():
     assert a == b
     doc = json.loads(a)
     assert list(doc["header"].keys()) == sorted(doc["header"].keys())
-    assert [n["id"] for n in doc["nodes"]] == list(range(len(doc["nodes"])))
+    assert all(list(n) == ["params", "premises", "rule"] for n in doc["nodes"])  # a node's id is its position
 
 
 def test_serialization_round_trip():
@@ -116,15 +116,16 @@ def test_verifier_rejects_inflated_packing_count():
     # the packing count is pack_count(g, kind, ell); a smaller ell packs more pieces
     cert = bs.derive_technical(3, 2)
     doc = json.loads(cert.to_json())
-    node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap" and n["params"]["pack_ell"] > 1)
+    pos, node = next((i, n) for i, n in enumerate(doc["nodes"])
+                     if n["rule"] == "connected_bootstrap" and n["params"]["pack_ell"] > 1)
     kind, ell = node["params"]["pack_kind"], node["params"]["pack_ell"]
     assert sf.pack_count(3, kind, ell - 1) > sf.pack_count(3, kind, ell)
     node["params"]["pack_ell"] = ell - 1
     violations = bs.verify(bs.certificate_from_json_dict(doc))
     assert violations
-    assert any(v.node_id == node["id"] for v in violations)
+    assert any(v.node_id == pos for v in violations)
     assert [(v.node_id, v.rule, v.field, v.claimed["pack_ell"], v.recomputed["pack_ell"]) for v in violations] == [
-        (node["id"], "connected_bootstrap", "params", ell - 1, ell)
+        (pos, "connected_bootstrap", "params", ell - 1, ell)
     ]
 
 
@@ -178,13 +179,14 @@ def test_verifier_rejects_tampered_pack_params():
 
 def test_verifier_rejects_stray_packing_witness():
     doc = json.loads(bs.derive_technical(3, 2).to_json())
-    node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
+    pos, node = next((i, n) for i, n in enumerate(doc["nodes"]) if n["rule"] == "connected_bootstrap")
     plan = sf.pack_subsurfaces(3, node["params"]["pack_kind"], node["params"]["pack_ell"])
-    node["witnesses"]["packing"] = {"pieces": [list(p) for p in plan.pieces],
-                                    "gluings": [list(gl) for gl in plan.gluings],
-                                    "marked": list(plan.marked_pieces)}
+    node["witnesses"] = {"packing": {"pieces": [list(p) for p in plan.pieces],
+                                     "gluings": [list(gl) for gl in plan.gluings],
+                                     "marked": list(plan.marked_pieces)}}
     violations = bs.verify(bs.certificate_from_json_dict(doc))
-    assert [(v.node_id, v.field) for v in violations] == [(node["id"], "witnesses")]
+    assert [(v.node_id, v.rule, v.field, v.claimed) for v in violations] == [
+        (-1, "format", f"nodes[{pos}]", "witnesses")]
 
 
 def test_verify_builds_each_distinct_packing_once(monkeypatch):
@@ -203,8 +205,8 @@ def test_verify_builds_each_distinct_packing_once(monkeypatch):
     monkeypatch.setattr(bs, "pack_subsurfaces", pack)
     monkeypatch.setattr(bs, "assembly_problems", assembly)
     assert bs.verify(cert) == []
-    distinct = {("fit1", 1)} | {(n.params["pack_kind"], n.params["pack_ell"])
-                                for n in cert.nodes if n.rule == "connected_bootstrap"}
+    distinct = {("fit1", 1)} | {(n["params"]["pack_kind"], n["params"]["pack_ell"])
+                                for n in cert.nodes if n["rule"] == "connected_bootstrap"}
     assert len(distinct) == 3 * g - 2
     assert sorted(built) == sorted(distinct)
     assert len(checked) == 3 * g - 2
@@ -231,34 +233,35 @@ def test_verifier_rejects_dropped_node():
 
 
 def test_size_induction_chain():
-    cert = bs.derive_technical(4, 3)
-    chain = [n for n in cert.nodes if n.rule == "size_induction"]
-    assert [n.params["size"] for n in chain] == list(range(3, 12))
-    genus1 = next(n for n in cert.nodes if n.rule == "genus1_step")
-    for below, node in zip([genus1] + chain, chain):
-        assert node.premises[0] == below.id
-        assert node.judgment == {"form": "EllipticSchema", "scope": "size_le", "size": node.params["size"]}
-        cited = [cert.nodes[p] for p in node.premises[1:]]
-        assert cited[0].rule == "split_commuting"
-        assert all(p.params["size"] == node.params["size"] for p in cited)
-        assert all(p.premises[0] == below.id for p in cited)
-    assert cert.nodes[-1].premises == (chain[-1].id,)
+    nodes = bs.derive_technical(4, 3).nodes
+    chain = [i for i, n in enumerate(nodes) if n["rule"] == "size_induction"]
+    assert [nodes[i]["params"]["size"] for i in chain] == list(range(3, 12))
+    genus1 = next(i for i, n in enumerate(nodes) if n["rule"] == "genus1_step")
+    for below, pos in zip([genus1] + chain, chain):
+        node = nodes[pos]
+        assert node["premises"][0] == below
+        assert bs.judgment(node) == {"form": "EllipticSchema", "scope": "size_le", "size": node["params"]["size"]}
+        cited = [nodes[p] for p in node["premises"][1:]]
+        assert cited[0]["rule"] == "split_commuting"
+        assert all(p["params"]["size"] == node["params"]["size"] for p in cited)
+        assert all(p["premises"][0] == below for p in cited)
+    assert nodes[-1]["premises"] == [chain[-1]]
 
 
 def test_premise_lists_grow_linearly():
     for g in range(3, 61):
         nodes = bs.derive_technical(g, g - 1).nodes
-        assert sum(len(n.premises) for n in nodes) <= 8 * len(nodes), g
+        assert sum(len(n["premises"]) for n in nodes) <= 8 * len(nodes), g
 
 
 def test_certificate_size_at_genus_100():
     text = bs.derive_technical(100, 99).to_json()
     assert len(text.encode()) <= 215_000
     nodes = json.loads(text)["nodes"]
-    assert not any("judgment" in n or "packing" in n["witnesses"] for n in nodes)
-    # check derives the bootstrap's n and k and the count and dim instances
+    # no judgment and no witness: check derives the bootstrap's n and k,
+    # its packing and its count and dim instances
+    assert all(n.keys() == {"rule", "params", "premises"} for n in nodes)
     assert not any({"n", "k"} & n["params"].keys() for n in nodes)
-    assert not any({"count", "dim_check", "torsion_bootstrap"} & n["witnesses"].keys() for n in nodes)
 
 
 def test_verifier_rejects_deleted_size_induction_node():
@@ -271,10 +274,10 @@ def test_verifier_rejects_deleted_size_induction_node():
 def test_verifier_rejects_deleted_size_induction_premise():
     for drop in (0, -1):  # the size_le link below, and a connected node of this size
         doc = json.loads(bs.derive_technical(3, 2).to_json())
-        node = [n for n in doc["nodes"] if n["rule"] == "size_induction"][2]
-        del node["premises"][drop]
+        pos = [i for i, n in enumerate(doc["nodes"]) if n["rule"] == "size_induction"][2]
+        del doc["nodes"][pos]["premises"][drop]
         violations = bs.verify(bs.certificate_from_json_dict(doc))
-        assert [(v.node_id, v.field) for v in violations] == [(node["id"], "premises")]
+        assert [(v.node_id, v.field) for v in violations] == [(pos, "premises")]
 
 
 def test_verifier_rejects_old_format_version():
@@ -286,10 +289,11 @@ def test_verifier_rejects_old_format_version():
 
 def test_verifier_names_non_object_count_witness():
     doc = json.loads(bs.derive_technical(3, 2).to_json())
-    node = next(n for n in doc["nodes"] if n["rule"] == "connected_bootstrap")
-    node["witnesses"]["count"] = 5
+    pos = next(i for i, n in enumerate(doc["nodes"]) if n["rule"] == "connected_bootstrap")
+    doc["nodes"][pos]["witnesses"] = {"count": 5}
     violations = bs.verify(bs.certificate_from_json_dict(doc))
-    assert [(v.node_id, v.field) for v in violations] == [(node["id"], "witnesses")]
+    assert [(v.node_id, v.rule, v.field, v.claimed) for v in violations] == [
+        (-1, "format", f"nodes[{pos}]", "witnesses")]
 
 
 def test_schema_verification_above_exhaustive_bound():
@@ -300,7 +304,7 @@ def test_schema_verification_above_exhaustive_bound():
 def test_coverage_requires_every_split_node():
     cert = bs.derive_technical(4, 3)
     assert bs._exhaustive_coverage(cert) == ([], 90)
-    nodes = tuple(n for n in cert.nodes if not (n.rule == "split_commuting" and n.params["size"] == 5))
+    nodes = tuple(n for n in cert.nodes if not (n["rule"] == "split_commuting" and n["params"]["size"] == 5))
     violations, counted = bs._exhaustive_coverage(cert._replace(nodes=nodes))
     assert [(v.field, v.claimed) for v in violations] == [("split", 5)]
     assert counted == 0  # the structural check fails before any subset is enumerated
@@ -309,7 +313,7 @@ def test_coverage_requires_every_split_node():
 def test_coverage_reports_21_violations_and_counts_every_subset():
     # no connected_bootstrap node of size 3 or 4: 32 subsets at genus 5 are uncovered
     cert = bs.derive_technical(5, 4)
-    nodes = tuple(n for n in cert.nodes if not (n.rule == "connected_bootstrap" and n.params["size"] in (3, 4)))
+    nodes = tuple(n for n in cert.nodes if not (n["rule"] == "connected_bootstrap" and n["params"]["size"] in (3, 4)))
     violations, counted = bs._exhaustive_coverage(cert._replace(nodes=nodes))
     assert [v.field for v in violations] == ["connected"] * 21
     first = violations[0]

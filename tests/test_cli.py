@@ -18,7 +18,7 @@ from twistcert import cli
 from twistcert import lickorish as lk
 from twistcert import surface as sf
 from twistcert import sweeps
-from twistcert.bootstrap import EXHAUSTIVE_HARD_CAP, RuleApp
+from twistcert.bootstrap import EXHAUSTIVE_HARD_CAP
 from twistcert.cli import main
 
 
@@ -198,7 +198,7 @@ def test_check_reports_coverage_mode(tmp_path, capsys):
     b = run_cli("check", str(out), "--json")
     assert a.returncode == 0 and a.stdout == b.stdout
     # 45 connected subsets at genus 3, less 8 singletons and 7 crossing pairs
-    assert json.loads(a.stdout)["coverage"] == {"mode": "exhaustive", "max_genus": 10, "connected_subsets": 30}
+    assert json.loads(a.stdout)["coverage"] == {"mode": "exhaustive", "max_genus": 15, "connected_subsets": 30}
     capsys.readouterr()
     assert main(["check", str(out), "--exhaustive-max-genus", "2"]) == 0
     assert "coverage: schema-only" in capsys.readouterr().out
@@ -209,7 +209,7 @@ def test_check_counts_every_uncovered_subset_past_the_listed_violations(tmp_path
     # no connected_bootstrap node of size 3 or 4: 32 subsets at genus 5 are
     # uncovered; the inventory check is bypassed so that coverage runs
     cert = bs.derive_technical(5, 4)
-    nodes = tuple(n for n in cert.nodes if not (n.rule == "connected_bootstrap" and n.params["size"] in (3, 4)))
+    nodes = tuple(n for n in cert.nodes if not (n["rule"] == "connected_bootstrap" and n["params"]["size"] in (3, 4)))
     out = tmp_path / "cert.json"
     out.write_text(cert._replace(nodes=nodes).to_json())
     monkeypatch.setattr(bs, "_check_inventory", lambda cert: [])
@@ -230,7 +230,7 @@ def test_check_coverage_not_run_when_verification_stops_early(tmp_path):
     assert a.returncode == 1
     report = json.loads(a.stdout)
     assert len(report["violations"]) == 1
-    assert report["coverage"] == {"mode": "not-run", "max_genus": 10}
+    assert report["coverage"] == {"mode": "not-run", "max_genus": 15}
     human = run_cli("check", str(out)).stdout
     assert "coverage: not run" in human
     assert "exhaustive up to" not in human
@@ -311,6 +311,24 @@ def test_certify_bad_genus_or_dim_is_usage_error(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("genus", ["-1", "0", "1"])
+def test_classify_all_below_genus_2_is_usage_error(genus):
+    proc = run_cli("classify", "--genus", genus, "--all", "--json")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: genus must be an integer >= 2, got {genus}\n"
+
+
+def test_certify_writes_nodes_of_exactly_rule_params_premises(tmp_path):
+    out = tmp_path / "cert.json"
+    for theorem in bs.Theorem:
+        for g in range(2, 7):
+            assert main(["certify", "--genus", str(g), "--dim", "1", "--theorem", theorem.value,
+                         "--out", str(out)]) == 0
+            nodes = json.loads(out.read_text())["nodes"]
+            assert nodes and all(sorted(n) == ["params", "premises", "rule"] for n in nodes), (theorem, g)
+
+
 def test_certify_genus_limit_is_the_largest_file_check_reads():
     # the file grows with the digits of dim, so g - 1 gives the largest at g
     g = cli.MAX_CERTIFY_GENUS
@@ -346,15 +364,15 @@ def _set(path, value):
 
 @pytest.mark.parametrize("probe", [
     _set(("nodes", 3, "premises"), "x"),
-    _set(("nodes", 3, "witnesses"), None),
+    _set(("nodes", 3, "rule"), None),
     _set(("conclusion",), []),
     _set(("nodes", 3, "params"), []),
     lambda doc: [doc],
     _set(("nodes", 8, "params", "claim_boundary"), True),  # a size-3 node's boundary is 1, and True == 1
     _set(("nodes", 8, "params", "size"), 3.0),
-    _set(("nodes", 8, "witnesses", "count"), {"k": 3.0}),
-], ids=["premises-string", "witnesses-null", "conclusion-list", "params-list", "top-level-list",
-        "params-true-for-1", "params-fraction-for-int", "witness-nested-fraction"])
+    _set(("nodes", 8, "params", "size"), {"k": 3.0}),
+], ids=["premises-string", "rule-null", "conclusion-list", "params-list", "top-level-list",
+        "params-true-for-1", "params-fraction-for-int", "params-nested-fraction"])
 def test_check_malformed_certificate_is_load_error(tmp_path, probe):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
@@ -383,7 +401,7 @@ def _delete(path):
     (_set(("header", "genus"), True), "header.genus: expected int, got bool"),
     (_set(("nodes", 3), 7), "nodes[3]: expected an object, got int"),
     (_delete(("nodes", 3, "rule")), "nodes[3]: missing 'rule'"),
-    (_set(("nodes", 3, "id"), "3"), "nodes[3].id: expected int, got str"),
+    (_set(("nodes", 3, "rule"), 3), "nodes[3].rule: expected str, got int"),
     (_delete(("conclusion", "form")), "conclusion: missing 'form'"),
     (_set(("conclusion", "form"), 1), "conclusion.form: expected str, got int"),
 ], ids=["document-not-object", "document-missing", "document-type", "header-missing", "header-type",
@@ -399,19 +417,38 @@ def test_check_load_error_names_the_defect(tmp_path, capsys, edit, message):
     assert captured.err == f"error: cannot load certificate {out}: {message}\n"
 
 
+def _as_format_0_4_0(doc):
+    """The same certificate as format 0.4.0 wrote it: each node's
+    position as its ``id``, and an empty ``witnesses``."""
+    doc["header"]["version"] = "0.4.0"
+    for pos, node in enumerate(doc["nodes"]):
+        node.update(id=pos, witnesses={})
+    return doc
+
+
+def test_check_names_format_0_4_0_file(tmp_path):
+    out = tmp_path / "cert.json"
+    main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
+    out.write_text(json.dumps(_as_format_0_4_0(json.loads(out.read_text()))))
+    proc = run_cli("check", str(out), "--json")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["violations"] == [
+        "node -1 [header] version: unsupported certificate format version (claimed '0.4.0', recomputed '0.5.0')"]
+
+
 def _as_format_0_2_0(doc):
     """The same certificate as format 0.2.0 wrote it: a judgment on every
     node and the full plan of every packing it names."""
-    doc["header"]["version"] = "0.2.0"
-    for node in doc["nodes"]:
-        app = RuleApp(node["id"], node["rule"], node["params"], tuple(node["premises"]), node["witnesses"])
-        node["judgment"] = app.judgment
+    for node in _as_format_0_4_0(doc)["nodes"]:
+        node["judgment"] = bs.judgment(node)
         if node["rule"] in ("genus1_step", "connected_bootstrap"):
             kind, ell = node["params"].get("pack_kind", "fit1"), node["params"].get("pack_ell", 1)
             plan = sf.pack_subsurfaces(doc["header"]["genus"], kind, ell)
             node["witnesses"]["packing"] = {"pieces": [list(p) for p in plan.pieces],
                                             "gluings": [list(gl) for gl in plan.gluings],
                                             "marked": list(plan.marked_pieces)}
+    doc["header"]["version"] = "0.2.0"
     return doc
 
 
@@ -423,54 +460,58 @@ def test_check_names_format_0_2_0_file(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["violations"] == [
-        "node -1 [header] version: unsupported certificate format version (claimed '0.2.0', recomputed '0.4.0')"]
+        "node -1 [header] version: unsupported certificate format version (claimed '0.2.0', recomputed '0.5.0')"]
 
 
 def _format_0_3_0_fields(doc):
-    """(node, part, key, value) for each field format 0.3.0 stored and
-    0.4.0 derives: the bootstrap's n and k, and its count, dim and
+    """(position, part, key, value) for each field format 0.3.0 stored
+    and 0.4.0 derives: the bootstrap's n and k, and its count, dim and
     torsion witnesses."""
     g, dim = doc["header"]["genus"], doc["header"]["dim"]
-    for node in doc["nodes"]:
+    for pos, node in enumerate(doc["nodes"]):
         p = node["params"]
         if node["rule"] == "genus1_step":
-            yield node, "params", "n", g
-            yield node, "params", "k", 1
-            yield node, "witnesses", "torsion_bootstrap", {"n": g, "k": 1, "bound": g, "dim": dim}
+            yield pos, "params", "n", g
+            yield pos, "params", "k", 1
+            yield pos, "witnesses", "torsion_bootstrap", {"n": g, "k": 1, "bound": g, "dim": dim}
         elif node["rule"] == "connected_bootstrap":
             n, k = sf.pack_count(g, p["pack_kind"], p["pack_ell"]), p["size"] - 1
             cc = bs.count_inequality(g, p["size"]) if p["size"] <= 2 * g else None
-            yield node, "params", "n", n
-            yield node, "params", "k", k
-            yield node, "witnesses", "count", ({"k": None, "lhs": n * k, "rhs": g} if cc is None
-                                               else {"k": p["size"], "lhs": cc.lhs, "rhs": g})
-            yield node, "witnesses", "dim_check", {"dim": dim, "bound": n * k}
+            yield pos, "params", "n", n
+            yield pos, "params", "k", k
+            yield pos, "witnesses", "count", ({"k": None, "lhs": n * k, "rhs": g} if cc is None
+                                              else {"k": p["size"], "lhs": cc.lhs, "rhs": g})
+            yield pos, "witnesses", "dim_check", {"dim": dim, "bound": n * k}
 
 
 def test_check_names_format_0_3_0_file(tmp_path):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
     doc = json.loads(out.read_text())
-    doc["header"]["version"] = "0.3.0"
-    for node, part, key, value in list(_format_0_3_0_fields(doc)):
-        node[part][key] = value
+    fields = list(_format_0_3_0_fields(doc))
+    _as_format_0_4_0(doc)["header"]["version"] = "0.3.0"
+    for pos, part, key, value in fields:
+        doc["nodes"][pos][part][key] = value
     out.write_text(json.dumps(doc))
     proc = run_cli("check", str(out), "--json")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["violations"] == [
-        "node -1 [header] version: unsupported certificate format version (claimed '0.3.0', recomputed '0.4.0')"]
+        "node -1 [header] version: unsupported certificate format version (claimed '0.3.0', recomputed '0.5.0')"]
 
 
 def test_check_names_each_field_format_0_4_0_dropped():
+    # an n or k fails the params comparison; a witness is a key outside format 0.5.0
     doc = json.loads(bs.derive_technical(3, 2).to_json())
     fields = list(_format_0_3_0_fields(doc))
     assert len(fields) == 3 + 4 * sum(n["rule"] == "connected_bootstrap" for n in doc["nodes"])
-    for node, part, key, value in fields:
+    for pos, part, key, value in fields:
         mutant = json.loads(json.dumps(doc))
-        mutant["nodes"][node["id"]][part][key] = value
+        mutant["nodes"][pos].setdefault(part, {})[key] = value
         violations = bs.verify(bs.certificate_from_json_dict(mutant))
-        assert [(v.node_id, v.field) for v in violations] == [(node["id"], part)], (node["id"], key)
+        want = (pos, "params", None) if part == "params" else (-1, f"nodes[{pos}]", "witnesses")
+        assert [(v.node_id, v.field, v.claimed if v.rule == "format" else None) for v in violations] == [want], (
+            pos, key)
 
 
 @pytest.mark.parametrize("where,key,edit", [
@@ -478,7 +519,9 @@ def test_check_names_each_field_format_0_4_0_dropped():
     ("header", "note", _set(("header", "note"), "x")),
     ("certificate", "note", _set(("note",), 1)),
     ("nodes[3]", "note", _set(("nodes", 3, "note"), [])),
-], ids=["false-judgment", "header-key", "top-level-key", "node-key"])
+    ("nodes[8]", "id", _set(("nodes", 8, "id"), 8)),  # format 0.4.0's fields
+    ("nodes[8]", "witnesses", _set(("nodes", 8, "witnesses"), {})),
+], ids=["false-judgment", "header-key", "top-level-key", "node-key", "node-id", "node-witnesses"])
 def test_check_names_keys_outside_the_format(tmp_path, capsys, where, key, edit):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])

@@ -88,8 +88,8 @@ def test_curve_set_is_a_genus_mask_pair():
 
 
 # a build of each immutable record type, and one of its fields; the
-# records holding a dict (RuleApp, Certificate, Failure, Violation)
-# are unhashable, so they are left out
+# records holding a dict (Certificate, Failure, Violation) are
+# unhashable, so they are left out
 _FROZEN_RECORDS = {
     "CurveSet": (lambda: lk.CurveSet(3, 0b101), "mask"),
     "Interval": (lambda: lk.Interval(lk.IntervalKind.BG, 1, 2), "j"),
