@@ -91,30 +91,17 @@ def allowed_axioms(theorem: Theorem) -> frozenset[str]:
 # counting lemma
 
 
-class CountCheck(NamedTuple):
-    """Evaluated instance of the floor-count inequality."""
-
-    g: int
-    k: int
-    lhs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs >= self.g
-
-
-def count_inequality(g: int, k: int) -> CountCheck:
-    """For even k: (k-1) * floor(2g/k) >= g; for odd k the same with
-    2(g-1)/(k-1) inside the floor."""
+def count_inequality(g: int, k: int) -> int:
+    """The left side of the floor-count inequality, which holds when it
+    is at least g: for even k (k-1) * floor(2g/k), for odd k the same
+    with 2(g-1)/(k-1) inside the floor."""
     if not isinstance(g, int) or g < 1:
         raise BootstrapError(f"g must be a positive integer, got {g!r}")
     if not isinstance(k, int) or not 2 <= k <= 2 * g:
         raise BootstrapError(f"k must lie in [2, 2g] = [2, {2 * g}], got {k!r}")
     if k % 2 == 0:
-        lhs = (k - 1) * (2 * g // k)
-    else:
-        lhs = (k - 1) * (2 * (g - 1) // (k - 1))
-    return CountCheck(g, k, lhs)
+        return (k - 1) * (2 * g // k)
+    return (k - 1) * (2 * (g - 1) // (k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +403,6 @@ def certificate_from_json(text: str) -> Certificate:
 EXHAUSTIVE_HARD_CAP = 15
 
 
-def coverage_mode(g: int, exhaustive_max_genus: int = EXHAUSTIVE_HARD_CAP, reached: bool = True) -> dict:
-    """How :func:`verify` covers the subsets of a genus-g certificate.
-
-    ``exhaustive`` when 3 <= g <= min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP):
-    every connected subset of size >= 3 is enumerated and re-classified,
-    and :func:`verify` adds their count as ``connected_subsets``; ``not-run``
-    when the checks before coverage failed (``reached`` false), so that no
-    subset was enumerated.  Otherwise ``schema-only``: the node inventory
-    and its side conditions are checked, but no subset is enumerated.
-    """
-    bound = min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP)
-    if not (isinstance(g, int) and 3 <= g <= bound):
-        return {"mode": "schema-only", "max_genus": bound}
-    if not reached:
-        return {"mode": "not-run", "max_genus": bound}
-    return {"mode": "exhaustive", "max_genus": bound}
-
-
 def verify(
     cert: Certificate, exhaustive_max_genus: int = EXHAUSTIVE_HARD_CAP, report: Optional[dict] = None
 ) -> list[Violation]:
@@ -441,17 +410,21 @@ def verify(
 
     Nothing emitter-computed is trusted: the expected node inventory is
     re-derived from the header, each distinct packing is rebuilt from its
-    ``(pack_kind, pack_ell)`` and assembly-checked, count instances
-    re-evaluated, and (for genus up to the exhaustive bound, see
-    :func:`coverage_mode`) every connected subset of the generator set is
-    re-classified and matched against a covering node.  Subset coverage
-    runs only once every other check has passed; when ``report`` is
-    given, its ``coverage`` key receives the :func:`coverage_mode` that
-    actually ran, and after a coverage scan its ``found`` key the number
-    of violations the scan found, of which the list holds the first 21.
+    ``(pack_kind, pack_ell)`` and assembly-checked, and count instances
+    re-evaluated.  ``report["coverage"]``, when ``report`` is given, gets
+    the subset coverage that ran, its ``max_genus`` the bound
+    min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP).  Its ``mode`` is
+    ``exhaustive`` at 3 <= g <= bound once every other check passed: every
+    connected subset is re-classified and matched against a covering node,
+    ``connected_subsets`` counts those of size >= 3, and ``report["found"]``
+    the violations found, of which the list holds the first 21.  It is
+    ``not-run`` at such a g if an earlier check failed, else ``schema-only``.
     """
     violations = _check_inventory(cert)
-    coverage = coverage_mode(cert.genus, exhaustive_max_genus, reached=not violations)
+    bound = min(exhaustive_max_genus, EXHAUSTIVE_HARD_CAP)
+    coverage: dict = {"mode": "schema-only", "max_genus": bound}
+    if isinstance(cert.genus, int) and 3 <= cert.genus <= bound:
+        coverage["mode"] = "not-run" if violations else "exhaustive"
     if coverage["mode"] == "exhaustive":
         violations, coverage["connected_subsets"] = _exhaustive_coverage(cert, report)
     if report is not None:
@@ -563,9 +536,9 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
                     "dimension side condition violated")
             check_packing(pos, rule, kind, ell, n)
             if size <= 2 * g:
-                cc = count_inequality(g, size)
-                if not cc.holds:
-                    bad(pos, rule, "count", (cc.lhs, g), None, "count inequality fails")
+                lhs = count_inequality(g, size)
+                if lhs < g:
+                    bad(pos, rule, "count", (lhs, g), None, "count inequality fails")
         elif rule == "r_tree_step":
             if g != 2 or dim > 1:
                 bad(pos, rule, "dim", (g, dim), (2, 1), "R-tree step needs genus 2 and dim <= 1")

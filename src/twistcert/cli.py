@@ -9,7 +9,7 @@ Subcommands:
 * ``check`` -- independently re-verify a certificate file.
 * ``nerve`` -- nerve/join/homology property demos.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 pass, 1 verification failure, 2 usage, I/O or memory error.
 ``--json`` prints a machine report with sorted keys and no timing, so
 identical inputs produce identical bytes.
 """
@@ -238,7 +238,6 @@ def _cmd_check(args) -> int:
     bound = args.exhaustive_max_genus
     if bound > EXHAUSTIVE_HARD_CAP:
         print(f"warning: exhaustive bound {bound} capped at genus {EXHAUSTIVE_HARD_CAP}", file=sys.stderr)
-        bound = EXHAUSTIVE_HARD_CAP
     report: dict = {}
     violations = verify(cert, exhaustive_max_genus=bound, report=report)
     coverage = report["coverage"]
@@ -360,8 +359,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (lk.LickorishError,) as exc:
+    except lk.LickorishError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
 
 

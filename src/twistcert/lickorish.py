@@ -286,9 +286,9 @@ def chain_order(s: CurveSet) -> Optional[list[int]]:
 
 class IntervalKind(Enum):
     """The nine bracket kinds, one per pair of endpoint curve types in
-    {a, b, g}, in the order they are introduced (the certificate
-    tie-break).  Every per-kind fact below follows from the two endpoint
-    letters ``kind.left`` and ``kind.right``."""
+    {a, b, g}, in the order they are introduced, which breaks ties of m
+    in the listing of :func:`all_intervals`.  Every per-kind fact below
+    follows from the two endpoint letters ``kind.left`` and ``kind.right``."""
 
     BB = "bb"
     BA = "ba"
@@ -308,9 +308,6 @@ class IntervalKind(Enum):
     def last_j(self, g: int) -> int:
         """Largest right endpoint at genus g: a g_j end needs j <= g-1."""
         return g - (self.right == "g")
-
-
-_KIND_ORDER = {k: n for n, k in enumerate(IntervalKind)}
 
 
 class Interval(NamedTuple("_Interval", [("kind", IntervalKind), ("i", int), ("j", int)])):
@@ -385,14 +382,15 @@ def _validate_interval(iv: Interval, g: int) -> None:
 
 
 def all_intervals(g: int) -> tuple[Interval, ...]:
-    """Every valid interval at genus g, sorted by (m, kind order, i, j)."""
+    """Every valid interval at genus g in (m, kind order, i, j) order:
+    listed in (kind order, i, j) order, then stably sorted by m."""
     out = [
         Interval(kind, i, j)
         for kind in IntervalKind
         for i in range(1, g + 1)
         for j in range(i + kind.min_span, kind.last_j(g) + 1)
     ]
-    out.sort(key=lambda iv: (iv.chain_length_m, _KIND_ORDER[iv.kind], iv.i, iv.j))
+    out.sort(key=lambda iv: iv.chain_length_m)
     return tuple(out)
 
 
@@ -400,10 +398,11 @@ def enclosing_interval(s: CurveSet) -> Interval:
     """Minimal interval whose extended support contains a connected
     non-chain set, with m strictly below |S|.
 
-    Minimal is in the (m, kind order, i, j) order of
-    :func:`all_intervals`, so that certificates are reproducible.  A connected non-chain with no such
-    interval would contradict the size classification this engine is
-    built on, so that case raises instead of degrading the claim.
+    Minimal is in the (m, kind order, i, j) order that :func:`all_intervals`
+    lists for the linear-scan reference test and ``sweep_intervals``; the
+    least m is unique (see below), so the order breaks no tie.  A connected
+    non-chain with no such interval would contradict the size classification
+    this engine is built on, so that case raises instead of degrading the claim.
 
     Let lo and hi be the lowest and highest handle holding an a or b
     curve of S; S holds b_lo and b_hi, as a_k crosses only b_k.  Order

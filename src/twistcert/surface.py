@@ -43,10 +43,6 @@ class Crossing(NamedTuple):
     curve_y: str
     flipped: bool  # True: curve_y runs 3 -> 1 instead of 1 -> 3
 
-    @property
-    def slot_curves(self) -> tuple[str, str, str, str]:
-        return (self.curve_x, self.curve_y, self.curve_x, self.curve_y)
-
 
 class Arc(NamedTuple):
     """One arc of a curve between consecutive crossings along it.
@@ -128,10 +124,6 @@ class RibbonGraph:
     @property
     def num_faces(self) -> int:
         return len(self.faces)
-
-    def euler_char_neighbourhood(self) -> int:
-        """Euler characteristic of a regular neighbourhood (V - E)."""
-        return self.num_vertices - self.num_arcs
 
     def capped_genus(self) -> int:
         """Genus of the closed surface obtained by capping all faces."""
@@ -312,8 +304,7 @@ class _Restriction:
 
 
 class SubsurfaceReport(NamedTuple("_SubsurfaceReport", [
-    ("genus", int), ("boundary_count", int), ("complement_components", tuple),
-    ("complement_connected", bool), ("euler_char", int),
+    ("genus", int), ("boundary_count", int), ("complement_components", tuple), ("euler_char", int),
 ])):
     """Genus and boundary data of an enclosing subsurface plus the census
     of its complement inside the closed genus-g surface."""
@@ -322,14 +313,13 @@ class SubsurfaceReport(NamedTuple("_SubsurfaceReport", [
     _make = classmethod(_make_checked)
 
     def __new__(cls, genus: int, boundary_count: int, complement_components: tuple[tuple[int, int], ...],
-                complement_connected: bool, euler_char: int) -> "SubsurfaceReport":
+                euler_char: int) -> "SubsurfaceReport":
         if euler_char != 2 - 2 * genus - boundary_count:
             raise SurfaceError(
                 f"euler characteristic {euler_char} does not match genus {genus} "
                 f"with {boundary_count} boundary circles"
             )
-        return tuple.__new__(cls, (genus, boundary_count, complement_components,
-                                   complement_connected, euler_char))
+        return tuple.__new__(cls, (genus, boundary_count, complement_components, euler_char))
 
 
 def _as_mask(rg: RibbonGraph, s: CurveSet | Iterable[str]) -> int:
@@ -371,7 +361,6 @@ def min_enclosing_subsurface(
         genus=genus,
         boundary_count=boundary,
         complement_components=tuple(census),
-        complement_connected=len(census) == 1,
         euler_char=chi,
     )
 

@@ -242,10 +242,10 @@ def sweep_count(genus_min: int, genus_max: int) -> SweepResult:
             for kk in (2, min(3, 2 * g), 2 * g):
                 n, _d_max, shift, dk = families[kk % 2]
                 lhs = (kk - dk - shift) * (n // (kk - dk))
-                cc = count_inequality(g, kk)
-                if cc.lhs != lhs:
+                want = count_inequality(g, kk)
+                if want != lhs:
                     result.violations.append(
-                        f"g={g} k={kk}: block-scan lhs {lhs} disagrees with count_inequality ({cc.lhs})"
+                        f"g={g} k={kk}: block-scan lhs {lhs} disagrees with count_inequality ({want})"
                     )
     return result.done()
 

@@ -14,8 +14,7 @@ from twistcert import surface as sf
 def test_count_examples():
     cases = [(3, 2, 3), (4, 3, 6), (5, 4, 6)]
     for g, k, lhs in cases:
-        c = bs.count_inequality(g, k)
-        assert (c.lhs, c.g, c.holds) == (lhs, g, True)
+        assert bs.count_inequality(g, k) == lhs and lhs >= g
 
 
 def test_count_range_validation():
@@ -30,7 +29,7 @@ def test_count_range_validation():
 def test_count_small_sweep():
     for g in range(1, 200):
         for k in range(2, 2 * g + 1):
-            assert bs.count_inequality(g, k).holds, (g, k)
+            assert bs.count_inequality(g, k) >= g, (g, k)
 
 
 def test_genus1_step():
@@ -57,6 +56,21 @@ def test_exhaustive_coverage_at_exactly_the_bound():
     assert bs.verify(bs.derive_technical(4, 3), exhaustive_max_genus=4, report=report) == []
     # 111 connected subsets at genus 4, less 11 singletons and 10 crossing pairs
     assert report["coverage"] == {"mode": "exhaustive", "max_genus": 4, "connected_subsets": 90}
+
+
+def test_verify_clamps_its_bound_and_reports_each_coverage_mode():
+    cert = bs.derive_technical(5, 4)
+    report = {}
+    assert bs.verify(cert, exhaustive_max_genus=bs.EXHAUSTIVE_HARD_CAP + 3, report=report) == []
+    # 249 connected subsets at genus 5, less 14 singletons and 13 crossing pairs
+    assert report == {"coverage": {"mode": "exhaustive", "max_genus": 15, "connected_subsets": 222}, "found": 0}
+    report = {}
+    assert bs.verify(cert, exhaustive_max_genus=4, report=report) == []
+    assert report == {"coverage": {"mode": "schema-only", "max_genus": 4}}
+    report = {}
+    violations = bs.verify(cert._replace(version="0.4.0"), report=report)
+    assert [(v.rule, v.field, v.claimed) for v in violations] == [("header", "version", "0.4.0")]
+    assert report == {"coverage": {"mode": "not-run", "max_genus": 15}}
 
 
 def test_derive_failures_at_dim_g():

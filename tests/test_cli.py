@@ -191,6 +191,20 @@ def test_exhaustive_cap_warning(tmp_path, capsys):
     assert "capped" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced, as on Linux")
+def test_out_of_memory_is_one_error_line_with_exit_2():
+    # the child alone runs under a 1.5 GB address-space limit, which the
+    # 3g-1 bit mask bound of a genus-10^10 curve set exceeds
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1_536_000_000, 1_536_000_000)); "
+            "from twistcert.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, "classify", "--genus", "10000000000", "--set", "a1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_check_reports_coverage_mode(tmp_path, capsys):
     out = tmp_path / "cert.json"
     main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)])
@@ -476,11 +490,11 @@ def _format_0_3_0_fields(doc):
             yield pos, "witnesses", "torsion_bootstrap", {"n": g, "k": 1, "bound": g, "dim": dim}
         elif node["rule"] == "connected_bootstrap":
             n, k = sf.pack_count(g, p["pack_kind"], p["pack_ell"]), p["size"] - 1
-            cc = bs.count_inequality(g, p["size"]) if p["size"] <= 2 * g else None
+            lhs = bs.count_inequality(g, p["size"]) if p["size"] <= 2 * g else None
             yield pos, "params", "n", n
             yield pos, "params", "k", k
-            yield pos, "witnesses", "count", ({"k": None, "lhs": n * k, "rhs": g} if cc is None
-                                              else {"k": p["size"], "lhs": cc.lhs, "rhs": g})
+            yield pos, "witnesses", "count", ({"k": None, "lhs": n * k, "rhs": g} if lhs is None
+                                              else {"k": p["size"], "lhs": lhs, "rhs": g})
             yield pos, "witnesses", "dim_check", {"dim": dim, "bound": n * k}
 
 

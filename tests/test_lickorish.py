@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from twistcert import bootstrap as bs
 from twistcert import lickorish as lk
 from twistcert import nervecplx as nc
 from twistcert import surface as sf
@@ -98,7 +97,6 @@ _FROZEN_RECORDS = {
     "Crossing": (lambda: sf.Crossing("a1", "b1", False), "flipped"),
     "Arc": (lambda: sf.Arc("a1", (0, 2)), "darts"),
     "AssemblyPlan": (lambda: sf.pack_subsurfaces(4, "fit1", 2), "pieces"),
-    "CountCheck": (lambda: bs.count_inequality(5, 4), "lhs"),
     "BettiVector": (lambda: nc.betti_z2(nc.boundary_simplex(3)), "values"),
 }
 

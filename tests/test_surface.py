@@ -21,7 +21,7 @@ def test_build_counts_g2():
     # four crossings: a1b1, a2b2, b1g1, b2g1; arcs double that
     assert rg.num_vertices == 4
     assert rg.num_arcs == 8
-    assert rg.euler_char_neighbourhood() == -4  # 2 - 3g
+    assert rg.num_vertices - rg.num_arcs == -4  # a neighbourhood's euler characteristic, 2 - 3g
     assert rg.num_faces == 2  # -4 + F = 2 - 2*2
     assert rg.capped_genus() == 2
 
@@ -49,8 +49,12 @@ def test_face_tracing_uses_each_dart_once():
 def test_vertices_alternate_curves():
     rg = sf.lickorish_surface(3)
     for c in rg.vertices:
-        sc = c.slot_curves
-        assert sc[0] == sc[2] and sc[1] == sc[3] and sc[0] != sc[1]
+        assert c.curve_x != c.curve_y
+    # an arc ends on the even slots of a crossing on its curve_x, the odd ones on its curve_y
+    for arc in rg.arcs:
+        for d in arc.darts:
+            c = rg.vertices[d // 4]
+            assert arc.curve == (c.curve_y if d % 2 else c.curve_x)
 
 
 def test_curves_close_up():
@@ -69,7 +73,7 @@ def test_curves_close_up():
 def test_annulus_around_single_curve():
     rep = report(2, ["a1"])
     assert (rep.genus, rep.boundary_count) == (0, 2)
-    assert rep.complement_connected
+    assert len(rep.complement_components) == 1
     assert rep.euler_char == 0
 
 
@@ -82,7 +86,7 @@ def test_two_chain_neighbourhood():
 def test_aa_window_g3():
     rep = report(3, ["a1", "b1", "g1", "b2", "a2"])
     assert (rep.genus, rep.boundary_count) == (2, 1)
-    assert rep.complement_connected
+    assert len(rep.complement_components) == 1
     # raw, the same five-chain has two boundary circles and a disk piece
     raw = report(3, ["a1", "b1", "g1", "b2", "a2"], fill=False)
     assert (raw.genus, raw.boundary_count) == (2, 2)
@@ -128,7 +132,6 @@ def test_euler_characteristic_additivity():
                 rep = sf.min_enclosing_subsurface(rg, s, fill=fill)
                 total = rep.euler_char + sum(2 - 2 * h - b for h, b in rep.complement_components)
                 assert total == 2 - 2 * g, (g, s.sorted_members(), fill)
-                assert rep.complement_connected == (len(rep.complement_components) == 1)
 
 
 def test_euler_characteristic_additivity_sampled_higher_genus():
@@ -381,13 +384,11 @@ def test_fit_counts_sweep():
 
 def test_subsurface_report_rejects_wrong_euler_characteristic():
     with pytest.raises(sf.SurfaceError):
-        sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=(),
-                            complement_connected=True, euler_char=0)
+        sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=(), euler_char=0)
 
 
 def test_subsurface_report_validates_on_replace():
-    report = sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=((2, 1),),
-                                 complement_connected=True, euler_char=-1)
+    report = sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=((2, 1),), euler_char=-1)
     with pytest.raises(sf.SurfaceError):
         report._replace(genus=2)
     assert report._replace(genus=2, euler_char=-3).genus == 2

@@ -102,7 +102,7 @@ def test_size_sweep_reports_a_failed_window_on_every_subset_in_it(monkeypatch):
         if s.mask != bad_support:
             return rep
         return sf.SubsurfaceReport(rep.genus + 1, rep.boundary_count, rep.complement_components,
-                                   rep.complement_connected, rep.euler_char - 2)
+                                   rep.euler_char - 2)
 
     true = original(sf.lickorish_surface(g), lk.CurveSet(g, bad_support))
     expected = []
