@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from . import __version__
 from .lickorish import classified_subsets, curve_names, disconnected_sizes
-from .surface import AssemblyPlan, SurfaceError, assembly_problems, pack_count, pack_subsurfaces
+from .surface import SurfaceError, assembly_problems, pack_count, pack_subsurfaces
 
 
 class BootstrapError(ValueError):
@@ -80,11 +80,16 @@ _THEOREMS = {
 }
 
 
+def _expected_axioms(g: int, theorem: Theorem) -> tuple[str, ...]:
+    """The certificate's ``axioms``: the tags of its axiom nodes, sorted."""
+    if g == 2:
+        return (Axiom.R_TREE_FIXED_POINT.value,)
+    return tuple(sorted(a.value for a in _BASE_AXIOMS + _THEOREMS[theorem][1]))
+
+
 def allowed_axioms(theorem: Theorem) -> frozenset[str]:
-    tags = set(a.value for a in _BASE_AXIOMS)
-    tags.update(a.value for a in _THEOREMS[theorem][1])
-    tags.add(Axiom.R_TREE_FIXED_POINT.value)
-    return frozenset(tags)
+    """The axioms a certificate of the theorem may cite, at any genus."""
+    return frozenset(_expected_axioms(2, theorem) + _expected_axioms(3, theorem))
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +136,9 @@ def judgment(node: dict) -> dict:
     raise BootstrapError(f"unknown rule {rule!r}")
 
 
+_NODE_BATCH = 256  # nodes per encoder call in Certificate.to_json
+
+
 class Certificate(NamedTuple):
     genus: int
     dim: int
@@ -155,8 +163,14 @@ class Certificate(NamedTuple):
         }
 
     def to_json(self) -> str:
-        """Canonical byte-stable serialization (sorted keys)."""
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        """Canonical byte-stable serialization (sorted keys, no spaces); the nodes,
+        sorted last, are encoded _NODE_BATCH at a time, not as one fragment list."""
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        parts = [encode({**self.to_json_dict(), "nodes": ()})[:-2]]  # up to '"nodes":['
+        for i in range(0, len(self.nodes), _NODE_BATCH):
+            parts += ("," if i else "", encode(self.nodes[i:i + _NODE_BATCH])[1:-1])
+        parts.append("]}\n")
+        return "".join(parts)
 
 
 class Failure(NamedTuple):
@@ -222,29 +236,28 @@ def _schema_profiles(size: int, g: int) -> list[tuple[int, int, str, int]]:
     return [(h1, 1, "fit1", h1), (h2, 2, "fit3", h2), (h3, 3, "fit2", h3 + 1)]
 
 
-def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[dict]:
-    """Deterministic node inventory for a successful derivation."""
-    nodes: list[dict] = []
+def _expected_nodes(g: int, dim: int, theorem: Theorem) -> Iterator[dict]:
+    """Deterministic node inventory for a successful derivation, one node
+    at a time, so that the checker holds the certificate's nodes alone."""
+    nid = -1  # the id of the node built last
 
-    def add(rule, params, premises=()) -> int:
-        nodes.append({"rule": rule, "params": params, "premises": list(premises)})
-        return len(nodes) - 1
+    def node(rule, params, *premises) -> dict:
+        nonlocal nid
+        nid += 1
+        return {"rule": rule, "params": params, "premises": list(premises)}
 
     if g == 2:
-        ax = add("axiom", {"tag": Axiom.R_TREE_FIXED_POINT.value})
-        add("r_tree_step", {"g": g, "dim": dim}, (ax,))
-        return nodes
+        yield node("axiom", {"tag": Axiom.R_TREE_FIXED_POINT.value})
+        yield node("r_tree_step", {"g": g, "dim": dim}, nid)
+        return
 
     via, theorem_axioms = _THEOREMS[theorem]
-    axiom_ids: dict[str, int] = {}
+    axiom_ids: dict[Axiom, int] = {}
     for axiom in _BASE_AXIOMS + theorem_axioms:
-        axiom_ids[axiom.value] = add("axiom", {"tag": axiom.value})
+        yield node("axiom", {"tag": axiom.value})
+        axiom_ids[axiom] = nid
 
-    handle_id = add(
-        "handle_separating_twist_elliptic",
-        {"via": via},
-        tuple(axiom_ids[a.value] for a in theorem_axioms),
-    )
+    yield node("handle_separating_twist_elliptic", {"via": via}, *(axiom_ids[a] for a in theorem_axioms))
 
     # Base of the induction, size_le(2): every one- or two-curve subset
     # has a fixed point if the handle-separating twist does.  Cut the
@@ -252,47 +265,42 @@ def _expected_nodes(g: int, dim: int, theorem: Theorem) -> list[dict]:
     # the orbit axiom, intersect the commuting twist fixed sets and apply
     # the torsion bootstrap (n = g factors, singletons) to the punctured-
     # torus quotients.  Needs dim < g: both callers stop first at dim >= g.
-    genus1_id = add(
+    yield node(
         "genus1_step",
         {"g": g, "dim": dim, "size_limit": 2},
-        (
-            handle_id,
-            axiom_ids[Axiom.R_TORSION.value],
-            axiom_ids[Axiom.ORBIT_TRANSITIVITY.value],
-            axiom_ids[Axiom.SL2Z_TORSION_GENERATION.value],
-            axiom_ids[Axiom.HELLY.value],
-        ),
+        nid,  # the handle node
+        axiom_ids[Axiom.R_TORSION],
+        axiom_ids[Axiom.ORBIT_TRANSITIVITY],
+        axiom_ids[Axiom.SL2Z_TORSION_GENERATION],
+        axiom_ids[Axiom.HELLY],
     )
 
     # Strong induction on subset size, one link per size: every size-s
     # node rests on the size_le(s-1) node, and the size_induction node
     # of size s collects them into size_le(s).
-    size_le_id = genus1_id
+    size_le_id = nid  # the genus1_step node
     for size in range(3, 3 * g):
-        new_ids = [add("split_commuting", {"size": size}, (size_le_id,))]
+        yield node("split_commuting", {"size": size}, size_le_id)
         for (h, b, kind, ell) in _schema_profiles(size, g):
-            new_ids.append(add(
+            yield node(
                 "connected_bootstrap",
                 {"size": size, "claim_genus": h, "claim_boundary": b, "pack_kind": kind, "pack_ell": ell},
-                (
-                    size_le_id,
-                    axiom_ids[Axiom.ORBIT_TRANSITIVITY.value],
-                    axiom_ids[Axiom.HELLY.value],
-                ),
-            ))
-        size_le_id = add("size_induction", {"size": size}, (size_le_id, *new_ids))
+                size_le_id,
+                axiom_ids[Axiom.ORBIT_TRANSITIVITY],
+                axiom_ids[Axiom.HELLY],
+            )
+        yield node("size_induction", {"size": size}, size_le_id, *range(size_le_id + 1, nid + 1))
+        size_le_id = nid
 
-    add("conclude", {"g": g, "dim": dim}, (size_le_id,))
-    return nodes
+    yield node("conclude", {"g": g, "dim": dim}, size_le_id)
 
 
 def _expected_node_count(g: int, theorem: Theorem) -> int:
-    """``len(_expected_nodes(g, dim, theorem))`` in closed form: at g >= 3
-    the axioms, the handle and genus1_step nodes, five nodes for each size
-    3..3g-1 (split, one per schema profile, size_induction) and conclude."""
-    if g == 2:
-        return 2
-    return len(_BASE_AXIOMS + _THEOREMS[theorem][1]) + 15 * g - 12
+    """The number of nodes :func:`_expected_nodes` yields, in closed form:
+    the axioms, then r_tree_step at g = 2, and at g >= 3 the handle and
+    genus1_step nodes, five nodes for each size 3..3g-1 (split, one per
+    schema profile, size_induction) and conclude."""
+    return len(_expected_axioms(g, theorem)) + (1 if g == 2 else 15 * g - 12)
 
 
 def _derive(g: int, dim: int, theorem: Theorem) -> Certificate | Failure:
@@ -314,13 +322,13 @@ def _derive(g: int, dim: int, theorem: Theorem) -> Certificate | Failure:
             f"torsion bootstrap over {g} punctured-torus factors needs dim < {g}, got {dim}",
             {"g": g, "dim": dim},
         )
-    nodes = _expected_nodes(g, dim, theorem)
+    nodes = tuple(_expected_nodes(g, dim, theorem))
     return Certificate(
         genus=g,
         dim=dim,
         theorem=theorem,
-        axioms=tuple(sorted(n["params"]["tag"] for n in nodes if n["rule"] == "axiom")),
-        nodes=tuple(nodes),
+        axioms=_expected_axioms(g, theorem),
+        nodes=nodes,
         conclusion=judgment(nodes[-1]),
     )
 
@@ -467,16 +475,15 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
         bad(-1, "inventory", "node_count", len(cert.nodes), want_count, "wrong number of nodes")
         return violations
 
-    expected = _expected_nodes(g, dim, theorem)
-
-    expected_axioms = tuple(sorted(n["params"]["tag"] for n in expected if n["rule"] == "axiom"))
+    expected_axioms = _expected_axioms(g, theorem)
     if tuple(cert.axioms) != expected_axioms:
         bad(-1, "header", "axioms", list(cert.axioms), list(expected_axioms), "axiom list mismatch")
 
     # premises acyclic (strictly earlier), and the inventory comparison:
     # rules, params, premises (a node's judgment is a function of its
-    # rule and params, so it needs no check); a node's id is its position
-    for pos, (got, want) in enumerate(zip(cert.nodes, expected)):
+    # rule and params, so it needs no check); a node's id is its position,
+    # and each expected node is built as it is compared
+    for pos, (got, want) in enumerate(zip(cert.nodes, _expected_nodes(g, dim, theorem))):
         rule = got["rule"]
         for p in got["premises"]:
             if not (0 <= p < pos):
@@ -489,9 +496,10 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
         if got["premises"] != want["premises"]:
             bad(pos, rule, "premises", got["premises"], want["premises"], "premise edges do not match")
 
-    # (kind, ell) -> the canonical plan and its assembly problems, or None
-    # and the refusal: each distinct packing is built and checked once
-    packings: dict[tuple[str, int], tuple[Optional[AssemblyPlan], list[str]]] = {}
+    # (kind, ell) -> the marked-piece count of the canonical plan and its
+    # assembly problems, or None and the refusal: each distinct packing is
+    # built and checked once, and only its verdict is kept
+    packings: dict[tuple[str, int], tuple[Optional[int], list[str]]] = {}
 
     def check_packing(pos: int, rule: str, kind, ell, expected_marked: Optional[int]) -> None:
         if not (isinstance(kind, str) and type(ell) is int):
@@ -503,15 +511,15 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
             except SurfaceError as exc:
                 packings[kind, ell] = None, [f"invalid packing request: {exc}"]
             else:
-                packings[kind, ell] = plan, assembly_problems(plan, g)
-        plan, problems = packings[kind, ell]
-        if plan is None:
+                packings[kind, ell] = len(plan.marked_pieces), assembly_problems(plan, g)
+        marked, problems = packings[kind, ell]
+        if marked is None:
             bad(pos, rule, "params.pack", (kind, ell), None, problems[0])
             return
         for p in problems:
             bad(pos, rule, "packing", p, None, "assembly check failed")
-        if expected_marked is not None and len(plan.marked_pieces) != expected_marked:
-            bad(pos, rule, "packing.marked", len(plan.marked_pieces),
+        if expected_marked is not None and marked != expected_marked:
+            bad(pos, rule, "packing.marked", marked,
                 expected_marked, "marked piece count mismatch")
 
     # per-node side conditions, from the node's own data: the bootstrap

@@ -97,6 +97,9 @@ def _cmd_lemma(args) -> int:
 def _cmd_classify(args) -> int:
     g = args.genus
     t0 = time.perf_counter()
+    if g > MAX_CERTIFY_GENUS:  # a curve mask holds 3g-1 bits
+        print(f"error: genus {g} exceeds {MAX_CERTIFY_GENUS}, the largest genus certify derives", file=sys.stderr)
+        return 2
     if args.set:
         names = [n.strip() for n in args.set.split(",") if n.strip()]
         s = lk.CurveSet.of(g, names)  # main reports a LickorishError: exit 2
@@ -158,9 +161,9 @@ _DERIVERS = {
 # The largest certificate file ``check`` reads: genus 4,323 at most (713,546
 # bytes at genus 400); a larger file is refused before it is parsed.
 MAX_CERTIFICATE_BYTES = 8_000_000
-# The largest genus ``certify`` derives: at genus 4,323 the largest file
-# (main, a four-digit dim) is 7,999,715 bytes, at 4,324 every file exceeds
-# MAX_CERTIFICATE_BYTES, which ``check`` would refuse.
+# The largest genus ``certify`` derives and ``classify`` takes: at genus
+# 4,323 the largest file (main, a four-digit dim) is 7,999,715 bytes, at
+# 4,324 every file exceeds MAX_CERTIFICATE_BYTES, which ``check`` would refuse.
 MAX_CERTIFY_GENUS = 4_323
 
 
@@ -231,7 +234,9 @@ def _cmd_check(args) -> int:
             data = fh.read(MAX_CERTIFICATE_BYTES + 1)
         if len(data) > MAX_CERTIFICATE_BYTES:
             raise ValueError(f"file exceeds {MAX_CERTIFICATE_BYTES} bytes")
-        cert = certificate_from_json(data.decode("utf-8"))
+        data = data.decode("utf-8")  # the bytes go before the parse, the text after it
+        cert = certificate_from_json(data)
+        del data
     except (OSError, json.JSONDecodeError, KeyError, ValueError, RecursionError) as exc:
         print(f"error: cannot load certificate {args.file}: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ with ``inspect`` would add ~20 ms to the start of every command.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -152,17 +151,6 @@ def adjacency(g: int) -> dict[str, frozenset[str]]:
     return {k: frozenset(v) for k, v in adj.items()}
 
 
-@lru_cache(maxsize=None)
-def adjacency_masks(g: int) -> tuple[int, ...]:
-    """Per-curve neighbour bitmasks, indexed by :func:`curve_index`."""
-    pairs = crossing_pairs(g)
-    adj = [0] * (3 * g - 1)
-    for x, y in pairs:
-        adj[x] |= 1 << y
-        adj[y] |= 1 << x
-    return tuple(adj)
-
-
 # ---------------------------------------------------------------------------
 # connectivity and chains
 
@@ -263,21 +251,35 @@ def chain_order(s: CurveSet) -> Optional[list[int]]:
     g = s.genus
     if _has_branch(g, mask):
         return None
-    adj = adjacency_masks(g)
-    # with no branch every degree is at most 2: only b_i has three neighbours
-    ends = [i for i in _bits(mask) if (adj[i] & mask).bit_count() == 1]
-    if len(ends) != 2:
+    # with no branch every degree is at most 2 and no b holds all three
+    # crossings, so the xor of a curve's families marks the ends (degree 1)
+    run = (1 << g) - 1
+    a, b, gs = mask & run, (mask >> g) & run, mask >> (2 * g)
+    ab, bg, bg_next = a & b, b & gs, (b >> 1) & gs
+    ends = ab | (ab ^ bg ^ bg_next << 1) << g | (bg ^ bg_next) << (2 * g)
+    if ends.bit_count() != 2:
         return None  # degree-0 piece or a cycle; either way not a chain
-    order = [ends[0]]
-    seen = 1 << ends[0]
-    nxt = adj[ends[0]] & mask
+    seen = ends & -ends  # the end of lower index
+    order = [seen.bit_length() - 1]
+    nxt = _crossing(g, order[0]) & mask
     while nxt:  # degrees are <= 2, so one unseen neighbour at most
         order.append(nxt.bit_length() - 1)
         seen |= nxt
-        nxt = adj[order[-1]] & mask & ~seen
+        nxt = _crossing(g, order[-1]) & mask & ~seen
     if len(order) != len(s):
         return None  # disconnected
     return order
+
+
+def _crossing(g: int, i: int) -> int:
+    """Mask of the curves crossing curve i, a :func:`curve_index`, by index
+    shifts: a_i crosses b_i, g_i crosses b_i and b_{i+1}, and b_i crosses
+    a_i, g_{i-1} (none for b_1) and g_i (for b_g a bit past every curve)."""
+    if i < g:
+        return 1 << (i + g)
+    if i >= 2 * g:
+        return 3 << (i - g)
+    return 1 << (i - g) | (3 << (i + g - 1) if i > g else 1 << (2 * g))
 
 
 # ---------------------------------------------------------------------------

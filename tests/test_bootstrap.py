@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -117,6 +118,49 @@ def test_serialization_byte_stable():
     doc = json.loads(a)
     assert list(doc["header"].keys()) == sorted(doc["header"].keys())
     assert all(list(n) == ["params", "premises", "rule"] for n in doc["nodes"])  # a node's id is its position
+
+
+def _canonical(cert):
+    return json.dumps(cert.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_batched_serialization_is_the_canonical_json():
+    # at g >= 3 the node count is 15g - 12 plus the axioms; find a genus
+    # whose nodes fill whole batches, so that no batch is short
+    batch_g = next(g for g in range(3, 1000) if bs._expected_node_count(g, bs.Theorem.TECHNICAL) % bs._NODE_BATCH == 0)
+    for derive in (bs.derive_technical, bs.derive_main, bs.derive_kg):
+        for g in (2, 3, 7, batch_g, 400):
+            cert = derive(g, 1)
+            assert cert.to_json() == _canonical(cert), (derive.__name__, g)
+    assert len(bs.derive_technical(batch_g, 1).nodes) % bs._NODE_BATCH == 0
+
+
+def test_expected_axioms_are_the_axiom_nodes():
+    for theorem in bs.Theorem:
+        for g in (2, 3, 7):
+            tags = sorted(n["params"]["tag"] for n in bs._expected_nodes(g, 1, theorem) if n["rule"] == "axiom")
+            assert bs._expected_axioms(g, theorem) == tuple(tags), (theorem, g)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args), and the peak in bytes of the memory allocated during the call."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checker_and_serialiser_memory_at_genus_400():
+    # verify holds the certificate's nodes and one verdict per packing:
+    # neither a second node inventory nor the 1,198 packing plans
+    cert = bs.derive_technical(400, 399)
+    loaded = bs.certificate_from_json(cert.to_json())
+    violations, peak = _traced_peak(bs.verify, loaded)
+    assert violations == [] and peak < 1_000_000, peak
+    # the nodes are encoded a batch at a time, not as one fragment list
+    text, peak = _traced_peak(cert.to_json)
+    assert peak < 3 * len(text), (peak, len(text))
 
 
 def test_serialization_round_trip():
@@ -339,7 +383,7 @@ def test_coverage_reports_21_violations_and_counts_every_subset():
 def test_expected_node_count_closed_form():
     for theorem in bs.Theorem:
         for g in list(range(2, 25)) + [61]:
-            assert bs._expected_node_count(g, theorem) == len(bs._expected_nodes(g, g - 1, theorem)), (g, theorem)
+            assert bs._expected_node_count(g, theorem) == len(list(bs._expected_nodes(g, g - 1, theorem))), (g, theorem)
 
 
 def test_schema_arithmetic_implied_by_count_lemma():

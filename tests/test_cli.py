@@ -129,6 +129,31 @@ def test_lemma_run_that_checks_nothing_is_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_classify_refuses_a_genus_over_the_limit_before_building_a_mask(monkeypatch, capsys):
+    def build(*args):
+        raise AssertionError("built a curve set")
+
+    g = cli.MAX_CERTIFY_GENUS
+    assert main(["classify", "--genus", str(g), "--set", "a1,b1,g1,b2"]) == 0
+    assert f"classify g={g} a1,b1,b2,g1:" in capsys.readouterr().out
+    monkeypatch.setattr(lk.CurveSet, "__new__", build)
+    monkeypatch.setattr(lk, "classified_subsets", build)
+    for argv in (["--set", "a1"], ["--all"], ["--set", "a1", "--json"]):
+        assert main(["classify", "--genus", str(g + 1), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: genus {g + 1} exceeds {g}, the largest genus certify derives\n"
+
+
+def test_out_of_memory_inside_a_command_is_one_error_line(monkeypatch, capsys):
+    def exhaust(s):
+        raise MemoryError
+
+    monkeypatch.setattr(lk, "size_classify", exhaust)
+    assert main(["classify", "--genus", "3", "--set", "a1,b1,g1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory running classify\n"
+
+
 def test_classify_rejects_disconnected():
     assert main(["classify", "--genus", "3", "--set", "a1,a2"]) == 2
 

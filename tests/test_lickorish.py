@@ -62,7 +62,7 @@ def test_crossing_table_matches_the_named_families():
         assert lk.intersecting_pairs(g) == named
         assert lk.crossing_pairs(g) == [(lk.curve_index(x, g), lk.curve_index(y, g)) for x, y in named]
         adj = lk.adjacency(g)
-        assert lk.adjacency_masks(g) == tuple(lk.CurveSet.of(g, adj[name]).mask for name in lk.curve_names(g))
+        assert _adjacency_masks(g) == tuple(lk.CurveSet.of(g, adj[name]).mask for name in lk.curve_names(g))
 
 
 def test_curve_index_round_trip():
@@ -114,9 +114,45 @@ def test_frozen_record_refuses_assignment_and_hashes_by_value(name):
     assert a == b
 
 
+def _adjacency_masks(g):
+    """Reference: per-curve neighbour bitmasks, indexed by curve_index."""
+    adj = [0] * (3 * g - 1)
+    for x, y in lk.crossing_pairs(g):
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
+    return tuple(adj)
+
+
+def _walk_chain_order(g, mask):
+    """Reference: walk the neighbour table from the lowest-index curve
+    with one neighbour in the set."""
+    adj = _adjacency_masks(g)
+    members = [i for i in range(3 * g - 1) if mask >> i & 1]
+    if len(members) == 1:
+        return members
+    if any((adj[i] & mask).bit_count() > 2 for i in members):
+        return None
+    ends = [i for i in members if (adj[i] & mask).bit_count() == 1]
+    if len(ends) != 2:
+        return None
+    order, seen = [ends[0]], 1 << ends[0]
+    nxt = adj[ends[0]] & mask
+    while nxt:
+        order.append(nxt.bit_length() - 1)
+        seen |= nxt
+        nxt = adj[order[-1]] & mask & ~seen
+    return order if len(order) == len(members) else None
+
+
+def test_chain_order_matches_the_table_walk():
+    for g in range(2, 6):
+        for mask in range(1, 1 << (3 * g - 1)):
+            assert lk.chain_order(lk.CurveSet(g, mask)) == _walk_chain_order(g, mask), (g, mask)
+
+
 def _bfs_connected(g, mask):
     """Reference: grow the lowest curve's piece through the adjacency masks."""
-    adj = lk.adjacency_masks(g)
+    adj = _adjacency_masks(g)
     comp = frontier = mask & -mask
     while frontier:
         bit = frontier & -frontier
@@ -394,7 +430,7 @@ def _linear_enclosing_interval(s, supports):
 
 def _random_connected_mask(g, rng):
     """A connected subset grown from a random curve by random crossings."""
-    adj = lk.adjacency_masks(g)
+    adj = _adjacency_masks(g)
     mask = 1 << rng.randrange(3 * g - 1)
     for _ in range(rng.randrange(3 * g - 1)):
         frontier = 0
