@@ -119,12 +119,6 @@ def _run(g: int, kind: str, lo: int, hi: int) -> int:
     return ((1 << (hi - lo + 1)) - 1) << first
 
 
-def lam(g: int) -> CurveSet:
-    """The full generator set (3g-1 curves)."""
-    _check_genus(g)
-    return CurveSet(g, (1 << (3 * g - 1)) - 1)
-
-
 def crossing_pairs(g: int) -> list[tuple[int, int]]:
     """The 3g-2 crossings, each of multiplicity one, as pairs of
     :func:`curve_index` values, a family at a time: a_i x b_i for
@@ -333,25 +327,6 @@ class Interval(NamedTuple("_Interval", [("kind", IntervalKind), ("i", int), ("j"
 
     def label(self) -> str:
         return f"[{self.kind.left}{self.i},{self.kind.right}{self.j}]"
-
-
-def interval_set(iv: Interval, g: int) -> CurveSet:
-    """The literal curve content of the bracket: the b's i..j, the g's
-    i..j-1 and the interior a's, with a_i for an a left end, a_j for an
-    a right end, g_j for a g right end, and without b_i for a g left end."""
-    _validate_interval(iv, g)
-    i, j = iv.i, iv.j
-    left, right = iv.kind.left, iv.kind.right
-    out = _run(g, "b", i, j) | _run(g, "g", i, j - 1) | _run(g, "a", i + 1, j - 1)
-    if left == "a":
-        out |= _run(g, "a", i, i)
-    if right == "a":
-        out |= _run(g, "a", j, j)
-    if right == "g":
-        out |= _run(g, "g", j, j)
-    if left == "g":
-        out &= ~_run(g, "b", i, i)
-    return CurveSet(g, out)
 
 
 def extended_support(iv: Interval, g: int) -> CurveSet:

@@ -62,12 +62,6 @@ class SimplicialComplex:
         fs = frozenset(face)
         return not fs or any(fs <= m for m in self.maximal_faces)
 
-    def euler_characteristic(self) -> int:
-        """Alternating face count, every face enumerated (no reduction)."""
-        faces = {frozenset(c) for m in self.maximal_faces for r in range(1, len(m) + 1)
-                 for c in combinations(m, r)}
-        return sum((-1) ** (len(f) - 1) for f in faces)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -76,16 +70,6 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         faces = sorted(tuple(sorted(m, key=repr)) for m in self.maximal_faces)
         return f"SimplicialComplex({faces})"
-
-
-def full_simplex(n: int) -> SimplicialComplex:
-    """The n-simplex on vertices 0..n."""
-    return SimplicialComplex([range(n + 1)])
-
-
-def boundary_simplex(n: int) -> SimplicialComplex:
-    """The boundary of the n-simplex, a combinatorial (n-1)-sphere."""
-    return SimplicialComplex(combinations(range(n + 1), n))
 
 
 def nerve(family: Sequence[Iterable]) -> SimplicialComplex:

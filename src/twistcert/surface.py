@@ -125,13 +125,6 @@ class RibbonGraph:
     def num_faces(self) -> int:
         return len(self.faces)
 
-    def capped_genus(self) -> int:
-        """Genus of the closed surface obtained by capping all faces."""
-        chi = self.num_vertices - self.num_arcs + self.num_faces
-        if chi % 2:
-            raise SurfaceError("odd Euler characteristic after capping")
-        return (2 - chi) // 2
-
     # -- restriction tables -------------------------------------------------
 
     def _build_restriction_tables(self) -> None:

@@ -12,16 +12,34 @@ from hypothesis import strategies as st
 from twistcert import nervecplx as nc
 
 
+def _full_simplex(n):
+    """Reference: the n-simplex on vertices 0..n."""
+    return nc.SimplicialComplex([range(n + 1)])
+
+
+def _boundary_simplex(n):
+    """Reference: the boundary of the n-simplex, a combinatorial (n-1)-sphere."""
+    return nc.SimplicialComplex(combinations(range(n + 1), n))
+
+
+def _euler_characteristic(k):
+    """Reference: alternating face count, every face enumerated (no
+    reduction), the Euler-Poincare oracle for betti_z2."""
+    faces = {frozenset(c) for m in k.maximal_faces for r in range(1, len(m) + 1)
+             for c in combinations(m, r)}
+    return sum((-1) ** (len(f) - 1) for f in faces)
+
+
 def test_nerve_triangle_boundary():
     # three pairwise-meeting sets with empty triple intersection
     n = nc.nerve([{1, 2}, {2, 3}, {1, 3}])
-    assert n == nc.boundary_simplex(2)
+    assert n == _boundary_simplex(2)
     assert not n.has_simplex({0, 1, 2})
 
 
 def test_nerve_intervals_full_simplex():
     n = nc.nerve([set(range(0, 3)), set(range(1, 4)), set(range(2, 5))])
-    assert n == nc.full_simplex(2)
+    assert n == _full_simplex(2)
 
 
 def test_nerve_empty_family():
@@ -36,23 +54,23 @@ def test_nerve_empty_member_is_isolated():
 
 
 def test_join_dimension_example():
-    j = nc.join(nc.full_simplex(1), nc.SimplicialComplex([["x", "y", "z"]]))
+    j = nc.join(_full_simplex(1), nc.SimplicialComplex([["x", "y", "z"]]))
     assert j.dim == 4
 
 
 def test_join_with_empty():
-    k = nc.boundary_simplex(2)
+    k = _boundary_simplex(2)
     assert nc.join(k, nc.SimplicialComplex([])) == k
     assert nc.join(nc.SimplicialComplex([]), k) == k
 
 
 def test_join_requires_disjoint_labels():
     with pytest.raises(ValueError):
-        nc.join(nc.full_simplex(1), nc.full_simplex(1))
+        nc.join(_full_simplex(1), _full_simplex(1))
 
 
 def test_join_s0_s0_is_circle():
-    sq = nc.join(nc.boundary_simplex(1), nc.SimplicialComplex([["x"], ["y"]]))
+    sq = nc.join(_boundary_simplex(1), nc.SimplicialComplex([["x"], ["y"]]))
     assert sorted(len(f) for f in sq.maximal_faces) == [2, 2, 2, 2]
     assert nc.is_homology_sphere(sq, 1)
 
@@ -188,7 +206,7 @@ _RP2 = nc.SimplicialComplex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 
 def test_betti_matches_dense_reference(k):
     betti = nc.betti_z2(k).values
     assert betti == _reference_betti(k)
-    chi = k.euler_characteristic()
+    chi = _euler_characteristic(k)
     if k.is_empty():
         assert betti == () and chi == 0
     else:
@@ -220,7 +238,7 @@ def test_betti_of_join_obeys_kunneth(data):
 
 def test_betti_rp2():
     assert nc.betti_z2(_RP2).values == (0, 1, 1)
-    assert _RP2.euler_characteristic() == 1
+    assert _euler_characteristic(_RP2) == 1
     assert not nc.is_homology_sphere(_RP2, 2)
 
 
@@ -238,11 +256,11 @@ def test_gf2_rank_matches_dense_reference(data):
 
 
 def test_betti_boundary_3_simplex():
-    assert nc.betti_z2(nc.boundary_simplex(3)).values == (0, 0, 1)
+    assert nc.betti_z2(_boundary_simplex(3)).values == (0, 0, 1)
 
 
 def test_betti_cone_trivial():
-    assert nc.betti_z2(nc.full_simplex(5)).values == (0, 0, 0, 0, 0, 0)
+    assert nc.betti_z2(_full_simplex(5)).values == (0, 0, 0, 0, 0, 0)
 
 
 def test_betti_two_points():
@@ -252,7 +270,7 @@ def test_betti_two_points():
 
 
 def test_betti_join_of_two_sphere_boundaries():
-    b2 = nc.boundary_simplex(2)
+    b2 = _boundary_simplex(2)
     b2b = nc.SimplicialComplex([{f"x{i}", f"x{j}"} for i, j in combinations(range(3), 2)])
     jj = nc.join(b2, b2b)
     assert nc.betti_z2(jj).values == (0, 0, 0, 1)
@@ -270,7 +288,7 @@ def test_torus_complex_not_sphere():
             faces.append({v(r, c), v(r + 1, c), v(r, c + 1)})
             faces.append({v(r + 1, c), v(r, c + 1), v(r + 1, c + 1)})
     torus = nc.SimplicialComplex(faces)
-    assert torus.euler_characteristic() == 0
+    assert _euler_characteristic(torus) == 0
     assert nc.betti_z2(torus).values == (0, 2, 1)
     assert not nc.is_homology_sphere(torus, 2)
 

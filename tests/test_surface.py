@@ -16,6 +16,14 @@ def report(g, names, fill=True):
     return sf.min_enclosing_subsurface(sf.lickorish_surface(g), names, fill=fill)
 
 
+def _capped_genus(rg):
+    """Reference: genus of the closed surface obtained by capping all faces."""
+    chi = rg.num_vertices - rg.num_arcs + rg.num_faces
+    if chi % 2:
+        raise sf.SurfaceError("odd Euler characteristic after capping")
+    return (2 - chi) // 2
+
+
 def test_build_counts_g2():
     rg = sf.lickorish_surface(2)
     # four crossings: a1b1, a2b2, b1g1, b2g1; arcs double that
@@ -23,7 +31,7 @@ def test_build_counts_g2():
     assert rg.num_arcs == 8
     assert rg.num_vertices - rg.num_arcs == -4  # a neighbourhood's euler characteristic, 2 - 3g
     assert rg.num_faces == 2  # -4 + F = 2 - 2*2
-    assert rg.capped_genus() == 2
+    assert _capped_genus(rg) == 2
 
 
 def test_build_rejects_low_genus():
@@ -36,7 +44,7 @@ def test_capped_genus_matches_target():
         rg = sf.lickorish_surface(g)
         assert rg.num_vertices == 3 * g - 2
         assert rg.num_arcs == 2 * (3 * g - 2)
-        assert rg.capped_genus() == g, f"capping failed at g={g}"
+        assert _capped_genus(rg) == g, f"capping failed at g={g}"
 
 
 def test_face_tracing_uses_each_dart_once():
