@@ -107,6 +107,13 @@ def _cmd_classify(args) -> int:
             print("error: classify needs a nonempty connected set", file=sys.stderr)
             return 2
         claim = lk.size_classify(s)
+        w = claim.window
+        if w is not None:
+            case = f"interval:{w.label}:m={w.m}"
+        elif len(s) % 2 == 0:
+            case = "chain-even"
+        else:  # an odd chain closes up with one boundary circle only when it separates
+            case = "chain-odd-separating" if claim.boundary_bound == 1 else "chain-odd"
         payload = {
             "command": "classify",
             "genus": g,
@@ -115,13 +122,13 @@ def _cmd_classify(args) -> int:
                 "genus_bound": claim.genus_bound,
                 "boundary_bound": claim.boundary_bound,
                 "nonseparating_required": True,  # every claim requires a connected complement
-                "case": claim.case_tag,
+                "case": case,
             },
             "pass": True,
         }
         lines = [
             f"classify g={g} {','.join(s.sorted_members())}: enclosure genus <= "
-            f"{claim.genus_bound}, boundary <= {claim.boundary_bound} [{claim.case_tag}]"
+            f"{claim.genus_bound}, boundary <= {claim.boundary_bound} [{case}]"
         ]
         _emit(args, payload, lines, time.perf_counter() - t0)
         return 0

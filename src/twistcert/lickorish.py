@@ -10,22 +10,22 @@ which are pairwise disjoint except for the single crossings
     a_i x b_i,   b_i x g_i,   b_{i+1} x g_i.
 
 This module knows nothing about the surface itself: it handles curve
-identifiers, the intersection graph (a tree), chains, the nine interval
-kinds, and the enclosure claims used by the derivation engine.  The
-semantic counterpart (regular neighbourhoods, genus bookkeeping) lives
-in ``twistcert.surface``.  Frozen records throughout the package are
+identifiers, the intersection graph (a tree), chains, the handle windows
+(lo, hi, lt, rt) that enclose the connected non-chains, and the
+enclosure claims used by the derivation engine.  The semantic
+counterpart (regular neighbourhoods, genus bookkeeping) lives in
+``twistcert.surface``.  Frozen records throughout the package are
 ``typing.NamedTuple``s: the package imports no ``dataclasses``, which
 with ``inspect`` would add ~20 ms to the start of every command.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class LickorishError(ValueError):
-    """Invalid curve set, interval, or genus parameter."""
+    """Invalid curve set, window, or genus parameter."""
 
 
 # ---------------------------------------------------------------------------
@@ -277,121 +277,67 @@ def _crossing(g: int, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# interval sets (the nine bracket kinds)
+# handle windows
 
 
-class IntervalKind(Enum):
-    """The nine bracket kinds, one per pair of endpoint curve types in
-    {a, b, g}, in the order they are introduced, which breaks ties of m
-    in the listing of :func:`all_intervals`.  Every per-kind fact below
-    follows from the two endpoint letters ``kind.left`` and ``kind.right``."""
-
-    BB = "bb"
-    BA = "ba"
-    AB = "ab"
-    BG = "bg"
-    GB = "gb"
-    AA = "aa"
-    GG = "gg"
-    GA = "ga"
-    AG = "ag"
-
-    def __init__(self, letters: str) -> None:
-        self.left, self.right = letters
-        # least j-i for the endpoint-to-endpoint chain to make sense
-        self.min_span = int(self.left == self.right or self.left == "g")
-
-    def last_j(self, g: int) -> int:
-        """Largest right endpoint at genus g: a g_j end needs j <= g-1."""
-        return g - (self.right == "g")
-
-
-class Interval(NamedTuple("_Interval", [("kind", IntervalKind), ("i", int), ("j", int)])):
-    """One of the interval-like subsets, identified by kind and endpoints."""
+class Window(NamedTuple("_Window", [("lo", int), ("hi", int), ("lt", int), ("rt", int)])):
+    """The handle window lo..hi, reaching into handle lo-1 when ``lt`` is
+    1 and into handle hi+1 when ``rt`` is 1: the subsurface enclosing a
+    connected non-chain whose b's are b_lo..b_hi, lt and rt saying whether
+    it holds g_{lo-1} and g_hi.  A lone handle with no g end is not a
+    window; its curves a_lo, b_lo are a chain.  Whether the window fits
+    genus g, hi + rt <= g, is checked when its support is built."""
 
     __slots__ = ()
     _make = classmethod(_make_checked)
 
-    def __new__(cls, kind: IntervalKind, i: int, j: int) -> "Interval":
-        if j - i < kind.min_span:
-            raise LickorishError(f"degenerate interval {kind.value}[{i},{j}]")
-        return tuple.__new__(cls, (kind, i, j))
+    def __new__(cls, lo: int, hi: int, lt: int, rt: int) -> "Window":
+        if lt not in (0, 1) or rt not in (0, 1) or not 1 + lt <= lo <= hi or lo == hi and not lt | rt:
+            raise LickorishError(f"no window ({lo}, {hi}, {lt}, {rt})")
+        return tuple.__new__(cls, (lo, hi, lt, rt))
+
+    def support(self, g: int) -> CurveSet:
+        """The generator curves in the window: a and b of handles lo..hi,
+        and g_{lo-lt}..g_{hi-1+rt}."""
+        lo, hi, lt, rt = self
+        if hi + rt > g:
+            raise LickorishError(f"window {self.label} out of range for genus {g}")
+        return CurveSet(g, _run(g, "a", lo, hi) | _run(g, "b", lo, hi) | _run(g, "g", lo - lt, hi - 1 + rt))
 
     @property
-    def chain_length_m(self) -> int:
-        """Length of the endpoint-to-endpoint chain this interval spans:
-        2(j-i)+1 for the b..b chain, one more per a end or g right end,
-        one fewer for a g left end."""
-        left, right = self.kind.left, self.kind.right
-        return 2 * (self.j - self.i) + 1 + (left == "a") + (right == "a") + (right == "g") - (left == "g")
+    def claim(self) -> tuple[int, int]:
+        """(genus, boundary) of the window: one genus per full handle, and
+        one boundary circle plus one per g end."""
+        return self.hi - self.lo + 1, 1 + self.lt + self.rt
 
+    @property
+    def m(self) -> int:
+        """Length of the chain the window spans from end to end, its
+        support less the a's: 2w - 1 + lt + rt for w = hi - lo + 1."""
+        return 2 * (self.hi - self.lo) + 1 + self.lt + self.rt
+
+    @property
     def label(self) -> str:
-        return f"[{self.kind.left}{self.i},{self.kind.right}{self.j}]"
+        """The two end curves, as in ``[g199,b201]``."""
+        left = f"g{self.lo - 1}" if self.lt else f"b{self.lo}"
+        right = f"g{self.hi}" if self.rt else f"b{self.hi}"
+        return f"[{left},{right}]"
 
 
-def extended_support(iv: Interval, g: int) -> CurveSet:
-    """All generator curves lying in the interval's enclosing subsurface.
-
-    The enclosing subsurfaces are windows of consecutive full handles,
-    with half of one more handle at each g end:
-
-    * a and b ends sit at the edge of the full handles i..j (boundary
-      the loop separating those handles from the rest), so the support
-      is the literal set together with the interior a's;
-    * a ``g_j`` right end reaches into one half of handle j+1;
-    * a ``g_i`` left end starts in one half of handle i, so the support
-      drops b_i but keeps every full-handle curve to the right.
-
-    So the support is the full handles i..j, starting at i+1 for a g
-    left end, with every g curve from g_i up to g_{j-1}, or g_j for a g
-    right end.
-    """
-    _validate_interval(iv, g)
-    i, j = iv.i, iv.j
-    lo = i + (iv.kind.left == "g")
-    return CurveSet(g, _run(g, "a", lo, j) | _run(g, "b", lo, j) | _run(g, "g", i, j - (iv.kind.right != "g")))
-
-
-def _validate_interval(iv: Interval, g: int) -> None:
-    _check_genus(g)
-    if iv.i < 1 or iv.j > iv.kind.last_j(g):
-        raise LickorishError(f"interval {iv.label()} out of range for genus {g}")
-
-
-def all_intervals(g: int) -> tuple[Interval, ...]:
-    """Every valid interval at genus g in (m, kind order, i, j) order:
-    listed in (kind order, i, j) order, then stably sorted by m."""
-    out = [
-        Interval(kind, i, j)
-        for kind in IntervalKind
-        for i in range(1, g + 1)
-        for j in range(i + kind.min_span, kind.last_j(g) + 1)
-    ]
-    out.sort(key=lambda iv: iv.chain_length_m)
-    return tuple(out)
-
-
-def enclosing_interval(s: CurveSet) -> Interval:
-    """Minimal interval whose extended support contains a connected
-    non-chain set, with m strictly below |S|.
-
-    Minimal is in the (m, kind order, i, j) order that :func:`all_intervals`
-    lists for the linear-scan reference test and ``sweep_intervals``; the
-    least m is unique (see below), so the order breaks no tie.  A connected
-    non-chain with no such interval would contradict the size classification
-    this engine is built on, so that case raises instead of degrading the claim.
+def enclosing_interval(s: CurveSet) -> Window:
+    """The window of least m whose support contains a connected non-chain
+    set, which has m strictly below |S|.
 
     Let lo and hi be the lowest and highest handle holding an a or b
-    curve of S; S holds b_lo and b_hi, as a_k crosses only b_k.  Order
-    the left ends b_1, g_1, b_2, ... and the right ends likewise: a step
-    inward drops curves from the support and lowers m by one, and an a
-    end has the support of the b end at its handle with a larger m.  Any
-    interval with i < lo - lt, where lt says S holds g_{lo-1}, or with
-    j > hi, or a g right end at hi although S lacks g_hi, still contains
-    S after it shrinks one step; one with an end further inward misses
-    b_lo, g_{lo-1}, b_hi or g_hi.  So the interval of least m, unique, is
-    the window lo..hi with a g left end at g_{lo-1} when S holds it and
-    a g right end at g_hi when S holds it, else b ends.
+    curve of S, and lt and rt whether S holds g_{lo-1} and g_hi.  S holds
+    b_lo..b_hi, as a_k crosses only b_k, and the g's between them.  A
+    window containing S reaches at least as far on each side, and a
+    further handle adds 2 to m where a g end adds 1, so (lo, hi, lt, rt)
+    is the window of least m that contains S, and the only one.  Its m is
+    |S| less the a's of S, and a branch holds an a, so m < |S|.  A
+    connected non-chain without that would contradict the size
+    classification this engine is built on, so that case raises instead
+    of degrading the claim.
     """
     g, smask = s.genus, s.mask
     if not smask or not is_connected_mask(g, smask):
@@ -403,12 +349,11 @@ def enclosing_interval(s: CurveSet) -> Interval:
     lo, hi = (handles & -handles).bit_length(), handles.bit_length()
     lt = int(lo > 1 and smask >> (2 * g + lo - 2) & 1)  # g_{lo-1} in S
     rt = smask >> (2 * g + hi - 1) & 1  # g_hi in S (there is no g_g)
-    kind = (IntervalKind.BB, IntervalKind.BG, IntervalKind.GB, IntervalKind.GG)[2 * lt + rt]
-    iv = Interval(kind, lo - lt, hi)
-    if iv.chain_length_m < size:
-        return iv
+    window = Window(lo, hi, lt, rt)
+    if window.m < size:
+        return window
     raise LickorishError(
-        f"no interval with m < {size} encloses {sorted(s.members)}; "
+        f"no window with m < {size} encloses {sorted(s.members)}; "
         "this contradicts the size classification and should be reported"
     )
 
@@ -419,20 +364,19 @@ def enclosing_interval(s: CurveSet) -> Interval:
 
 class EnclosureClaim(NamedTuple):
     """Upper bound on an enclosing subsurface, genus and boundary count,
-    which must also have connected complement; ``interval`` is the
-    enclosing interval of a non-chain."""
+    which must also have connected complement; ``window`` is the
+    enclosing window of a non-chain, None for a chain."""
 
     genus_bound: int
     boundary_bound: int
-    case_tag: str
-    interval: Optional[Interval] = None
+    window: Optional[Window] = None
 
 
 def separating_chain_form(s: CurveSet) -> Optional[tuple[int, int]]:
     """Detect the separating-chain pattern {a_i, a_j} + b_i..b_j + g_i..g_{j-1}.
 
-    These are exactly the chains obtained from an [a_i,a_j] interval by
-    deleting its interior a's.  Returns (i, j) or None.
+    These are exactly the chains obtained from the support of the window
+    (i, j, 0, 0) by deleting its interior a's.  Returns (i, j) or None.
     """
     g = s.genus
     a_mask = s.mask & _run(g, "a", 1, g)
@@ -452,42 +396,30 @@ def _chain_claim(s: CurveSet) -> EnclosureClaim:
     handle window of genus (m-1)/2 with a single boundary circle."""
     m = len(s)
     if m % 2 == 0:
-        return EnclosureClaim(m // 2, 1, "chain-even")
+        return EnclosureClaim(m // 2, 1)
     sep = separating_chain_form(s)
     if sep is not None:
         i, j = sep
         if m != 2 * (j - i) + 3:
             raise LickorishError(f"separating chain a{i}..a{j} has length {m}, not {2 * (j - i) + 3}")
-        return EnclosureClaim(j - i + 1, 1, "chain-odd-separating")
-    return EnclosureClaim((m - 1) // 2, 2, "chain-odd")
-
-
-def interval_claim(iv: Interval) -> tuple[int, int]:
-    """(genus, boundary) of the window enclosing the interval's support:
-    the handle-window subsurfaces, genus j-i+1 less one for a g left end,
-    with one boundary circle plus one per g end.  The two b-endpoint
-    kinds are enclosed in the larger windows the classification proof
-    uses."""
-    left, right = iv.kind.left, iv.kind.right
-    return iv.j - iv.i + 1 - (left == "g"), 1 + (left == "g") + (right == "g")
+        return EnclosureClaim(j - i + 1, 1)
+    return EnclosureClaim((m - 1) // 2, 2)
 
 
 def size_classify(s: CurveSet) -> EnclosureClaim:
     """Enclosure claim for any nonempty connected subset.
 
-    Chains classify directly; everything else routes through the
-    minimal enclosing interval and that interval's window bounds, which
-    the claim carries as ``interval``.  A chain order proves its set
-    connected, so connectivity is tested only when there is none, by
+    Chains classify directly; everything else takes the claim of its
+    enclosing window, which the claim carries.  A chain order proves its
+    set connected, so connectivity is tested only when there is none, by
     the guard of :func:`enclosing_interval`.
     """
     if not s.mask:
         raise LickorishError("size_classify requires a nonempty connected set")
     if chain_order(s) is not None:
         return _chain_claim(s)
-    iv = enclosing_interval(s)
-    h, b = interval_claim(iv)
-    return EnclosureClaim(h, b, f"interval:{iv.label()}:m={iv.chain_length_m}", iv)
+    window = enclosing_interval(s)
+    return EnclosureClaim(*window.claim, window)
 
 
 def claim_fits_clause(claim: EnclosureClaim, size: int) -> bool:

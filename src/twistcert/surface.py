@@ -156,10 +156,7 @@ class RibbonGraph:
         self._next_two = [self.sigma(self.sigma(e)) for e in iota]
 
 
-def lickorish_surface(
-    g: int,
-    chirality: tuple[int, int, int] = (_CHIRALITY_AB, _CHIRALITY_BG, _CHIRALITY_GB),
-) -> RibbonGraph:
+def lickorish_surface(g: int) -> RibbonGraph:
     """Canonical rotation system of the generator curves on the closed
     genus-g surface.
 
@@ -171,8 +168,7 @@ def lickorish_surface(
         raise SurfaceError(f"genus must be an integer >= 2, got {g!r}")
     names = curve_names(g)
     pairs = crossing_pairs(g)  # crossing v is pair v
-    bit_ab, bit_bg, bit_gb = chirality
-    flips = [bool(bit_ab)] * g + [bool(bit_bg)] * (g - 1) + [bool(bit_gb)] * (g - 1)
+    flips = [bool(_CHIRALITY_AB)] * g + [bool(_CHIRALITY_BG)] * (g - 1) + [bool(_CHIRALITY_GB)] * (g - 1)
     crossings = [Crossing(names[x], names[y], flip) for (x, y), flip in zip(pairs, flips)]
 
     def enter(c: int, v: int) -> int:

@@ -10,8 +10,9 @@ each is still confirmed a chain by
 :func:`twistcert.lickorish.chain_order` before it is checked.  The size
 sweep takes each connected subset's claim from
 :func:`twistcert.lickorish.classified_subsets` and checks its enclosure
-once per distinct window or chain: it depends on the window and the
-claim bounds, not on the subset inside.
+once per distinct window (lo, hi, lt, rt) or chain, as it depends on
+the window and not on the subset inside; each subset's claim is then
+compared with it.
 """
 
 from __future__ import annotations
@@ -105,42 +106,33 @@ def sweep_badchains(genus_min: int, genus_max: int) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# interval window lemmas (filled neighbourhoods)
-
-# the four primitive windows whose enclosures the sweep checks
-_PRIMITIVE_KINDS = (lk.IntervalKind.AA, lk.IntervalKind.GG, lk.IntervalKind.AG, lk.IntervalKind.GA)
+# window lemmas (filled neighbourhoods)
 
 
 def sweep_intervals(genus_min: int, genus_max: int) -> SweepResult:
-    """Filled neighbourhoods of the four primitive interval windows match
-    the handle-window enclosures, with connected complement.
+    """The filled neighbourhood of every window (lo, hi, lt, rt) has the
+    window's claim, with connected complement.
 
-    The full-width two-a-endpoint window is the one degenerate row: its
+    The full-width window (1, g, 0, 0) is the one degenerate row: its
     complement is a single disk, so the filled neighbourhood closes up to
     the whole surface (boundary 0 instead of 1).
     """
     result = SweepResult("intervals")
     for g in range(genus_min, genus_max + 1):
         rg = sf.lickorish_surface(g)
-        for iv in lk.all_intervals(g):
-            if iv.kind not in _PRIMITIVE_KINDS:
-                continue
+        windows = [lk.Window(lo, hi, lt, rt) for lo in range(1, g + 1) for hi in range(lo, g + 1)
+                   for lt in range(1 + (lo > 1)) for rt in range(1 + (hi < g)) if hi > lo or lt or rt]
+        for w in windows:
             result.checked += 1
-            supp = lk.extended_support(iv, g)
-            rep = sf.min_enclosing_subsurface(rg, supp, fill=True)
-            want = lk.interval_claim(iv)
-            want_components = 1
-            if iv.kind is lk.IntervalKind.AA and (iv.i, iv.j) == (1, g):
-                want = (g, 0)  # window spans every handle; filling closes up
-                want_components = 0
+            rep = sf.min_enclosing_subsurface(rg, w.support(g), fill=True)
+            full = w == (1, g, 0, 0)  # spans every handle; filling closes up
+            want, want_components = ((g, 0), 0) if full else (w.claim, 1)
             got = (rep.genus, rep.boundary_count)
             if got != want:
-                result.violations.append(
-                    f"g={g} {iv.label()}: filled window {got} != {want}"
-                )
+                result.violations.append(f"g={g} {w.label}: filled window {got} != {want}")
             if len(rep.complement_components) != want_components:
                 result.violations.append(
-                    f"g={g} {iv.label()}: complement census {rep.complement_components} "
+                    f"g={g} {w.label}: complement census {rep.complement_components} "
                     f"should have {want_components} component(s)"
                 )
     return result.done()
@@ -150,44 +142,42 @@ def sweep_intervals(genus_min: int, genus_max: int) -> SweepResult:
 # soundness of the size classifier
 
 
-def _check_size(enclosures: dict, g: int, rg, s: lk.CurveSet, claim: lk.EnclosureClaim, problems: list) -> None:
-    """Add to ``problems`` those that read s itself, then the ribbon-graph
-    ones of its key, the claim's window (s itself for a chain) and bounds,
-    which ``enclosures`` holds from the key's first subset on."""
-    iv = claim.interval  # None for a chain, which encloses itself
-    key = (g, s.mask if iv is None else iv, claim.genus_bound, claim.boundary_bound)
+def _check_size(enclosures: dict, rg, s: lk.CurveSet, claim: lk.EnclosureClaim, problems: list) -> None:
+    """Add to ``problems`` what is wrong with s and its claim.  The
+    ribbon-graph enclosure is that of the claim's window (of s itself for
+    a chain), which ``enclosures`` holds from the window's or chain's
+    first subset on, keyed by the window or the chain's mask."""
+    w = claim.window  # None for a chain, which encloses itself
+    key = s.mask if w is None else w
     if key not in enclosures:
-        support = s if iv is None else lk.extended_support(iv, g)
+        support = s if w is None else w.support(rg.genus)
         rep = sf.min_enclosing_subsurface(rg, support, fill=True)
-        found = []
-        if rep.genus > claim.genus_bound or rep.boundary_count > claim.boundary_bound:
-            found.append(f"enclosure ({rep.genus},{rep.boundary_count}) exceeds "
-                         f"claim ({claim.genus_bound},{claim.boundary_bound})")
-        if len(rep.complement_components) > 1:
-            found.append("enclosure complement is disconnected")
-        enclosures[key] = support, found
-    support, found = enclosures[key]
-    if iv is not None and iv.chain_length_m >= len(s):
-        problems.append(f"enclosing interval {iv.label()} has m={iv.chain_length_m} >= |S|")
-    if s.mask & ~support.mask:  # never for a chain, its own support
-        problems.append(f"support of {iv.label()} does not contain the set")
-    problems += found
+        enclosures[key] = support.mask, rep.genus, rep.boundary_count, len(rep.complement_components) > 1
+    support, genus, boundary, split = enclosures[key]
+    if w is not None and w.m >= len(s):
+        problems.append(f"enclosing interval {w.label} has m={w.m} >= |S|")
+    if s.mask & ~support:  # never for a chain, its own support
+        problems.append(f"support of {w.label} does not contain the set")
+    if genus > claim.genus_bound or boundary > claim.boundary_bound:
+        problems.append(f"enclosure ({genus},{boundary}) exceeds claim ({claim.genus_bound},{claim.boundary_bound})")
+    if split:
+        problems.append("enclosure complement is disconnected")
 
 
 def sweep_size_soundness(genus_min: int, genus_max: int) -> SweepResult:
     """Every connected subset's enclosure claim is semantically verified:
     the support's filled neighbourhood stays within the claimed genus and
-    boundary bounds and has connected (or empty) complement.  That check
-    runs once per distinct window or chain (and claim bounds), the checks
-    that read the subset itself once per subset."""
+    boundary bounds and has connected (or empty) complement.  The
+    enclosure is computed once per distinct window or chain, and compared
+    with each subset's claim."""
     result = SweepResult("size")
-    enclosures: dict = {}
     for g in range(max(genus_min, 2), genus_max + 1):
         rg = sf.lickorish_surface(g)
+        enclosures: dict = {}
         for s, claim, defect in lk.classified_subsets(g):
             problems = [] if defect is None else [defect[1]]
             if claim is not None:
-                _check_size(enclosures, g, rg, s, claim, problems)
+                _check_size(enclosures, rg, s, claim, problems)
             result.checked += defect is None or defect[0] != "enumerator"
             result.violations += [f"g={g} {s.sorted_members()}: {p}" for p in problems]
     return result.done()

@@ -89,6 +89,20 @@ def test_classify_set(capsys):
     assert "genus <= 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("genus, curves, case", [
+    (400, "g199,b200,a200,g200,b201", "interval:[g199,b201]:m=4"),
+    (2, "a1,b1", "chain-even"),
+    (3, "b1,g1,b2", "chain-odd"),
+    (2, "a1,b1,g1,b2,a2", "chain-odd-separating"),
+])
+def test_classify_set_names_its_case(genus, curves, case, capsys):
+    # the case is built at the output edge, from the window or the chain's claim
+    assert main(["classify", "--genus", str(genus), "--set", curves, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["claim"]["case"] == case
+    assert main(["classify", "--genus", str(genus), "--set", curves]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(f" [{case}]")
+
+
 def test_classify_all_json(capsys):
     assert main(["classify", "--genus", "2", "--all", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -218,10 +232,10 @@ def test_exhaustive_cap_warning(tmp_path, capsys):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS enforced, as on Linux")
 def test_out_of_memory_is_one_error_line_with_exit_2():
-    # the child alone runs under a 1.5 GB address-space limit; genus 4,000
+    # the child alone runs under a 400 MB address-space limit; genus 4,000
     # is inside the classify bound, and connected_masks grows its list of
     # ~12,000-bit masks until an allocation fails
-    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1_536_000_000, 1_536_000_000)); "
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (400_000_000, 400_000_000)); "
             "from twistcert.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = subprocess.run([sys.executable, "-c", code, "classify", "--genus", "4000", "--all"],
                           capture_output=True, text=True)

@@ -1,14 +1,18 @@
-"""Syntactic layer: curve ids, connectivity, chains, intervals, claims."""
+"""Syntactic layer: curve ids, connectivity, chains, windows, claims."""
 
 from __future__ import annotations
 
-from itertools import combinations
+import functools
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcert import lickorish as lk
 from twistcert import nervecplx as nc
 from twistcert import surface as sf
+from twistcert import sweeps
 
 
 def cs(g, *names):
@@ -21,24 +25,20 @@ def _lam(g):
     return lk.CurveSet(g, (1 << (3 * g - 1)) - 1)
 
 
-def _interval_set(iv, g):
-    """Reference: the literal curve content of the bracket: the b's i..j,
-    the g's i..j-1 and the interior a's, with a_i for an a left end, a_j
-    for an a right end, g_j for a g right end, and without b_i for a g
-    left end."""
-    lk._validate_interval(iv, g)
-    i, j = iv.i, iv.j
-    left, right = iv.kind.left, iv.kind.right
-    out = lk._run(g, "b", i, j) | lk._run(g, "g", i, j - 1) | lk._run(g, "a", i + 1, j - 1)
-    if left == "a":
-        out |= lk._run(g, "a", i, i)
-    if right == "a":
-        out |= lk._run(g, "a", j, j)
-    if right == "g":
-        out |= lk._run(g, "g", j, j)
-    if left == "g":
-        out &= ~lk._run(g, "b", i, i)
-    return lk.CurveSet(g, out)
+def _windows(g):
+    """Reference: every (lo, hi, lt, rt) that is a window at genus g, as a
+    Window: lo <= hi within 1..g, a g end only where there is a g curve,
+    and a lone handle only with a g end."""
+    return [lk.Window(lo, hi, lt, rt)
+            for lo in range(1, g + 1) for hi in range(lo, g + 1) for lt in (0, 1) for rt in (0, 1)
+            if (lo >= 2 or not lt) and (hi <= g - 1 or not rt) and (hi > lo or lt or rt)]
+
+
+def _named_support(w, g):
+    """Reference: the window's curves by name, a and b of handles lo..hi
+    and g_{lo-lt}..g_{hi-1+rt}."""
+    lo, hi, lt, rt = w
+    return cs(g, *[f"{c}{k}" for k in range(lo, hi + 1) for c in "ab"], *[f"g{k}" for k in range(lo - lt, hi + rt)])
 
 
 def test_lambda_counts():
@@ -119,7 +119,7 @@ def test_curve_set_is_a_genus_mask_pair():
 # unhashable, so they are left out
 _FROZEN_RECORDS = {
     "CurveSet": (lambda: lk.CurveSet(3, 0b101), "mask"),
-    "Interval": (lambda: lk.Interval(lk.IntervalKind.BG, 1, 2), "j"),
+    "Window": (lambda: lk.Window(2, 3, 1, 0), "rt"),
     "EnclosureClaim": (lambda: lk.size_classify(cs(3, "a2", "b2", "g1", "g2")), "genus_bound"),
     "SubsurfaceReport": (lambda: sf.min_enclosing_subsurface(sf.lickorish_surface(3), cs(3, "a1", "b1")), "genus"),
     "Crossing": (lambda: sf.Crossing("a1", "b1", False), "flipped"),
@@ -248,32 +248,25 @@ def test_chain_order_examples():
 
 
 def test_interval_literal_sets():
-    # [b1,b2] at any genus >= 2: the interior-a block is empty
-    iv = lk.Interval(lk.IntervalKind.BB, 1, 2)
-    assert _interval_set(iv, 3).members == frozenset({"b1", "b2", "g1"})
-
-    iv = lk.Interval(lk.IntervalKind.GG, 1, 2)
-    assert _interval_set(iv, 3).members == frozenset({"b2", "g1", "g2"})
-    assert lk.extended_support(iv, 3).members == frozenset({"a2", "b2", "g1", "g2"})
-
-    iv = lk.Interval(lk.IntervalKind.AA, 1, 3)
-    assert _interval_set(iv, 3).members == frozenset(
-        {"a1", "b1", "g1", "a2", "b2", "g2", "b3", "a3"}
-    )
+    assert lk.Window(1, 2, 0, 0).support(3).members == frozenset({"a1", "b1", "g1", "a2", "b2"})
+    assert lk.Window(2, 2, 1, 1).support(3).members == frozenset({"a2", "b2", "g1", "g2"})
+    assert lk.Window(1, 3, 0, 0).support(3) == _lam(3)
+    labels = [lk.Window(*w).label for w in ((199, 201, 0, 0), (199, 201, 1, 0), (199, 201, 0, 1), (199, 201, 1, 1))]
+    assert labels == ["[b199,b201]", "[g198,b201]", "[b199,g201]", "[g198,g201]"]
+    for g in range(2, 9):
+        for w in _windows(g):
+            assert w.support(g) == _named_support(w, g), (g, w)
 
 
 def test_interval_chain_lengths():
-    assert lk.Interval(lk.IntervalKind.AA, 1, 3).chain_length_m == 7  # 2(j-i)+3
-    assert lk.Interval(lk.IntervalKind.BB, 1, 3).chain_length_m == 5
-    assert lk.Interval(lk.IntervalKind.GB, 1, 3).chain_length_m == 4
-    assert lk.Interval(lk.IntervalKind.AB, 1, 1).chain_length_m == 2
-    # the literal set of an interval whose interior-a block is empty is a
-    # chain of exactly that length
-    for iv in lk.all_intervals(4):
-        s = _interval_set(iv, 4)
-        if iv.j - iv.i <= 1:
-            order = lk.chain_order(s)
-            assert order is not None and len(order) == iv.chain_length_m, iv.label()
+    assert [lk.Window(1, 3, 0, 0).m, lk.Window(2, 3, 1, 0).m, lk.Window(2, 2, 1, 1).m] == [5, 4, 3]
+    # the support less its w a's is the chain from end to end, of length m
+    for g in range(2, 9):
+        for w in _windows(g):
+            width = w.hi - w.lo + 1
+            spine = w.support(g).mask & ~lk._run(g, "a", 1, g)
+            order = lk.chain_order(lk.CurveSet(g, spine))
+            assert order is not None and len(order) == w.m == len(w.support(g)) - width, w.label
 
 
 @pytest.mark.parametrize(
@@ -291,52 +284,70 @@ def test_interval_chain_lengths():
     ],
 )
 def test_interval_kind_facts(kind, min_span, chain_lengths, claims):
-    # min span, m(d) and the window claim for d = j-i = 0..6
-    kind = lk.IntervalKind(kind)
-    assert kind.min_span == min_span
+    # The bracket [x1, y(1+d)] with end letters x, y in {a, b, g}, by
+    # d = 0..6 from its least span: its claim and its end-to-end chain
+    # length.  An a end adds one curve to the chain of the b end at its
+    # handle and nothing to its support, so every bracket but [a1,b1] is
+    # the window with b in place of a, with the same claim and m less
+    # its a ends; [a1,b1] and [b1,a1] are the chain {a1, b1}.
+    left, right = kind
+    lt, rt = int(left == "g"), int(right == "g")
     for d in range(min_span):
         with pytest.raises(lk.LickorishError):
-            lk.Interval(kind, 1, 1 + d)
-    ivs = [lk.Interval(kind, 1, 1 + d) for d in range(min_span, 7)]
-    assert tuple(iv.chain_length_m for iv in ivs) == chain_lengths
-    assert tuple(lk.interval_claim(iv) for iv in ivs) == claims
+            lk.Window(1 + lt, 1 + d, lt, rt)
+    for d, m, claim in zip(range(min_span, 7), chain_lengths, claims, strict=True):
+        if d == 0 and lt + rt == 0:
+            with pytest.raises(lk.LickorishError):
+                lk.Window(1, 1, 0, 0)
+            assert (m, lk.size_classify(cs(9, "a1", "b1"))) == (2, (*claim, None))
+            continue
+        w = lk.Window(1 + lt, 1 + d, lt, rt)
+        assert (w.m + kind.count("a"), w.claim) == (m, claim)
 
 
-def test_all_intervals_are_the_valid_triples():
+def test_windows_are_the_valid_quadruples(monkeypatch):
     for g in range(2, 9):
         valid = set()
-        for kind in lk.IntervalKind:
-            for i in range(-1, g + 3):
-                for j in range(-1, g + 3):
-                    try:
-                        _interval_set(lk.Interval(kind, i, j), g)
-                    except lk.LickorishError:
-                        continue
-                    valid.add((kind, i, j))
-        listed = [(iv.kind, iv.i, iv.j) for iv in lk.all_intervals(g)]
-        assert len(listed) == len(set(listed))
-        assert set(listed) == valid, g
+        for lo, hi, lt, rt in product(range(-1, g + 3), range(-1, g + 3), (-1, 0, 1, 2), (-1, 0, 1, 2)):
+            try:
+                valid.add(lk.Window(lo, hi, lt, rt).support(g))
+            except lk.LickorishError:
+                continue
+        assert valid == {w.support(g) for w in _windows(g)}, g
+    # the window sweep walks each window once: 10 + 21 + 36 at genus 3..5
+    walked = []
+    original = sf.min_enclosing_subsurface
+    monkeypatch.setattr(sf, "min_enclosing_subsurface", lambda rg, s, fill: walked.append(s) or original(rg, s, fill))
+    assert sweeps.sweep_intervals(3, 5).checked == len(walked) == 67
+    assert walked == [w.support(g) for g in (3, 4, 5) for w in _windows(g)]
 
 
 def test_interval_validation():
+    for bad in ((1, 1, 0, 0), (2, 1, 0, 1), (1, 2, 1, 0), (0, 2, 0, 0), (2, 3, 2, 0), (2, 3, 0, -1)):
+        with pytest.raises(lk.LickorishError):
+            lk.Window(*bad)
     with pytest.raises(lk.LickorishError):
-        _interval_set(lk.Interval(lk.IntervalKind.GG, 1, 3), 3)  # g3 missing
+        lk.Window(1, 3, 0, 1).support(3)  # g3 missing
     with pytest.raises(lk.LickorishError):
-        _interval_set(lk.Interval(lk.IntervalKind.AA, 1, 4), 3)
-    with pytest.raises(lk.LickorishError):
-        lk.Interval(lk.IntervalKind.AA, 2, 2)  # degenerate
+        lk.Window(1, 4, 0, 0).support(3)
 
 
 def test_extended_support_contains_literal():
+    # every window's support holds its end-to-end chain, and a support that
+    # is no chain has its own window as its enclosing window
     for g in (3, 4, 5):
-        for iv in lk.all_intervals(g):
-            assert _interval_set(iv, g).members <= lk.extended_support(iv, g).members, iv.label()
+        for w in _windows(g):
+            supp = w.support(g)
+            spine = cs(g, f"g{w.lo - 1}" if w.lt else f"b{w.lo}", f"g{w.hi}" if w.rt else f"b{w.hi}")
+            assert spine.mask & ~supp.mask == 0, w.label
+            if lk.chain_order(supp) is None:
+                assert lk.enclosing_interval(supp) == w, w.label
 
 
 def test_enclosing_interval_star():
     s = cs(3, "a2", "b2", "g1", "g2")
-    iv = lk.enclosing_interval(s)
-    assert (iv.kind, iv.i, iv.j, iv.chain_length_m) == (lk.IntervalKind.GG, 1, 2, 3)
+    w = lk.enclosing_interval(s)
+    assert (w, w.m, w.label) == (lk.Window(2, 2, 1, 1), 3, "[g1,g2]")
 
 
 def test_enclosing_interval_rejects_chains():
@@ -352,31 +363,49 @@ def test_enclosing_interval_minimality_and_m_bound():
             s = lk.CurveSet(g, mask)
             if lk.chain_order(s) is not None:
                 continue
-            iv = lk.enclosing_interval(s)
-            assert iv.chain_length_m < len(s)
-            assert s.members <= lk.extended_support(iv, g).members
+            w = lk.enclosing_interval(s)
+            assert w.m < len(s)
+            assert s.members <= w.support(g).members
+
+
+def test_enclosing_window_is_spanned_by_the_bs():
+    # read from the curve names: the b's of S span lo..hi, and lt, rt say
+    # whether S holds g_{lo-1} and g_hi
+    for g in range(2, 13):
+        names = lk.curve_names(g)
+        for mask in lk.connected_masks(g):
+            s = lk.CurveSet(g, mask)
+            if lk.chain_order(s) is not None:
+                continue
+            members = {names[i] for i in range(3 * g - 1) if mask >> i & 1}
+            bs = [int(n[1:]) for n in members if n[0] == "b"]
+            lo, hi = min(bs), max(bs)
+            lt, rt = int(f"g{lo - 1}" in members), int(f"g{hi}" in members)
+            a_count = sum(n[0] == "a" for n in members)
+            w = lk.enclosing_interval(s)
+            assert w == (lo, hi, lt, rt), (g, sorted(members))
+            assert a_count >= 1 and w.m == len(s) - a_count, (g, sorted(members))
+            assert lk.size_classify(s) == (hi - lo + 1, 1 + lt + rt, w), (g, sorted(members))
 
 
 def test_records_validate_on_replace():
     # namedtuple's _replace builds through _make, which must not skip __new__'s checks
     with pytest.raises(lk.LickorishError):
-        lk.Interval(lk.IntervalKind.GG, 1, 2)._replace(j=1)
+        lk.Window(2, 2, 1, 1)._replace(lt=0, rt=0)
     with pytest.raises(lk.LickorishError):
         lk.CurveSet(3, 5)._replace(mask=(1 << 40) | 1)
     with pytest.raises(lk.LickorishError):
         lk.CurveSet._make((1, 1))
-    assert lk.Interval(lk.IntervalKind.GG, 1, 2)._replace(j=3) == lk.Interval(lk.IntervalKind.GG, 1, 3)
+    assert lk.Window(2, 2, 1, 1)._replace(hi=3) == lk.Window(2, 3, 1, 1)
     assert lk.CurveSet(3, 5)._replace(mask=7) == lk.CurveSet(3, 7)
     assert lk.CurveSet._make((3, 5)) == lk.CurveSet(3, 5)
 
 
 def test_classify_chain_examples():
-    assert lk.size_classify(cs(2, "a1", "b1")) == lk.EnclosureClaim(1, 1, "chain-even")
-    claim = lk.size_classify(cs(2, "a1", "b1", "g1", "b2", "a2"))
-    assert (claim.genus_bound, claim.boundary_bound) == (2, 1)
-    assert claim.case_tag == "chain-odd-separating"
-    claim = lk.size_classify(cs(3, "b1", "g1", "b2"))
-    assert (claim.genus_bound, claim.boundary_bound) == (1, 2)
+    # a chain's claim carries no window (the CLI tests pin the case names)
+    assert lk.size_classify(cs(2, "a1", "b1")) == lk.EnclosureClaim(1, 1)
+    assert lk.size_classify(cs(2, "a1", "b1", "g1", "b2", "a2")) == lk.EnclosureClaim(2, 1)
+    assert lk.size_classify(cs(3, "b1", "g1", "b2")) == lk.EnclosureClaim(1, 2)
 
 
 def test_classify_chain_rejects_inconsistent_separating_form(monkeypatch):
@@ -442,18 +471,18 @@ def test_badchains_m_arithmetic():
                 assert j == i + (len(order) - 3) // 2
 
 
-def _interval_supports(g):
-    """(interval, m, extended-support mask) for every interval, in scan order."""
-    return [(iv, iv.chain_length_m, lk.extended_support(iv, g).mask) for iv in lk.all_intervals(g)]
+@functools.lru_cache(maxsize=None)
+def _window_supports(g):
+    """(window, support mask) for every window at genus g."""
+    return tuple((w, w.support(g).mask) for w in _windows(g))
 
 
-def _linear_enclosing_interval(s, supports):
-    """Reference: the first interval in scan order whose extended
-    support contains the set, if its m is below |S|."""
-    for iv, m, emask in supports:
-        if s.mask & ~emask == 0:
-            return iv if m < len(s) else None
-    return None
+def _least_windows(g, mask):
+    """Reference: a linear scan of every window for those of least m
+    whose support contains the set."""
+    fits = [w for w, supp in _window_supports(g) if mask & ~supp == 0]
+    least = min(w.m for w in fits)
+    return [w for w in fits if w.m == least]
 
 
 def _random_connected_mask(g, rng):
@@ -476,17 +505,21 @@ def _random_connected_mask(g, rng):
 
 
 def test_enclosing_interval_matches_linear_scan():
-    import random
-
-    rng = random.Random(13)
-    cases = [(g, lk.connected_masks(g)) for g in range(2, 11)]
-    cases += [(g, [_random_connected_mask(g, rng) for _ in range(2000)]) for g in (13, 14, 15)]
-    cases += [(30, [_random_connected_mask(30, rng) for _ in range(300)])]
-    for g, masks in cases:
-        supports = _interval_supports(g)
-        for mask in masks:
+    for g in range(2, 11):
+        for mask in lk.connected_masks(g):
             s = lk.CurveSet(g, mask)
-            assert lk.is_connected_mask(g, mask)
             if lk.chain_order(s) is not None:
                 continue
-            assert lk.enclosing_interval(s) == _linear_enclosing_interval(s, supports), (g, s.sorted_members())
+            assert [lk.enclosing_interval(s)] == _least_windows(g, mask), (g, s.sorted_members())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(g=st.integers(13, 60), rng=st.randoms(use_true_random=False))
+def test_enclosing_interval_matches_linear_scan_on_grown_subsets(g, rng):
+    s = lk.CurveSet(g, _random_connected_mask(g, rng))
+    if lk.chain_order(s) is None:
+        w = lk.enclosing_interval(s)
+        assert [w] == _least_windows(g, s.mask), s.sorted_members()
+        a_count = (s.mask & lk._run(g, "a", 1, g)).bit_count()
+        assert a_count >= 1 and w.m == len(s) - a_count
+        assert lk.size_classify(s) == (w.hi - w.lo + 1, 1 + w.lt + w.rt, w)

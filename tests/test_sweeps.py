@@ -15,12 +15,12 @@ def test_size_sweep_counts_connected_subsets():
 
 
 def _size_keys(g):
-    """The distinct (window or chain, claim bounds) of the connected
-    subsets at genus g, classified one by one."""
+    """The distinct windows and chains of the connected subsets at genus
+    g, classified one by one."""
     keys = set()
     for mask in lk.connected_masks(g):
         claim = lk.size_classify(lk.CurveSet(g, mask))
-        keys.add((mask if claim.interval is None else claim.interval, claim.genus_bound, claim.boundary_bound))
+        keys.add(mask if claim.window is None else claim.window)
     return keys
 
 
@@ -93,8 +93,8 @@ def test_passing_subset_sweeps_build_no_curve_names(monkeypatch):
 
 def test_size_sweep_reports_a_failed_window_on_every_subset_in_it(monkeypatch):
     g = 6
-    window = lk.Interval(lk.IntervalKind.BB, 2, 4)
-    bad_support = lk.extended_support(window, g).mask
+    window = lk.Window(2, 4, 0, 0)
+    bad_support = window.support(g).mask
     original = sf.min_enclosing_subsurface
 
     def inflated(rg, s, fill=True):
@@ -109,7 +109,7 @@ def test_size_sweep_reports_a_failed_window_on_every_subset_in_it(monkeypatch):
     for mask in lk.connected_masks(g):
         s = lk.CurveSet(g, mask)
         claim = lk.size_classify(s)
-        if claim.interval == window:
+        if claim.window == window:
             h, b = claim.genus_bound, claim.boundary_bound
             expected.append(f"g={g} {s.sorted_members()}: enclosure "
                             f"({true.genus + 1},{true.boundary_count}) exceeds claim ({h},{b})")
