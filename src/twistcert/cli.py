@@ -12,32 +12,44 @@ Subcommands:
 Exit codes: 0 pass, 1 verification failure, 2 usage, I/O or memory error.
 ``--json`` prints a machine report with sorted keys and no timing, so
 identical inputs produce identical bytes.
+
+Each command executes only the layers it runs: importing this module
+puts the five layer modules in sys.modules and on the package through
+:class:`importlib.util.LazyLoader`, and a layer's code runs when a
+command first reads one of its attributes.  A function-local import
+would leave a layer out of sys.modules, where the benchmark tracer
+(``perfbench/trace_cli.py``) looks each one up.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
-import random
 import sys
 import time
 from typing import Optional, Sequence
 
-from . import __version__
-from . import lickorish as lk
-from . import nervecplx as nc
-from . import sweeps
-from .bootstrap import (
-    BootstrapError,
-    EXHAUSTIVE_HARD_CAP,
-    Failure,
-    Theorem,
-    certificate_from_json,
-    derive_kg,
-    derive_main,
-    derive_technical,
-    verify,
-)
+from . import SweepResult, __version__
+
+
+def _layer(name: str):
+    """The module ``twistcert.<name>``, in sys.modules and on the package,
+    whose code runs when a command first reads one of its attributes; a
+    module already imported is returned as it is."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+lk, nc, sweeps, bs = map(_layer, ("lickorish", "nervecplx", "sweeps", "bootstrap"))
+_layer("surface")  # read by no command here, but every layer is in sys.modules after this import
 
 
 def _emit(args, payload: dict, human_lines: list[str], elapsed: float,
@@ -56,7 +68,7 @@ def _emit(args, payload: dict, human_lines: list[str], elapsed: float,
         print(f"wall time: {elapsed:.2f}s")
 
 
-def _sweep_report(args, result: sweeps.SweepResult, extra: Optional[dict] = None) -> int:
+def _sweep_report(args, result: SweepResult, extra: Optional[dict] = None) -> int:
     payload = {
         "command": args.command,
         "checked": result.checked,
@@ -71,14 +83,13 @@ def _sweep_report(args, result: sweeps.SweepResult, extra: Optional[dict] = None
     return 0 if result.passed else 1
 
 
-# the sweep behind each ``lemma`` name; a sweep over curve subsets starts at genus 2
-_LEMMAS = {
-    "goodchains": sweeps.sweep_goodchains,
-    "badchains": sweeps.sweep_badchains,
-    "size": sweeps.sweep_size_soundness,
-    "fit": sweeps.sweep_fit,
-    "count": sweeps.sweep_count,
-}
+_LEMMAS = ("goodchains", "badchains", "size", "fit", "count")
+
+
+def _lemma_sweep(which: str):
+    """The sweep behind a ``lemma`` name; a sweep over curve subsets starts at genus 2."""
+    return {"goodchains": sweeps.sweep_goodchains, "badchains": sweeps.sweep_badchains,
+            "size": sweeps.sweep_size_soundness, "fit": sweeps.sweep_fit, "count": sweeps.sweep_count}[which]
 
 
 def _cmd_lemma(args) -> int:
@@ -87,7 +98,7 @@ def _cmd_lemma(args) -> int:
         print("error: --genus-min exceeds --genus-max", file=sys.stderr)
         return 2
     extra = {"lemma": args.which, "genus_min": lo, "genus_max": hi}
-    result = _LEMMAS[args.which](max(lo, 1), hi)
+    result = _lemma_sweep(args.which)(max(lo, 1), hi)
     if not result.checked:
         print(f"error: lemma {args.which} checks no case at genus {lo}..{hi}", file=sys.stderr)
         return 2
@@ -158,13 +169,6 @@ def _cmd_classify(args) -> int:
     return 0 if not failures else 1
 
 
-_DERIVERS = {
-    Theorem.TECHNICAL: derive_technical,
-    Theorem.MAIN: derive_main,
-    Theorem.KG: derive_kg,
-}
-
-
 # The largest certificate file ``check`` reads: genus 4,323 at most (713,546
 # bytes at genus 400); a larger file is refused before it is parsed.
 MAX_CERTIFICATE_BYTES = 8_000_000
@@ -176,17 +180,18 @@ MAX_CERTIFY_GENUS = 4_323
 
 def _cmd_certify(args) -> int:
     t0 = time.perf_counter()
-    theorem = Theorem(args.theorem)
+    theorem = bs.Theorem(args.theorem)
     if args.genus > MAX_CERTIFY_GENUS:
         print(f"error: genus {args.genus} exceeds {MAX_CERTIFY_GENUS}: its certificate would exceed "
               f"the {MAX_CERTIFICATE_BYTES} bytes that check reads", file=sys.stderr)
         return 2
     try:
-        result = _DERIVERS[theorem](args.genus, args.dim)
-    except BootstrapError as exc:
+        derive = {"technical": bs.derive_technical, "main": bs.derive_main, "kg": bs.derive_kg}[theorem.value]
+        result = derive(args.genus, args.dim)
+    except bs.BootstrapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, Failure):
+    if isinstance(result, bs.Failure):
         payload = {
             "command": "certify",
             "genus": args.genus,
@@ -242,16 +247,17 @@ def _cmd_check(args) -> int:
         if len(data) > MAX_CERTIFICATE_BYTES:
             raise ValueError(f"file exceeds {MAX_CERTIFICATE_BYTES} bytes")
         data = data.decode("utf-8")  # the bytes go before the parse, the text after it
-        cert = certificate_from_json(data)
+        cert = bs.certificate_from_json(data)
         del data
     except (OSError, json.JSONDecodeError, KeyError, ValueError, RecursionError) as exc:
         print(f"error: cannot load certificate {args.file}: {exc}", file=sys.stderr)
         return 2
-    bound = args.exhaustive_max_genus
-    if bound > EXHAUSTIVE_HARD_CAP:
-        print(f"warning: exhaustive bound {bound} capped at genus {EXHAUSTIVE_HARD_CAP}", file=sys.stderr)
+    cap = bs.EXHAUSTIVE_HARD_CAP
+    bound = cap if args.exhaustive_max_genus is None else args.exhaustive_max_genus
+    if bound > cap:
+        print(f"warning: exhaustive bound {bound} capped at genus {cap}", file=sys.stderr)
     report: dict = {}
-    violations = verify(cert, exhaustive_max_genus=bound, report=report)
+    violations = bs.verify(cert, exhaustive_max_genus=bound, report=report)
     coverage = report["coverage"]
     payload = {
         "command": "check",
@@ -277,11 +283,13 @@ def _cmd_check(args) -> int:
     return 0 if not violations else 1
 
 
-def _demo_helly1d(trials: int, seed: int) -> sweeps.SweepResult:
+def _demo_helly1d(trials: int, seed: int) -> SweepResult:
     """Random interval families on the line: a nerve containing the full
     1-skeleton is the whole simplex."""
+    import random
+
     rng = random.Random(seed)
-    result = sweeps.SweepResult("helly1d")
+    result = SweepResult("helly1d")
     for _ in range(trials):
         n = rng.randint(2, 7)
         fam = []
@@ -299,10 +307,10 @@ def _demo_helly1d(trials: int, seed: int) -> sweeps.SweepResult:
     return result.done()
 
 
-def _demo_sphere_joins(limit: int = 7) -> sweeps.SweepResult:
+def _demo_sphere_joins(limit: int = 7) -> SweepResult:
     """Joins of simplex boundaries carry the homology of the sphere of
     dimension (sum of the k_i) - 1, for every composition up to the cap."""
-    result = sweeps.SweepResult("sphere-joins")
+    result = SweepResult("sphere-joins")
     for parts, joined, sphere in nc.sphere_joins(nc.compositions(limit)):
         result.checked += 1
         if not sphere:
@@ -347,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="derive a fixed-point certificate")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--theorem", choices=[t.value for t in Theorem], default="technical")
+    p.add_argument("--theorem", choices=["technical", "main", "kg"], default="technical")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("check", help="re-verify a certificate file")
     p.add_argument("file")
-    p.add_argument("--exhaustive-max-genus", type=int, default=EXHAUSTIVE_HARD_CAP)
+    p.add_argument("--exhaustive-max-genus", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
@@ -371,11 +379,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError:  # first: testing lk.LickorishError would execute lickorish
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
+        return 2
     except lk.LickorishError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
 
 

@@ -13,37 +13,17 @@ sweep takes each connected subset's claim from
 once per distinct window (lo, hi, lt, rt) or chain, as it depends on
 the window and not on the subset inside; each subset's claim is then
 compared with it.
+
+Each sweep reports a :class:`twistcert.SweepResult`.  Only the counting
+sweep reads ``bootstrap``, and it reads it through the module, so under
+the CLI's lazily executed layers the other sweeps never execute it.
 """
 
 from __future__ import annotations
 
-import time
-
+from . import SweepResult, bootstrap
 from . import lickorish as lk
 from . import surface as sf
-from .bootstrap import count_inequality
-
-
-class SweepResult:
-    """Cases checked and violations found by one sweep, and its time from
-    construction to :meth:`done`."""
-
-    __slots__ = ("name", "checked", "violations", "elapsed", "started")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.checked = 0
-        self.violations: list[str] = []
-        self.elapsed = 0.0
-        self.started = time.perf_counter()
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def done(self) -> "SweepResult":
-        self.elapsed = time.perf_counter() - self.started
-        return self
 
 
 def _scan_chains(name: str, genus_min: int, genus_max: int, check) -> SweepResult:
@@ -232,7 +212,7 @@ def sweep_count(genus_min: int, genus_max: int) -> SweepResult:
             for kk in (2, min(3, 2 * g), 2 * g):
                 n, _d_max, shift, dk = families[kk % 2]
                 lhs = (kk - dk - shift) * (n // (kk - dk))
-                want = count_inequality(g, kk)
+                want = bootstrap.count_inequality(g, kk)
                 if want != lhs:
                     result.violations.append(
                         f"g={g} k={kk}: block-scan lhs {lhs} disagrees with count_inequality ({want})"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -331,6 +332,73 @@ def test_package_import_loads_no_layer():
     assert proc.stdout.strip() == "[]"
 
 
+LAYERS = ("lickorish", "surface", "bootstrap", "sweeps", "nervecplx")
+
+
+def _layers_after(*argv):
+    """In a fresh process that imports the CLI and, given argv, runs it:
+    the layers in sys.modules, and those whose code has executed (a lazy
+    module not yet read is a subclass of ModuleType)."""
+    code = ("import contextlib, io, sys, types, twistcert.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "    sys.argv[1:] and cli.main(sys.argv[1:])\n"
+            f"mods = [(n, sys.modules.get('twistcert.' + n)) for n in {LAYERS!r}]\n"
+            "print(' '.join(n for n, m in mods if m is not None))\n"
+            "print(' '.join(n for n, m in mods if type(m) is types.ModuleType))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    registered, executed = proc.stdout.split("\n")[:2]
+    return registered.split(), set(executed.split())
+
+
+def test_cli_import_registers_every_layer_and_executes_none():
+    # perfbench/trace_cli.py looks each layer up in sys.modules after importing the CLI
+    assert _layers_after() == (list(LAYERS), set())
+
+
+@pytest.mark.parametrize("argv, executed", [
+    (["--version"], set()),
+    (["classify", "--genus", "400", "--set", "a200,b200,g199,g200"], {"lickorish"}),
+    (["nerve", "--demo", "helly1d"], {"nervecplx"}),
+    (["nerve", "--demo", "sphere-joins"], {"nervecplx"}),
+    (["certify", "--genus", "3", "--dim", "2"], {"lickorish", "surface", "bootstrap"}),
+    (["check", "CERT"], {"lickorish", "surface", "bootstrap"}),
+    (["lemma", "size", "--genus-max", "3"], {"lickorish", "surface", "sweeps"}),
+])
+def test_each_command_executes_only_the_layers_it_runs(tmp_path, argv, executed):
+    cert = tmp_path / "cert.json"
+    cert.write_text(bs.derive_technical(3, 2).to_json())
+    assert _layers_after(*[str(cert) if a == "CERT" else a for a in argv]) == (list(LAYERS), executed)
+
+
+def test_out_of_memory_in_nerve_is_one_error_line_without_lickorish():
+    code = ("import sys, types, twistcert.cli as cli\n"
+            "def exhaust(family):\n"
+            "    raise MemoryError\n"
+            "cli.nc.nerve = exhaust\n"
+            "code = cli.main(['nerve', '--demo', 'helly1d'])\n"
+            "print(type(sys.modules['twistcert.lickorish']) is types.ModuleType)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == "False\n"
+    assert proc.stderr == "error: out of memory running nerve\n"
+
+
+def _option(command, dest):
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subparsers.choices[command]._actions if a.dest == dest)
+
+
+def test_cli_names_match_the_tables_they_restate():
+    # the CLI spells these out so that building its parser executes no layer
+    assert _option("certify", "theorem").choices == [t.value for t in bs.Theorem]
+    assert _option("lemma", "which").choices == cli._LEMMAS
+    for name in cli._LEMMAS:
+        sweep = cli._lemma_sweep(name)
+        assert sweep.__name__.startswith("sweep_") and getattr(sweeps, sweep.__name__) is sweep, name
+
+
 def test_check_deeply_nested_file_is_load_error(tmp_path):
     # 200 KB, far under the byte limit, but the JSON parser recurses once per bracket
     out = tmp_path / "deep.json"
@@ -395,7 +463,8 @@ def test_certify_refuses_a_genus_over_the_limit_before_deriving(tmp_path, monkey
     def derive(g, dim):
         raise AssertionError(f"derived genus {g}")
 
-    monkeypatch.setattr(cli, "_DERIVERS", dict.fromkeys(cli._DERIVERS, derive))
+    for name in ("derive_technical", "derive_main", "derive_kg"):
+        monkeypatch.setattr(bs, name, derive)
     out = tmp_path / "cert.json"
     for genus in (cli.MAX_CERTIFY_GENUS + 1, 10**8):
         assert main(["certify", "--genus", str(genus), "--dim", "0", "--out", str(out)]) == 2
