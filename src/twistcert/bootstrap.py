@@ -36,8 +36,8 @@ from enum import Enum
 from typing import Any, Iterator, NamedTuple, Optional
 
 from . import __version__
-from .lickorish import classified_subsets, curve_names, disconnected_sizes
-from .surface import SurfaceError, assembly_problems, pack_count, pack_subsurfaces
+from . import lickorish as lk
+from . import surface as sf
 
 
 class BootstrapError(ValueError):
@@ -123,7 +123,7 @@ def judgment(node: dict) -> dict:
     if rule == "handle_separating_twist_elliptic":
         return {"form": "EllipticSubgroup", "tag": "handle_separating_twist"}
     if rule in ("r_tree_step", "conclude"):
-        return {"form": "Elliptic", "curves": curve_names(p["g"])}
+        return {"form": "Elliptic", "curves": lk.curve_names(p["g"])}
     if rule == "genus1_step":
         return {"form": "EllipticSchema", "scope": "size_le", "size": p["size_limit"]}
     if rule == "size_induction":
@@ -507,11 +507,11 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
             return
         if (kind, ell) not in packings:
             try:
-                plan = pack_subsurfaces(g, kind, ell)
-            except SurfaceError as exc:
+                plan = sf.pack_subsurfaces(g, kind, ell)
+            except sf.SurfaceError as exc:
                 packings[kind, ell] = None, [f"invalid packing request: {exc}"]
             else:
-                packings[kind, ell] = len(plan.marked_pieces), assembly_problems(plan, g)
+                packings[kind, ell] = len(plan.marked_pieces), sf.assembly_problems(plan, g)
         marked, problems = packings[kind, ell]
         if marked is None:
             bad(pos, rule, "params.pack", (kind, ell), None, problems[0])
@@ -536,8 +536,8 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
                 bad(pos, rule, "params.size", size, f"3..{3 * g - 1}", "size out of range")
                 continue
             try:
-                n: Optional[int] = pack_count(g, kind, ell)
-            except SurfaceError:
+                n: Optional[int] = sf.pack_count(g, kind, ell)
+            except sf.SurfaceError:
                 n = None
             if n is not None and dim >= n * (size - 1):
                 bad(pos, rule, "dim_check", dim, n * (size - 1) - 1,
@@ -552,7 +552,7 @@ def _check_inventory(cert: Certificate) -> list[Violation]:
                 bad(pos, rule, "dim", (g, dim), (2, 1), "R-tree step needs genus 2 and dim <= 1")
 
     # conclusion
-    full = {"form": "Elliptic", "curves": curve_names(g)}
+    full = {"form": "Elliptic", "curves": lk.curve_names(g)}
     if cert.conclusion != full:
         bad(-1, "conclusion", "conclusion", cert.conclusion, full, "conclusion must cover the full generator set")
     return violations
@@ -581,13 +581,13 @@ def _exhaustive_coverage(cert: Certificate, report: Optional[dict] = None) -> tu
     if not any(node["rule"] == "genus1_step" for node in cert.nodes):
         return [Violation(-1, "coverage", "size<=2", None, None,
                           "no genus1_step node covers small subsets")], 0
-    for size in sorted(disconnected_sizes(g)):
+    for size in sorted(lk.disconnected_sizes(g)):
         if size >= 3 and size not in split_sizes:
             return [Violation(-1, "coverage", "split", size, sorted(split_sizes),
                               f"no split node for disconnected subsets of size {size}")], 0
     violations: list[Violation] = []
     counted = found = 0
-    for s, claim, defect in classified_subsets(g):
+    for s, claim, defect in lk.classified_subsets(g):
         size = s.mask.bit_count()
         counted += size >= 3
         uncovered = claim is not None and size >= 3 and claim.genus_bound > conn_nodes.get(

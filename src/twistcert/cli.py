@@ -16,9 +16,10 @@ identical inputs produce identical bytes.
 Each command executes only the layers it runs: importing this module
 puts the five layer modules in sys.modules and on the package through
 :class:`importlib.util.LazyLoader`, and a layer's code runs when a
-command first reads one of its attributes.  A function-local import
-would leave a layer out of sys.modules, where the benchmark tracer
-(``perfbench/trace_cli.py``) looks each one up.
+command, or another layer through its module, first reads one of its
+attributes.  A function-local import would leave a layer out of
+sys.modules, where the benchmark tracer (``perfbench/trace_cli.py``)
+looks each one up.
 """
 
 from __future__ import annotations
@@ -68,15 +69,14 @@ def _emit(args, payload: dict, human_lines: list[str], elapsed: float,
         print(f"wall time: {elapsed:.2f}s")
 
 
-def _sweep_report(args, result: SweepResult, extra: Optional[dict] = None) -> int:
+def _sweep_report(args, result: SweepResult, extra: dict) -> int:
     payload = {
         "command": args.command,
         "checked": result.checked,
         "violations": result.violations,
         "pass": result.passed,
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     status = "PASS" if result.passed else "FAIL"
     lines = [f"{args.command} {result.name}: {status} ({result.checked} cases, {len(result.violations)} violations)"]
     _emit(args, payload, lines, result.elapsed, result.violations)
@@ -316,7 +316,7 @@ def _demo_sphere_joins(limit: int = 7) -> SweepResult:
         if not sphere:
             result.violations.append(
                 f"join of boundaries {parts}: not a homology {sum(parts) - 1}-sphere "
-                f"(betti {nc.betti_z2(joined).values})"
+                f"(betti {nc.betti_z2(joined)})"
             )
     return result.done()
 

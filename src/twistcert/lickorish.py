@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+from . import _make_checked
+
 
 class LickorishError(ValueError):
     """Invalid curve set, window, or genus parameter."""
@@ -45,11 +47,6 @@ def curve_names(g: int) -> list[str]:
 def _check_genus(g: int) -> None:
     if not isinstance(g, int) or g < 2:
         raise LickorishError(f"genus must be an integer >= 2, got {g!r}")
-
-
-def _make_checked(cls, iterable):
-    """namedtuple's ``_make``, which ``_replace`` calls, through ``cls(...)`` and so its checks."""
-    return cls(*iterable)
 
 
 def curve_index(name: str, g: int) -> int:
@@ -130,18 +127,13 @@ def crossing_pairs(g: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def intersecting_pairs(g: int) -> list[tuple[str, str]]:
-    """The :func:`crossing_pairs` by curve id."""
-    names = curve_names(g)
-    return [(names[x], names[y]) for x, y in crossing_pairs(g)]
-
-
 def adjacency(g: int) -> dict[str, frozenset[str]]:
     """Intersection-graph adjacency of the full generator set."""
-    adj: dict[str, set[str]] = {name: set() for name in curve_names(g)}
-    for x, y in intersecting_pairs(g):
-        adj[x].add(y)
-        adj[y].add(x)
+    names = curve_names(g)
+    adj: dict[str, set[str]] = {name: set() for name in names}
+    for x, y in crossing_pairs(g):
+        adj[names[x]].add(names[y])
+        adj[names[y]].add(names[x])
     return {k: frozenset(v) for k, v in adj.items()}
 
 

@@ -18,7 +18,7 @@ index, and by downward induction a facet of an uncleared face.
 from __future__ import annotations
 
 from itertools import combinations, groupby
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 
 Vertex = Hashable
@@ -54,9 +54,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         """Dimension; -1 for the empty complex."""
         return max(map(len, self.maximal_faces), default=0) - 1
-
-    def is_empty(self) -> bool:
-        return not self.maximal_faces
 
     def has_simplex(self, face: Iterable[Vertex]) -> bool:
         fs = frozenset(face)
@@ -100,9 +97,9 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     overlap = set(k1.vertex_labels) & set(k2.vertex_labels)
     if overlap:
         raise ValueError(f"join requires disjoint vertex labels; shared: {overlap}")
-    if k1.is_empty():
+    if not k1.maximal_faces:
         return SimplicialComplex(k2.maximal_faces, k1.vertex_labels + k2.vertex_labels)
-    if k2.is_empty():
+    if not k2.maximal_faces:
         return SimplicialComplex(k1.maximal_faces, k1.vertex_labels + k2.vertex_labels)
     maxs = [m1 | m2 for m1 in k1.maximal_faces for m2 in k2.maximal_faces]
     return SimplicialComplex(maxs, k1.vertex_labels + k2.vertex_labels)
@@ -140,15 +137,6 @@ def gf2_rank(rows: list[int]) -> int:
     return len(_pivots(rows))
 
 
-class BettiVector(NamedTuple):
-    """Reduced mod-2 Betti numbers b~_0 .. b~_dim."""
-
-    values: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k] if 0 <= k < len(self.values) else 0
-
-
 def _boundary_rows(layer: dict[int, int], below: dict[int, int], cleared: set[int]) -> Iterator[int]:
     """Boundary rows of the uncleared faces, over facet indices that ``below`` gives on first sight."""
     for face, index in layer.items():
@@ -162,12 +150,12 @@ def _boundary_rows(layer: dict[int, int], below: dict[int, int], cleared: set[in
         yield row
 
 
-def betti_z2(k: SimplicialComplex) -> BettiVector:
-    """Reduced Betti numbers over the two-element field via boundary ranks,
+def betti_z2(k: SimplicialComplex) -> tuple[int, ...]:
+    """Reduced mod-2 Betti numbers b~_0 .. b~_dim via boundary ranks,
     with clearing.  Faces are bitmasks over the positions of
     ``vertex_labels``, indexed in order of discovery within their layer."""
     if k.dim < 0:
-        return BettiVector(())
+        return ()
     bit = {v: 1 << i for i, v in enumerate(k.vertex_labels)}
     layers: list[dict[int, int]] = [{} for _ in range(k.dim + 1)]
     for face in k.maximal_faces:
@@ -183,7 +171,7 @@ def betti_z2(k: SimplicialComplex) -> BettiVector:
         ranks[q], sizes[q] = len(pivots), len(layer)
         cleared = {low.bit_length() - 1 for low in pivots}
     sizes[0] = len(layers[0])
-    return BettiVector(tuple(sizes[q] - ranks[q] - ranks[q + 1] for q in range(k.dim + 1)))
+    return tuple(sizes[q] - ranks[q] - ranks[q + 1] for q in range(k.dim + 1))
 
 
 def is_homology_sphere(k: SimplicialComplex, d: int) -> bool:
@@ -191,7 +179,7 @@ def is_homology_sphere(k: SimplicialComplex, d: int) -> bool:
     d-sphere concentrated in its own top dimension d."""
     if k.dim != d:
         return False
-    return betti_z2(k).values == tuple(int(q == d) for q in range(d + 1))
+    return betti_z2(k) == tuple(int(q == d) for q in range(d + 1))
 
 
 def compositions(limit: int) -> Iterator[tuple[int, ...]]:

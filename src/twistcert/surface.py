@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .lickorish import CurveSet, _make_checked, crossing_pairs, curve_names, is_connected_mask
+from . import _make_checked, lickorish as lk
 
 
 class SurfaceError(ValueError):
@@ -111,20 +111,6 @@ class RibbonGraph:
             faces.append(tuple(cycle))
         return tuple(faces)
 
-    # -- basic counts ------------------------------------------------------
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_arcs(self) -> int:
-        return len(self.arcs)
-
-    @property
-    def num_faces(self) -> int:
-        return len(self.faces)
-
     # -- restriction tables -------------------------------------------------
 
     def _build_restriction_tables(self) -> None:
@@ -141,7 +127,7 @@ class RibbonGraph:
         one and two slots on from there.
         """
         dart_face, iota = self._dart_face, self._iota
-        bit = {name: 1 << i for i, name in enumerate(curve_names(self.genus))}
+        bit = {name: 1 << i for i, name in enumerate(lk.curve_names(self.genus))}
         self._arc_table = tuple((bit[arc.curve], dart_face[arc.darts[0]], dart_face[arc.darts[1]])
                                 for arc in self.arcs)
         # c[k]: face covering the corner between slots k and k+1; the states
@@ -166,8 +152,8 @@ def lickorish_surface(g: int) -> RibbonGraph:
     """
     if not isinstance(g, int) or g < 2:
         raise SurfaceError(f"genus must be an integer >= 2, got {g!r}")
-    names = curve_names(g)
-    pairs = crossing_pairs(g)  # crossing v is pair v
+    names = lk.curve_names(g)
+    pairs = lk.crossing_pairs(g)  # crossing v is pair v
     flips = [bool(_CHIRALITY_AB)] * g + [bool(_CHIRALITY_BG)] * (g - 1) + [bool(_CHIRALITY_GB)] * (g - 1)
     crossings = [Crossing(names[x], names[y], flip) for (x, y), flip in zip(pairs, flips)]
 
@@ -195,7 +181,7 @@ def lickorish_surface(g: int) -> RibbonGraph:
             arcs.append(Arc(curve, (enter(c, v) ^ 2, enter(c, nxt))))
 
     rg = RibbonGraph(g, crossings, arcs)
-    if rg.num_vertices != 3 * g - 2 or rg.num_arcs != 2 * (3 * g - 2):
+    if len(rg.vertices) != 3 * g - 2 or len(rg.arcs) != 2 * (3 * g - 2):
         raise SurfaceError("crossing/arc counts are off")
     return rg
 
@@ -217,7 +203,7 @@ class _Restriction:
     """
 
     def __init__(self, rg: RibbonGraph, mask: int):
-        n_faces = rg.num_faces
+        n_faces = len(rg.faces)
         # Euler characteristic contributions per face (sectors - edges +
         # faces, counted on the surface cut along the kept curves), and a
         # union-find over the faces that links the larger root under the
@@ -311,16 +297,16 @@ class SubsurfaceReport(NamedTuple("_SubsurfaceReport", [
         return tuple.__new__(cls, (genus, boundary_count, complement_components, euler_char))
 
 
-def _as_mask(rg: RibbonGraph, s: CurveSet | Iterable[str]) -> int:
-    if isinstance(s, CurveSet):
+def _as_mask(rg: RibbonGraph, s: lk.CurveSet | Iterable[str]) -> int:
+    if isinstance(s, lk.CurveSet):
         if s.genus != rg.genus:
             raise SurfaceError("curve set genus does not match the surface")
         return s.mask
-    return CurveSet.of(rg.genus, s).mask
+    return lk.CurveSet.of(rg.genus, s).mask
 
 
 def min_enclosing_subsurface(
-    rg: RibbonGraph, s: CurveSet | Iterable[str], fill: bool = True
+    rg: RibbonGraph, s: lk.CurveSet | Iterable[str], fill: bool = True
 ) -> SubsurfaceReport:
     """Regular neighbourhood of the union of a connected curve subset.
 
@@ -332,7 +318,7 @@ def min_enclosing_subsurface(
     mask = _as_mask(rg, s)
     if not mask:
         raise SurfaceError("min_enclosing_subsurface requires a nonempty set")
-    if not is_connected_mask(rg.genus, mask):
+    if not lk.is_connected_mask(rg.genus, mask):
         raise SurfaceError("min_enclosing_subsurface requires a connected set")
     r = _Restriction(rg, mask)
 
@@ -355,7 +341,7 @@ def min_enclosing_subsurface(
 
 
 def complement_census(
-    rg: RibbonGraph, s: CurveSet | Iterable[str], fill: bool = True
+    rg: RibbonGraph, s: lk.CurveSet | Iterable[str], fill: bool = True
 ) -> list[tuple[int, int]]:
     """(genus, boundary) of each component of the surface minus the
     (filled) neighbourhood of the union of the given curves.  The set may

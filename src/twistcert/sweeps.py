@@ -14,9 +14,9 @@ once per distinct window (lo, hi, lt, rt) or chain, as it depends on
 the window and not on the subset inside; each subset's claim is then
 compared with it.
 
-Each sweep reports a :class:`twistcert.SweepResult`.  Only the counting
-sweep reads ``bootstrap``, and it reads it through the module, so under
-the CLI's lazily executed layers the other sweeps never execute it.
+Each sweep reports a :class:`twistcert.SweepResult` and reads the other
+layers through their modules, so under the CLI's lazily executed layers
+it executes only those it calls (``lemma fit``: ``surface`` alone).
 """
 
 from __future__ import annotations

@@ -251,17 +251,18 @@ def test_verify_builds_each_distinct_packing_once(monkeypatch):
     g = 40
     cert = bs.derive_technical(g, g - 1)
     built, checked = [], []
+    original_pack, original_assembly = sf.pack_subsurfaces, sf.assembly_problems
 
     def pack(genus, kind, ell):
         built.append((kind, ell))
-        return sf.pack_subsurfaces(genus, kind, ell)
+        return original_pack(genus, kind, ell)
 
     def assembly(plan, genus):
         checked.append(plan)
-        return sf.assembly_problems(plan, genus)
+        return original_assembly(plan, genus)
 
-    monkeypatch.setattr(bs, "pack_subsurfaces", pack)
-    monkeypatch.setattr(bs, "assembly_problems", assembly)
+    monkeypatch.setattr(sf, "pack_subsurfaces", pack)
+    monkeypatch.setattr(sf, "assembly_problems", assembly)
     assert bs.verify(cert) == []
     distinct = {("fit1", 1)} | {(n["params"]["pack_kind"], n["params"]["pack_ell"])
                                 for n in cert.nodes if n["rule"] == "connected_bootstrap"}

@@ -361,9 +361,13 @@ def test_cli_import_registers_every_layer_and_executes_none():
     (["classify", "--genus", "400", "--set", "a200,b200,g199,g200"], {"lickorish"}),
     (["nerve", "--demo", "helly1d"], {"nervecplx"}),
     (["nerve", "--demo", "sphere-joins"], {"nervecplx"}),
-    (["certify", "--genus", "3", "--dim", "2"], {"lickorish", "surface", "bootstrap"}),
+    (["classify", "--genus", "4", "--all"], {"lickorish"}),
+    (["certify", "--genus", "3", "--dim", "2"], {"lickorish", "bootstrap"}),
     (["check", "CERT"], {"lickorish", "surface", "bootstrap"}),
     (["lemma", "size", "--genus-max", "3"], {"lickorish", "surface", "sweeps"}),
+    (["lemma", "goodchains", "--genus-max", "3"], {"lickorish", "surface", "sweeps"}),
+    (["lemma", "count", "--genus-max", "3"], {"sweeps", "bootstrap"}),
+    (["lemma", "fit", "--genus-max", "3"], {"sweeps", "surface"}),
 ])
 def test_each_command_executes_only_the_layers_it_runs(tmp_path, argv, executed):
     cert = tmp_path / "cert.json"

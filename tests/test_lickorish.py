@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import functools
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistcert import lickorish as lk
-from twistcert import nervecplx as nc
 from twistcert import surface as sf
 from twistcert import sweeps
 
@@ -23,6 +22,12 @@ def _lam(g):
     """Reference: the full generator set (3g-1 curves)."""
     lk._check_genus(g)
     return lk.CurveSet(g, (1 << (3 * g - 1)) - 1)
+
+
+def _intersecting_pairs(g):
+    """Reference: the :func:`~twistcert.lickorish.crossing_pairs` by curve id."""
+    names = lk.curve_names(g)
+    return [(names[x], names[y]) for x, y in lk.crossing_pairs(g)]
 
 
 def _windows(g):
@@ -45,14 +50,14 @@ def test_lambda_counts():
     for g in range(2, 8):
         lam = _lam(g)
         assert len(lam) == 3 * g - 1
-        pairs = lk.intersecting_pairs(g)
+        pairs = _intersecting_pairs(g)
         assert len(pairs) == 3 * g - 2
         assert len(set(pairs)) == len(pairs)
 
 
 def test_lambda_g2_examples():
     assert len(_lam(2)) == 5
-    assert len(lk.intersecting_pairs(2)) == 4
+    assert len(_intersecting_pairs(2)) == 4
     adj = lk.adjacency(2)
     assert "g1" not in adj["a1"]
     assert "b1" in adj["a1"]
@@ -60,7 +65,7 @@ def test_lambda_g2_examples():
 
 def test_lambda_g3_pair_count():
     # g + 2(g-1) crossings
-    assert len(lk.intersecting_pairs(3)) == 7
+    assert len(_intersecting_pairs(3)) == 7
     assert len(_lam(3)) == 8
 
 
@@ -87,7 +92,7 @@ def test_crossing_table_matches_the_named_families():
         named = [(f"a{i}", f"b{i}") for i in range(1, g + 1)]
         named += [(f"b{i}", f"g{i}") for i in range(1, g)]
         named += [(f"b{i + 1}", f"g{i}") for i in range(1, g)]
-        assert lk.intersecting_pairs(g) == named
+        assert _intersecting_pairs(g) == named
         assert lk.crossing_pairs(g) == [(lk.curve_index(x, g), lk.curve_index(y, g)) for x, y in named]
         adj = lk.adjacency(g)
         assert _adjacency_masks(g) == tuple(lk.CurveSet.of(g, adj[name]).mask for name in lk.curve_names(g))
@@ -125,7 +130,6 @@ _FROZEN_RECORDS = {
     "Crossing": (lambda: sf.Crossing("a1", "b1", False), "flipped"),
     "Arc": (lambda: sf.Arc("a1", (0, 2)), "darts"),
     "AssemblyPlan": (lambda: sf.pack_subsurfaces(4, "fit1", 2), "pieces"),
-    "BettiVector": (lambda: nc.betti_z2(nc.SimplicialComplex(combinations(range(4), 3))), "values"),
 }
 
 

@@ -43,7 +43,7 @@ def test_nerve_intervals_full_simplex():
 
 
 def test_nerve_empty_family():
-    assert nc.nerve([]).is_empty()
+    assert not nc.nerve([]).maximal_faces
 
 
 def test_nerve_empty_member_is_isolated():
@@ -204,10 +204,10 @@ _RP2 = nc.SimplicialComplex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 
 @example(nc.SimplicialComplex([["v"]]))
 @example(nc.SimplicialComplex([[(0, "x")]], vertex_labels=[(0, "x"), (1, "y")]))
 def test_betti_matches_dense_reference(k):
-    betti = nc.betti_z2(k).values
+    betti = nc.betti_z2(k)
     assert betti == _reference_betti(k)
     chi = _euler_characteristic(k)
-    if k.is_empty():
+    if not k.maximal_faces:
         assert betti == () and chi == 0
     else:
         # Euler-Poincare for reduced homology
@@ -222,6 +222,11 @@ def _tagged_complexes(draw, tag, max_vertices):
     return nc.SimplicialComplex([[(tag, v) for v in face] for face in faces])
 
 
+def _betti_at(betti: tuple[int, ...], q: int) -> int:
+    """b~_q from the tuple b~_0 .. b~_dim, zero outside that range."""
+    return betti[q] if 0 <= q < len(betti) else 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_betti_of_join_obeys_kunneth(data):
@@ -230,14 +235,15 @@ def test_betti_of_join_obeys_kunneth(data):
     Betti numbers come from the clearing reduction alone."""
     k = data.draw(_tagged_complexes("u", 11))
     l = data.draw(_tagged_complexes("v", 12 - len(k.vertex_labels)))
-    bk, bl = nc.BettiVector(_reference_betti(k)), nc.BettiVector(_reference_betti(l))
+    bk, bl = _reference_betti(k), _reference_betti(l)
     joined = nc.join(k, l)
-    expected = tuple(sum(bk[i] * bl[r - 1 - i] for i in range(r)) for r in range(joined.dim + 1))
-    assert nc.betti_z2(joined).values == expected
+    expected = tuple(sum(_betti_at(bk, i) * _betti_at(bl, r - 1 - i) for i in range(r))
+                     for r in range(joined.dim + 1))
+    assert nc.betti_z2(joined) == expected
 
 
 def test_betti_rp2():
-    assert nc.betti_z2(_RP2).values == (0, 1, 1)
+    assert nc.betti_z2(_RP2) == (0, 1, 1)
     assert _euler_characteristic(_RP2) == 1
     assert not nc.is_homology_sphere(_RP2, 2)
 
@@ -256,16 +262,16 @@ def test_gf2_rank_matches_dense_reference(data):
 
 
 def test_betti_boundary_3_simplex():
-    assert nc.betti_z2(_boundary_simplex(3)).values == (0, 0, 1)
+    assert nc.betti_z2(_boundary_simplex(3)) == (0, 0, 1)
 
 
 def test_betti_cone_trivial():
-    assert nc.betti_z2(_full_simplex(5)).values == (0, 0, 0, 0, 0, 0)
+    assert nc.betti_z2(_full_simplex(5)) == (0, 0, 0, 0, 0, 0)
 
 
 def test_betti_two_points():
     two = nc.SimplicialComplex([["p"], ["q"]])
-    assert nc.betti_z2(two).values == (1,)
+    assert nc.betti_z2(two) == (1,)
     assert nc.is_homology_sphere(two, 0)
 
 
@@ -273,7 +279,7 @@ def test_betti_join_of_two_sphere_boundaries():
     b2 = _boundary_simplex(2)
     b2b = nc.SimplicialComplex([{f"x{i}", f"x{j}"} for i, j in combinations(range(3), 2)])
     jj = nc.join(b2, b2b)
-    assert nc.betti_z2(jj).values == (0, 0, 0, 1)
+    assert nc.betti_z2(jj) == (0, 0, 0, 1)
     assert nc.is_homology_sphere(jj, 3)
 
 
@@ -289,7 +295,7 @@ def test_torus_complex_not_sphere():
             faces.append({v(r + 1, c), v(r, c + 1), v(r + 1, c + 1)})
     torus = nc.SimplicialComplex(faces)
     assert _euler_characteristic(torus) == 0
-    assert nc.betti_z2(torus).values == (0, 2, 1)
+    assert nc.betti_z2(torus) == (0, 2, 1)
     assert not nc.is_homology_sphere(torus, 2)
 
 

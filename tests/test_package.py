@@ -1,5 +1,6 @@
-"""The package as a whole: src/ holds only what a command reaches, and
-the version is one value."""
+"""The package as a whole: src/ holds only what a command reaches, its
+layers reach each other through their modules, and the version is one
+value."""
 
 from __future__ import annotations
 
@@ -28,20 +29,26 @@ OUTSIDE_READERS = {
 def _scan_src():
     """Every function, class and method defined in src/twistcert/*.py,
     dunder methods aside, as {name: [file:line, ...]}, and every name
-    that a Name, an Attribute or an import alias there references."""
+    that a Name, an Attribute or an import alias there references outside
+    the OUTSIDE_READERS definitions, which no command runs."""
     defined: dict[str, list[str]] = {}
     referenced: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        todo: list[ast.AST] = [ast.parse(path.read_text(), filename=str(path))]
+        while todo:
+            node = todo.pop()
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
+                if node.name in OUTSIDE_READERS:
+                    continue
             elif isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.asname or node.name.rpartition(".")[2])
+            todo.extend(ast.iter_child_nodes(node))
     return defined, referenced
 
 
@@ -59,6 +66,22 @@ def test_outside_readers_list_is_not_stale():
     assert not gone, "no longer defined in src/: " + ", ".join(gone)
     reached = sorted(name for name in OUTSIDE_READERS if name in referenced)
     assert not reached, "referenced in src/, so no longer outside-only: " + ", ".join(reached)
+
+
+# what ``from . import`` may bind besides a layer module: the package's own names
+PACKAGE_NAMES = {"__version__", "SweepResult", "_make_checked"}
+
+
+def test_layers_reach_each_other_only_through_their_modules():
+    # ``from .layer import name`` binds a second copy of the name, which a
+    # patch of the layer's attribute misses, and executes the layer at
+    # import even when no command calls it
+    layers = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.ImportFrom) and node.level
+             and (node.module or not {a.name for a in node.names} <= layers | PACKAGE_NAMES)]
+    assert not found, "import a layer's name, not its module: " + ", ".join(found)
 
 
 def test_one_version_in_pyproject_package_and_cli():

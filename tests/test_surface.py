@@ -18,7 +18,7 @@ def report(g, names, fill=True):
 
 def _capped_genus(rg):
     """Reference: genus of the closed surface obtained by capping all faces."""
-    chi = rg.num_vertices - rg.num_arcs + rg.num_faces
+    chi = len(rg.vertices) - len(rg.arcs) + len(rg.faces)
     if chi % 2:
         raise sf.SurfaceError("odd Euler characteristic after capping")
     return (2 - chi) // 2
@@ -27,10 +27,10 @@ def _capped_genus(rg):
 def test_build_counts_g2():
     rg = sf.lickorish_surface(2)
     # four crossings: a1b1, a2b2, b1g1, b2g1; arcs double that
-    assert rg.num_vertices == 4
-    assert rg.num_arcs == 8
-    assert rg.num_vertices - rg.num_arcs == -4  # a neighbourhood's euler characteristic, 2 - 3g
-    assert rg.num_faces == 2  # -4 + F = 2 - 2*2
+    assert len(rg.vertices) == 4
+    assert len(rg.arcs) == 8
+    assert len(rg.vertices) - len(rg.arcs) == -4  # a neighbourhood's euler characteristic, 2 - 3g
+    assert len(rg.faces) == 2  # -4 + F = 2 - 2*2
     assert _capped_genus(rg) == 2
 
 
@@ -42,8 +42,8 @@ def test_build_rejects_low_genus():
 def test_capped_genus_matches_target():
     for g in range(2, 13):
         rg = sf.lickorish_surface(g)
-        assert rg.num_vertices == 3 * g - 2
-        assert rg.num_arcs == 2 * (3 * g - 2)
+        assert len(rg.vertices) == 3 * g - 2
+        assert len(rg.arcs) == 2 * (3 * g - 2)
         assert _capped_genus(rg) == g, f"capping failed at g={g}"
 
 
@@ -51,7 +51,7 @@ def test_face_tracing_uses_each_dart_once():
     for g in (2, 3, 4):
         rg = sf.lickorish_surface(g)
         darts = [d for cycle in rg.faces for d in cycle]
-        assert sorted(darts) == list(range(4 * rg.num_vertices))
+        assert sorted(darts) == list(range(4 * len(rg.vertices)))
 
 
 def test_vertices_alternate_curves():
@@ -426,7 +426,7 @@ def _reference_restriction(rg, mask):
     kept = {names[i] for i in range(len(names)) if mask >> i & 1}
     arc_in = [arc.curve in kept for arc in rg.arcs]
     vert_in = [(c.curve_x in kept, c.curve_y in kept) for c in rg.vertices]
-    n_darts, n_faces = 4 * rg.num_vertices, rg.num_faces
+    n_darts, n_faces = 4 * len(rg.vertices), len(rg.faces)
     iota, dart_arc, dart_face = rg._iota, rg._dart_arc, rg._dart_face
     in_s = [arc_in[dart_arc[d]] for d in range(n_darts)]
 
@@ -443,7 +443,7 @@ def _reference_restriction(rg, mask):
             d = next((e & ~3) | ((e + k) & 3) for k in range(1, 5) if in_s[(e & ~3) | ((e + k) & 3)])
         rfaces.append(tuple(cycle))
 
-    parent = list(range(n_faces + rg.num_arcs))
+    parent = list(range(n_faces + len(rg.arcs)))
 
     def find(x):
         while parent[x] != x:
