@@ -6,18 +6,26 @@ factors are simplex boundaries), and a sphere detector.  Homology is
 computed over the two-element field by boundary-matrix ranks, which is
 enough to recognise the sphere obstruction at the sizes that occur.
 
+The detector computes H_*(K, st v) for a vertex v in the most maximal
+faces.  A closed star is a cone, so the long exact sequence of the pair
+gives H~_q(K) = H_q(K, st v) for every q >= 0, and only the faces outside
+the star (those s with s + v not in K, all under the maximal faces that
+miss v) are indexed or get boundary rows.
+
 The face layers are built and reduced top-down with clearing: once layer
-q+1 is reduced, each q-face that is the lowest bit of a reduced row gets
+q+1 is reduced, each q-face that is the highest bit of a reduced row gets
 no boundary row and no walk over its facets.  The rank is unchanged, as
-that face's row lies in the span of the rows of higher index.  The face
-counts are unchanged: the reduced row has zero boundary, so every facet
-of the cleared face is a facet of another face of that row, of higher
-index, and by downward induction a facet of an uncleared face.
+that face's row lies in the span of the rows of lower index.  The face
+counts are unchanged: the reduced row has zero relative boundary, so
+every facet outside the star of the cleared face is a facet of another
+face of that row, of lower index, and by upward induction a facet of an
+uncleared face.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, groupby
+from collections import Counter
+from itertools import chain, combinations, groupby
 from typing import Hashable, Iterable, Iterator, Sequence
 
 
@@ -35,9 +43,11 @@ class SimplicialComplex:
     def __init__(self, maximal_faces: Iterable[Iterable[Vertex]], vertex_labels=None):
         faces = dict.fromkeys(fs for fs in map(frozenset, maximal_faces) if fs)  # drops duplicates
         # drop faces contained in others; only a strictly longer face can
-        # contain one, so equal-length faces are never compared
-        pruned: list[frozenset] = []
-        for _, same_length in groupby(sorted(faces, key=len, reverse=True), key=len):
+        # contain one, so equal-length faces are never compared and the
+        # longest are kept unscanned
+        groups = groupby(sorted(faces, key=len, reverse=True), key=len)
+        pruned: list[frozenset] = list(next(groups, (0, ()))[1])
+        for _, same_length in groups:
             longer = tuple(pruned)
             pruned.extend(fs for fs in same_length if not any(fs < other for other in longer))
         self.maximal_faces: tuple[frozenset, ...] = tuple(pruned)
@@ -118,15 +128,16 @@ def join_all(complexes: Sequence[SimplicialComplex]) -> SimplicialComplex:
 
 def _pivots(rows: Iterable[int]) -> dict[int, int]:
     """Row-reduce bitmask rows over the two-element field.  Each pivot is
-    stored under its lowest set bit, so a row is reduced by looking up its
-    current lowest bit until it vanishes or that bit is new."""
+    stored under the bit length of its highest set bit, so a row is reduced
+    by looking up its current bit length until it vanishes or that length
+    is new."""
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
-            low = row & -row
-            pivot = pivots.get(low)
+            top = row.bit_length()
+            pivot = pivots.get(top)
             if pivot is None:
-                pivots[low] = row
+                pivots[top] = row
                 break
             row ^= pivot
     return pivots
@@ -137,8 +148,13 @@ def gf2_rank(rows: list[int]) -> int:
     return len(_pivots(rows))
 
 
-def _boundary_rows(layer: dict[int, int], below: dict[int, int], cleared: set[int]) -> Iterator[int]:
-    """Boundary rows of the uncleared faces, over facet indices that ``below`` gives on first sight."""
+def _relative_rows(layer: dict[int, int], below: dict[int, int], cleared: set[int],
+                   through: dict[int, int]) -> Iterator[int]:
+    """Relative boundary rows of the uncleared faces.  A facet is in the
+    star, and gets no column, when the maximal faces through the cone
+    vertex that hold each of its vertices (``through``, a bitmask per
+    vertex bit) share one; other facets get indices in ``below`` on
+    first sight."""
     for face, index in layer.items():
         if index in cleared:
             continue
@@ -146,32 +162,51 @@ def _boundary_rows(layer: dict[int, int], below: dict[int, int], cleared: set[in
         while rest:
             low = rest & -rest
             rest ^= low
-            row |= 1 << below.setdefault(face ^ low, len(below))
+            facet = bits = face ^ low
+            shared = -1
+            while bits and shared:
+                b = bits & -bits
+                bits ^= b
+                shared &= through[b]
+            if not shared:
+                row |= 1 << below.setdefault(facet, len(below))
         yield row
 
 
 def betti_z2(k: SimplicialComplex) -> tuple[int, ...]:
-    """Reduced mod-2 Betti numbers b~_0 .. b~_dim via boundary ranks,
-    with clearing.  Faces are bitmasks over the positions of
-    ``vertex_labels``, indexed in order of discovery within their layer."""
-    if k.dim < 0:
+    """Reduced mod-2 Betti numbers b~_0 .. b~_dim, as the homology of K
+    relative to the closed star of a vertex in the most maximal faces,
+    via boundary ranks with clearing.  Faces are bitmasks over the
+    positions of ``vertex_labels``, indexed in order of discovery within
+    their layer; faces in the star are never indexed."""
+    dim = k.dim
+    if dim < 0:
         return ()
     bit = {v: 1 << i for i, v in enumerate(k.vertex_labels)}
-    layers: list[dict[int, int]] = [{} for _ in range(k.dim + 1)]
+    counts = Counter(chain.from_iterable(k.maximal_faces))
+    cone = max(k.vertex_labels, key=counts.__getitem__)
+    through = dict.fromkeys(bit.values(), 0)
+    layers: list[dict[int, int]] = [{} for _ in range(dim + 1)]
+    star = 0
     for face in k.maximal_faces:
-        layer = layers[len(face) - 1]
-        layer[sum(bit[v] for v in face)] = len(layer)
-    # rank of the boundary map C_q -> C_{q-1}; q = 0 is the augmentation
-    ranks = [1] * (k.dim + 1) + [0]
-    sizes = [0] * (k.dim + 1)
+        if cone in face:
+            for v in face:
+                through[bit[v]] |= 1 << star
+            star += 1
+        else:
+            layer = layers[len(face) - 1]
+            layer[sum(bit[v] for v in face)] = len(layer)
+    # rank of the relative boundary map C_q -> C_{q-1}; nothing below q = 0
+    ranks = [0] * (dim + 2)
+    sizes = [0] * (dim + 1)
     cleared: set[int] = set()
-    for q in range(k.dim, 0, -1):
+    for q in range(dim, 0, -1):
         layer = layers.pop()  # once reduced, only its size is read again
-        pivots = _pivots(_boundary_rows(layer, layers[-1], cleared))
+        pivots = _pivots(_relative_rows(layer, layers[-1], cleared, through))
         ranks[q], sizes[q] = len(pivots), len(layer)
-        cleared = {low.bit_length() - 1 for low in pivots}
+        cleared = {top - 1 for top in pivots}
     sizes[0] = len(layers[0])
-    return tuple(sizes[q] - ranks[q] - ranks[q + 1] for q in range(k.dim + 1))
+    return tuple(sizes[q] - ranks[q] - ranks[q + 1] for q in range(dim + 1))
 
 
 def is_homology_sphere(k: SimplicialComplex, d: int) -> bool:
