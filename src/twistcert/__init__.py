@@ -7,10 +7,9 @@ that the whole twist group fixes a point whenever it acts in dimension
 below the genus.  Each layer is imported from its own module, such as
 ``twistcert.bootstrap``, and reaches another only through its module
 (``lk.curve_names``); importing the package alone loads none of them.
-It holds only the version, :class:`SweepResult`, the report record of
-the sweeps and of the CLI's nerve demos, so that the demos run without
-the sweeps' layers, and :func:`_make_checked`, which lets the records of
-``surface`` execute without ``lickorish``.
+It holds only the version and :class:`SweepResult`, the report record
+of the sweeps and of the CLI's nerve demos, so that the demos run
+without the sweeps' layers.
 """
 
 import time
@@ -38,8 +37,3 @@ class SweepResult:
     def done(self) -> "SweepResult":
         self.elapsed = time.perf_counter() - self.started
         return self
-
-
-def _make_checked(cls, iterable):
-    """namedtuple's ``_make``, which ``_replace`` calls, through ``cls(...)`` and so its checks."""
-    return cls(*iterable)

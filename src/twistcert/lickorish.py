@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from . import _make_checked
-
 
 class LickorishError(ValueError):
     """Invalid curve set, window, or genus parameter."""
@@ -47,6 +45,11 @@ def curve_names(g: int) -> list[str]:
 def _check_genus(g: int) -> None:
     if not isinstance(g, int) or g < 2:
         raise LickorishError(f"genus must be an integer >= 2, got {g!r}")
+
+
+def _make_checked(cls, iterable):
+    """namedtuple's ``_make``, which ``_replace`` calls, through ``cls(...)`` and so its checks."""
+    return cls(*iterable)
 
 
 def curve_index(name: str, g: int) -> int:

@@ -1,10 +1,10 @@
 """Abstract simplicial complexes: nerves, joins, and reduced mod-2 homology.
 
 The fixed-point machinery needs three things from complexes: the nerve
-of a family of sets, the join (whose realisation is a sphere when the
-factors are simplex boundaries), and a sphere detector.  Homology is
-computed over the two-element field by boundary-matrix ranks, which is
-enough to recognise the sphere obstruction at the sizes that occur.
+of a family of sets, built from the stars of its points; the join, whose
+unit is the void complex and whose realisation is a sphere when the
+factors are simplex boundaries; and a sphere detector.  Homology is
+computed over the two-element field by boundary-matrix ranks.
 
 The detector computes H_*(K, st v) for a vertex v in the most maximal
 faces.  A closed star is a cone, so the long exact sequence of the pair
@@ -81,37 +81,23 @@ class SimplicialComplex:
 
 def nerve(family: Sequence[Iterable]) -> SimplicialComplex:
     """Nerve of a family of finite sets: a simplex ties together the
-    indices whose sets share a common element."""
-    sets = [frozenset(f) for f in family]
-    n = len(sets)
-    # grow simplices by the downward-closure property, tracking the
-    # running intersection
-    live = {frozenset([i]): s for i, s in enumerate(sets) if s}
-    all_faces: set[frozenset] = set(live)
-    frontier = live
-    while frontier:
-        nxt: dict[frozenset, frozenset] = {}
-        for face, inter in frontier.items():
-            top = max(face)
-            for j in range(top + 1, n):
-                extended = inter & sets[j]
-                if extended:
-                    nxt[face | {j}] = extended
-        all_faces.update(nxt)
-        frontier = nxt
-    return SimplicialComplex(all_faces, vertex_labels=tuple(range(n)))
+    indices whose sets share a common element, so it lies in the star of
+    one point (the indices of the sets holding it), and the stars of the
+    points generate the nerve.  An empty set's index is a phantom vertex."""
+    stars: dict[Hashable, list[int]] = {}
+    for i, s in enumerate(family):
+        for x in s:
+            stars.setdefault(x, []).append(i)
+    return SimplicialComplex(stars.values(), vertex_labels=tuple(range(len(family))))
 
 
 def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
-    """Join of two complexes; vertex label sets must be disjoint."""
+    """Join of two complexes; vertex label sets must be disjoint.  The
+    void complex, whose one face is the empty face, is its unit."""
     overlap = set(k1.vertex_labels) & set(k2.vertex_labels)
     if overlap:
         raise ValueError(f"join requires disjoint vertex labels; shared: {overlap}")
-    if not k1.maximal_faces:
-        return SimplicialComplex(k2.maximal_faces, k1.vertex_labels + k2.vertex_labels)
-    if not k2.maximal_faces:
-        return SimplicialComplex(k1.maximal_faces, k1.vertex_labels + k2.vertex_labels)
-    maxs = [m1 | m2 for m1 in k1.maximal_faces for m2 in k2.maximal_faces]
+    maxs = [m1 | m2 for m1 in k1.maximal_faces or (frozenset(),) for m2 in k2.maximal_faces or (frozenset(),)]
     return SimplicialComplex(maxs, k1.vertex_labels + k2.vertex_labels)
 
 

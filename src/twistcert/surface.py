@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from . import _make_checked, lickorish as lk
+from . import lickorish as lk
 
 
 class SurfaceError(ValueError):
@@ -278,23 +278,14 @@ class _Restriction:
 # reports
 
 
-class SubsurfaceReport(NamedTuple("_SubsurfaceReport", [
-    ("genus", int), ("boundary_count", int), ("complement_components", tuple), ("euler_char", int),
-])):
+class SubsurfaceReport(NamedTuple):
     """Genus and boundary data of an enclosing subsurface plus the census
-    of its complement inside the closed genus-g surface."""
+    of its complement inside the closed genus-g surface.  Its Euler
+    characteristic is 2 - 2 * genus - boundary_count."""
 
-    __slots__ = ()
-    _make = classmethod(_make_checked)
-
-    def __new__(cls, genus: int, boundary_count: int, complement_components: tuple[tuple[int, int], ...],
-                euler_char: int) -> "SubsurfaceReport":
-        if euler_char != 2 - 2 * genus - boundary_count:
-            raise SurfaceError(
-                f"euler characteristic {euler_char} does not match genus {genus} "
-                f"with {boundary_count} boundary circles"
-            )
-        return tuple.__new__(cls, (genus, boundary_count, complement_components, euler_char))
+    genus: int
+    boundary_count: int
+    complement_components: tuple[tuple[int, int], ...]
 
 
 def _as_mask(rg: RibbonGraph, s: lk.CurveSet | Iterable[str]) -> int:
@@ -330,14 +321,9 @@ def min_enclosing_subsurface(
         chi += disks
         boundary -= disks
         census = [(h, b) for h, b in census if (h, b) != (0, 1)]
-    genus = (2 - chi - boundary) // 2
-    census.sort()
-    return SubsurfaceReport(
-        genus=genus,
-        boundary_count=boundary,
-        complement_components=tuple(census),
-        euler_char=chi,
-    )
+    if (2 - chi - boundary) % 2:
+        raise SurfaceError(f"euler characteristic {chi} with {boundary} boundary circles fits no surface")
+    return SubsurfaceReport((2 - chi - boundary) // 2, boundary, tuple(sorted(census)))
 
 
 def complement_census(

@@ -449,6 +449,41 @@ def test_size_classify_full_set():
         assert (claim.genus_bound, claim.boundary_bound) == (g, 1)
 
 
+def _matching_number(pairs, mask):
+    """Reference: the maximum matching size of the forest that the
+    crossing pairs induce on a mask, by greedy leaf matching (match a
+    leaf with its one neighbour and delete both; optimal on a forest)."""
+    nbrs = {}
+    for x, y in pairs:
+        if mask >> x & mask >> y & 1:
+            nbrs.setdefault(x, set()).add(y)
+            nbrs.setdefault(y, set()).add(x)
+    leaves = [v for v, ns in nbrs.items() if len(ns) == 1]
+    matched = 0
+    while leaves:
+        leaf = leaves.pop()
+        if len(nbrs.get(leaf, ())) != 1:
+            continue  # matched already, or its neighbour was
+        (partner,) = nbrs.pop(leaf)
+        matched += 1
+        for v in nbrs.pop(partner) - {leaf}:
+            nbrs[v].discard(partner)
+            if len(nbrs[v]) == 1:
+                leaves.append(v)
+    return matched
+
+
+def test_claim_genus_is_the_matching_number_of_the_crossing_tree():
+    # the neighbourhood's genus is half the GF(2) rank of its crossing
+    # matrix, and a tree's adjacency rank is twice its matching number: an
+    # oracle that reads neither windows nor the ribbon graph
+    for g in range(2, 12):
+        pairs = lk.crossing_pairs(g)
+        for mask in lk.connected_masks(g):
+            s = lk.CurveSet(g, mask)
+            assert lk.size_classify(s).genus_bound == _matching_number(pairs, mask), (g, s.sorted_members())
+
+
 def test_claims_fit_clauses():
     for g in (2, 3, 4):
         for mask in range(1, 1 << (3 * g - 1)):

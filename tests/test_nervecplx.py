@@ -53,6 +53,24 @@ def test_nerve_empty_member_is_isolated():
     assert n.has_simplex({0, 2})
 
 
+def test_nerve_hands_at_most_one_candidate_face_per_point(monkeypatch):
+    # the seven sets {0, i} share the point 0: its star is the one maximal
+    # face, where growing faces by extension would hand all 127 of them
+    handed = []
+    original = nc.SimplicialComplex
+
+    def counting(maximal_faces, vertex_labels=None):
+        faces = list(maximal_faces)
+        handed.append(len(faces))
+        return original(faces, vertex_labels)
+
+    monkeypatch.setattr(nc, "SimplicialComplex", counting)
+    family = [{0, i} for i in range(1, 8)]
+    n = nc.nerve(family)
+    assert len(handed) == 1 and handed[0] <= len(set().union(*family)) == 8
+    assert n.maximal_faces == (frozenset(range(7)),) and n.vertex_labels == tuple(range(7))
+
+
 def test_join_dimension_example():
     j = nc.join(_full_simplex(1), nc.SimplicialComplex([["x", "y", "z"]]))
     assert j.dim == 4
@@ -62,6 +80,19 @@ def test_join_with_empty():
     k = _boundary_simplex(2)
     assert nc.join(k, nc.SimplicialComplex([])) == k
     assert nc.join(nc.SimplicialComplex([]), k) == k
+
+
+def test_join_of_void_complexes_is_void_with_both_labels():
+    # the void complex's one face is the empty face, which joins to itself
+    j = nc.join(nc.SimplicialComplex([], vertex_labels=("u",)), nc.SimplicialComplex([], vertex_labels=("v", "w")))
+    assert j.maximal_faces == () and j.dim == -1
+    assert j.vertex_labels == ("u", "v", "w")
+
+
+def test_void_complex_is_the_minus_one_sphere_and_no_other():
+    void = nc.SimplicialComplex([])
+    assert nc.is_homology_sphere(void, -1)
+    assert not nc.is_homology_sphere(void, -2)
 
 
 def test_join_requires_disjoint_labels():

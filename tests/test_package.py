@@ -69,7 +69,7 @@ def test_outside_readers_list_is_not_stale():
 
 
 # what ``from . import`` may bind besides a layer module: the package's own names
-PACKAGE_NAMES = {"__version__", "SweepResult", "_make_checked"}
+PACKAGE_NAMES = {"__version__", "SweepResult"}
 
 
 def test_layers_reach_each_other_only_through_their_modules():

@@ -82,7 +82,7 @@ def test_annulus_around_single_curve():
     rep = report(2, ["a1"])
     assert (rep.genus, rep.boundary_count) == (0, 2)
     assert len(rep.complement_components) == 1
-    assert rep.euler_char == 0
+    assert 2 - 2 * rep.genus - rep.boundary_count == 0
 
 
 def test_two_chain_neighbourhood():
@@ -138,7 +138,7 @@ def test_euler_characteristic_additivity():
             s = lk.CurveSet(g, mask)
             for fill in (False, True):
                 rep = sf.min_enclosing_subsurface(rg, s, fill=fill)
-                total = rep.euler_char + sum(2 - 2 * h - b for h, b in rep.complement_components)
+                total = 2 - 2 * rep.genus - rep.boundary_count + sum(2 - 2 * h - b for h, b in rep.complement_components)
                 assert total == 2 - 2 * g, (g, s.sorted_members(), fill)
 
 
@@ -158,7 +158,7 @@ def test_euler_characteristic_additivity_sampled_higher_genus():
             checked += 1
             for fill in (False, True):
                 rep = sf.min_enclosing_subsurface(rg, s, fill=fill)
-                total = rep.euler_char + sum(2 - 2 * h - b for h, b in rep.complement_components)
+                total = 2 - 2 * rep.genus - rep.boundary_count + sum(2 - 2 * h - b for h, b in rep.complement_components)
                 assert total == 2 - 2 * g, (g, s.sorted_members(), fill)
 
 
@@ -392,18 +392,6 @@ def test_fit_counts_sweep():
             assert len(sf.pack_subsurfaces(g, "fit2", ell).marked_pieces) == g // ell
             if ell <= g - 1:
                 assert len(sf.pack_subsurfaces(g, "fit3", ell).marked_pieces) == (g - 1) // ell
-
-
-def test_subsurface_report_rejects_wrong_euler_characteristic():
-    with pytest.raises(sf.SurfaceError):
-        sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=(), euler_char=0)
-
-
-def test_subsurface_report_validates_on_replace():
-    report = sf.SubsurfaceReport(genus=1, boundary_count=1, complement_components=((2, 1),), euler_char=-1)
-    with pytest.raises(sf.SurfaceError):
-        report._replace(genus=2)
-    assert report._replace(genus=2, euler_char=-3).genus == 2
 
 
 def test_enclosure_refuses_odd_euler_parity(monkeypatch):

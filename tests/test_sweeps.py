@@ -101,8 +101,7 @@ def test_size_sweep_reports_a_failed_window_on_every_subset_in_it(monkeypatch):
         rep = original(rg, s, fill)
         if s.mask != bad_support:
             return rep
-        return sf.SubsurfaceReport(rep.genus + 1, rep.boundary_count, rep.complement_components,
-                                   rep.euler_char - 2)
+        return sf.SubsurfaceReport(rep.genus + 1, rep.boundary_count, rep.complement_components)
 
     true = original(sf.lickorish_surface(g), lk.CurveSet(g, bad_support))
     expected = []
