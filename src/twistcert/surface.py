@@ -8,8 +8,10 @@ Capping the faces with disks recovers the closed surface, which pins the
 genus and makes every regular-neighbourhood and complement computation
 exact integer bookkeeping.
 
-Crossings along each b-curve occur in the cyclic order g_{i-1}, a_i,
-g_i, matching the handle-by-handle picture.  The per-crossing
+The crossings and the curves through each come from
+:func:`~twistcert.lickorish.crossing_pairs`, and each curve meets its
+crossings in increasing index: along b_i that is a_i, g_i, g_{i-1},
+the handle-by-handle cyclic order.  The per-crossing
 handedness bits were fixed once by a brute-force search at small genus,
 keeping the assignment that closes every capped surface to genus
 exactly g and reproduces the handle-window enclosures; the winning
@@ -72,7 +74,7 @@ class RibbonGraph:
         for a_idx, arc in enumerate(self.arcs):
             d1, d2 = arc.darts
             for d in (d1, d2):
-                if iota[d] != -1 or dart_arc[d] != -1:
+                if iota[d] != -1:
                     raise SurfaceError(f"dart {d} used by two arcs")
             iota[d1], iota[d2] = d2, d1
             dart_arc[d1] = dart_arc[d2] = a_idx
@@ -100,14 +102,14 @@ class RibbonGraph:
         for start in range(n):
             if seen[start]:
                 continue
+            # the constructor made iota a bijection, so sigma o iota is a
+            # permutation and this orbit closes at its start
             cycle = []
             d = start
             while not seen[d]:
                 seen[d] = True
                 cycle.append(d)
                 d = self.sigma(self._iota[d])
-            if d != start:
-                raise SurfaceError("face tracing is not a permutation orbit")
             faces.append(tuple(cycle))
         return tuple(faces)
 
@@ -146,44 +148,30 @@ def lickorish_surface(g: int) -> RibbonGraph:
     """Canonical rotation system of the generator curves on the closed
     genus-g surface.
 
-    Crossing order along b_i is g_{i-1}, a_i, g_i (absent ones skipped),
-    matching the handle-by-handle picture; the handedness bits repeat per
-    handle.  Capping the traced faces yields genus exactly g.
+    Crossing v is pair v of :func:`~twistcert.lickorish.crossing_pairs`,
+    and each curve meets its crossings in increasing index.  Along b_i
+    that reads a_i, g_i, g_{i-1} (absent ones skipped), the
+    handle-by-handle order g_{i-1}, a_i, g_i rotated, so the same cyclic
+    order.  The handedness bits repeat per handle.  Capping the traced
+    faces yields genus exactly g.
     """
     if not isinstance(g, int) or g < 2:
         raise SurfaceError(f"genus must be an integer >= 2, got {g!r}")
     names = lk.curve_names(g)
-    pairs = lk.crossing_pairs(g)  # crossing v is pair v
+    pairs = lk.crossing_pairs(g)
     flips = [bool(_CHIRALITY_AB)] * g + [bool(_CHIRALITY_BG)] * (g - 1) + [bool(_CHIRALITY_GB)] * (g - 1)
     crossings = [Crossing(names[x], names[y], flip) for (x, y), flip in zip(pairs, flips)]
 
-    def enter(c: int, v: int) -> int:
-        """Dart where curve ``c`` enters crossing ``v``; it leaves from the
-        opposite slot, ``enter(c, v) ^ 2``."""
-        if c == pairs[v][0]:
-            return 4 * v
-        return 4 * v + (3 if flips[v] else 1)
-
-    def itinerary(c: int) -> list[int]:
-        """Crossings along curve ``c`` in cyclic order, a_i x b_i, b_i x g_i
-        and b_{i+1} x g_i being crossings i-1, g+i-1 and 2g+i-2."""
-        if c < g:
-            return [c]
-        if c >= 2 * g:
-            return [c - g, c - 1]
-        i = c - g + 1  # c is b_i
-        return [2 * g + i - 3] * (i > 1) + [i - 1] + [g + i - 1] * (i < g)
-
-    arcs: list[Arc] = []
-    for c, curve in enumerate(names):
-        stops = itinerary(c)
-        for v, nxt in zip(stops, stops[1:] + stops[:1]):
-            arcs.append(Arc(curve, (enter(c, v) ^ 2, enter(c, nxt))))
-
-    rg = RibbonGraph(g, crossings, arcs)
-    if len(rg.vertices) != 3 * g - 2 or len(rg.arcs) != 2 * (3 * g - 2):
-        raise SurfaceError("crossing/arc counts are off")
-    return rg
+    # the darts where each curve enters its crossings, in crossing order;
+    # it leaves each from the opposite slot, dart ^ 2
+    stops: list[list[int]] = [[] for _ in names]
+    for v, (x, y) in enumerate(pairs):
+        stops[x].append(4 * v)
+        stops[y].append(4 * v + (3 if flips[v] else 1))
+    arcs = [Arc(curve, (d ^ 2, nxt))
+            for curve, darts in zip(names, stops)
+            for d, nxt in zip(darts, darts[1:] + darts[:1])]
+    return RibbonGraph(g, crossings, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +342,7 @@ class AssemblyPlan(NamedTuple):
 def assembly_problems(plan: AssemblyPlan, g: int) -> list[str]:
     """Structural and arithmetic defects of a plan, empty when valid."""
     problems = []
-    used: set[tuple[int, int]] = set()
+    used: set[tuple[int, int]] = set()  # a slot glued to itself is glued twice
     for (pa, sa, pb, sb) in plan.gluings:
         for p, s in ((pa, sa), (pb, sb)):
             if not (0 <= p < len(plan.pieces)):
@@ -367,9 +355,6 @@ def assembly_problems(plan: AssemblyPlan, g: int) -> list[str]:
                 problems.append(f"slot {(p, s)} glued twice in {(pa, sa, pb, sb)}")
                 return problems
             used.add((p, s))
-        if (pa, sa) == (pb, sb):
-            problems.append(f"gluing {(pa, sa, pb, sb)} glues a slot to itself")
-            return problems
 
     total_slots = sum(b for _h, b in plan.pieces)
     if len(used) != total_slots:

@@ -398,3 +398,114 @@ def test_schema_arithmetic_implied_by_count_lemma():
                 n = sf.pack_count(g, kind, ell)
                 assert n >= 1, (g, size, kind, ell)
                 assert n * (size - 1) >= g, (g, size, kind, ell)
+
+
+# ---------------------------------------------------------------------------
+# every verdict of the checker, each reached by a test that names its
+# (node_id, rule, field); at genus 3 and dim 2, node 6 is genus1_step,
+# node 7 split_commuting of size 3 and nodes 8..10 its connected_bootstrap
+# nodes, packed by (fit1, 1), (fit3, 1) and (fit2, 1)
+
+_TECHNICAL_AXIOMS = ["HANDLE_SEPARATING_TWIST_ELLIPTIC", "HELLY", "ORBIT_TRANSITIVITY", "R_TORSION",
+                     "SL2Z_TORSION_GENERATION"]
+
+
+def _forged(edit):
+    """The genus-3 certificate's document after edit(doc), checked."""
+    doc = json.loads(bs.derive_technical(3, 2).to_json())
+    edit(doc)
+    return [tuple(v) for v in bs.verify(bs.certificate_from_json_dict(doc))]
+
+
+def _set_node(pos, key, value):
+    def edit(doc):
+        doc["nodes"][pos][key] = value
+    return edit
+
+
+def _set_header(key, value):
+    def edit(doc):
+        doc["header"][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,want", [
+    (_set_node(7, "premises", [7]), [
+        (7, "split_commuting", "premises", 7, "< 7", "premise must reference an earlier node"),
+        (7, "split_commuting", "premises", [7], [6], "premise edges do not match")]),
+    (_set_node(7, "rule", "size_induction"), [
+        (7, "size_induction", "rule", "size_induction", "split_commuting", "unexpected rule at this position")]),
+    # the side conditions are read from every node, in place or not
+    (_set_node(7, "rule", "r_tree_step"), [
+        (7, "r_tree_step", "rule", "r_tree_step", "split_commuting", "unexpected rule at this position"),
+        (7, "r_tree_step", "dim", (3, 2), (2, 1), "R-tree step needs genus 2 and dim <= 1")]),
+    (_set_header("dim", -1), [(-1, "header", "genus/dim", (3, -1), None, "header out of range")]),
+    (_set_header("genus", 1), [(-1, "header", "genus/dim", (1, 2), None, "header out of range")]),
+    (lambda doc: doc["axioms"].append("SEMISIMPLE"), [
+        (-1, "header", "axioms", ["SEMISIMPLE"], sorted(_TECHNICAL_AXIOMS + ["R_TREE_FIXED_POINT"]),
+         "axiom not allowed for theorem"),
+        (-1, "header", "axioms", _TECHNICAL_AXIOMS + ["SEMISIMPLE"], _TECHNICAL_AXIOMS, "axiom list mismatch")]),
+], ids=["later-premise", "rule", "r-tree-dim", "header-dim", "header-genus", "axiom-not-allowed"])
+def test_verifier_names_each_forged_document_verdict(edit, want):
+    assert _forged(edit) == want
+
+
+def test_loader_refuses_a_non_string_axiom():
+    doc = json.loads(bs.derive_technical(3, 2).to_json())
+    doc["axioms"].append(1)
+    with pytest.raises(ValueError) as exc:
+        bs.certificate_from_json_dict(doc)
+    assert str(exc.value) == "certificate.axioms: expected a list of strings"
+
+
+def _refused_fit2_1(monkeypatch):
+    original_pack, original_assembly = sf.pack_subsurfaces, sf.assembly_problems
+    monkeypatch.setattr(sf, "assembly_problems", lambda plan, g: (
+        ["forged problem"] if plan == original_pack(g, "fit2", 1) else original_assembly(plan, g)))
+
+
+def _short_fit1_1(monkeypatch):
+    original = sf.pack_subsurfaces
+
+    def pack(g, kind, ell):
+        plan = original(g, kind, ell)
+        return plan._replace(marked_pieces=plan.marked_pieces[:-1]) if (kind, ell) == ("fit1", 1) else plan
+
+    monkeypatch.setattr(sf, "pack_subsurfaces", pack)
+
+
+def _count_fails_at_5(monkeypatch):
+    original = bs.count_inequality
+    monkeypatch.setattr(bs, "count_inequality", lambda g, k: 0 if k == 5 else original(g, k))
+
+
+@pytest.mark.parametrize("fault,want", [
+    (_refused_fit2_1, [(10, "connected_bootstrap", "packing", "forged problem", None, "assembly check failed")]),
+    (_short_fit1_1, [(6, "genus1_step", "packing.marked", 2, 3, "marked piece count mismatch"),
+                     (8, "connected_bootstrap", "packing.marked", 2, 3, "marked piece count mismatch")]),
+    (_count_fails_at_5, [(pos, "connected_bootstrap", "count", (0, 3), None, "count inequality fails")
+                         for pos in (18, 19, 20)]),
+], ids=["packing", "packing-marked", "count"])
+def test_verifier_names_each_cross_check_verdict(monkeypatch, fault, want):
+    # the packings and the counting lemma hold at every genus, so a fault
+    # in the layer the checker reads is the only way to reach these
+    fault(monkeypatch)
+    assert [tuple(v) for v in bs.verify(bs.derive_technical(3, 2))] == want
+
+
+def test_coverage_requires_a_genus1_step_node():
+    cert = bs.derive_technical(3, 2)
+    nodes = tuple(n for n in cert.nodes if n["rule"] != "genus1_step")
+    assert bs._exhaustive_coverage(cert._replace(nodes=nodes)) == (
+        [(-1, "coverage", "size<=2", None, None, "no genus1_step node covers small subsets")], 0)
+
+
+def test_coverage_reports_a_claim_outside_both_clauses(monkeypatch):
+    # the whole generator set is the one subset of size 3g - 1 = 8
+    original = lk.claim_fits_clause
+    monkeypatch.setattr(lk, "claim_fits_clause", lambda claim, size: size != 8 and original(claim, size))
+    report = {}
+    violations = bs.verify(bs.derive_technical(3, 2), report=report)
+    assert [tuple(v) for v in violations] == [
+        (-1, "coverage", "clause", (3, 1), 8, "claim does not fit either classification clause")]
+    assert report["found"] == 1

@@ -216,6 +216,61 @@ def test_nerve_demos():
     assert main(["nerve", "--demo", "sphere-joins"]) == 0
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["lemma", "size", "--genus-min", "4", "--genus-max", "3"], "error: --genus-min exceeds --genus-max\n"),
+    (["certify", "--genus", "1", "--dim", "0"], "error: genus must be an integer >= 2, got 1\n"),
+    (["classify", "--genus", "3", "--set", "x1"], "error: bad curve id 'x1'\n"),
+    (["classify", "--genus", "3", "--set", "a"], "error: bad curve id 'a'\n"),
+], ids=["genus-range", "certify-genus-1", "classify-x1", "classify-a"])
+def test_usage_errors_are_one_line_with_exit_2(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_certify_to_an_unwritable_path_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "no-such-directory" / "cert.json"
+    assert main(["certify", "--genus", "3", "--dim", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: cannot write {out}: ") and captured.err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def test_helly1d_demo_reports_an_incomplete_nerve(monkeypatch, capsys):
+    # a nerve that holds every pair but never all of three or more intervals
+    families = []
+
+    class PairsOnly:
+        def __init__(self, family):
+            families.append(family)
+
+        def has_simplex(self, simplex):
+            return len(list(simplex)) <= 2
+
+    monkeypatch.setattr(cli.nc, "nerve", PairsOnly)
+    assert main(["nerve", "--demo", "helly1d", "--json"]) == 1
+    want = [f"family {sorted(map(sorted, fam))}: 1-skeleton full but nerve incomplete"
+            for fam in families if len(fam) >= 3]
+    assert len(families) == 500 and want
+    assert json.loads(capsys.readouterr().out)["violations"] == want
+
+
+def test_sphere_joins_demo_reports_a_join_that_is_no_sphere(monkeypatch, capsys):
+    first = []
+    original = cli.nc.sphere_joins
+
+    def joins(compositions):
+        for parts, joined, sphere in original(compositions):
+            first.append((parts, joined))
+            yield parts, joined, sphere and len(first) > 1
+
+    monkeypatch.setattr(cli.nc, "sphere_joins", joins)
+    assert main(["nerve", "--demo", "sphere-joins", "--json"]) == 1
+    parts, joined = first[0]
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        f"join of boundaries {parts}: not a homology {sum(parts) - 1}-sphere (betti {cli.nc.betti_z2(joined)})"]
+
+
 def test_genus_two_certificate_round_trip(tmp_path):
     out = tmp_path / "g2.json"
     assert main(["certify", "--genus", "2", "--dim", "1", "--theorem", "kg",

@@ -242,12 +242,11 @@ def _name_built_surface(g, chirality):
             return [(curve, f"b{idx}")]
         if kind == "g":
             return [(f"b{idx}", curve), (f"b{idx + 1}", curve)]
-        stops = []
-        if idx > 1:
-            stops.append((curve, f"g{idx - 1}"))
-        stops.append((f"a{idx}", curve))
+        stops = [(f"a{idx}", curve)]
         if idx < g:
             stops.append((curve, f"g{idx}"))
+        if idx > 1:
+            stops.append((curve, f"g{idx - 1}"))
         return stops
 
     arcs = []
@@ -270,6 +269,17 @@ def test_surface_matches_name_built_reference(chirality):
         if frozen:
             assert rg.arcs == ref.arcs, g
             assert rg.faces == ref.faces, g
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(13, 200))
+@example(200)
+def test_surface_matches_name_built_reference_at_higher_genus(g):
+    frozen = (sf._CHIRALITY_AB, sf._CHIRALITY_BG, sf._CHIRALITY_GB)
+    rg, ref = sf.lickorish_surface(g), _name_built_surface(g, frozen)
+    assert rg.vertices == ref.vertices
+    assert rg.arcs == ref.arcs
+    assert rg.faces == ref.faces
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +339,19 @@ def test_assembly_rejects_separating_marked_piece():
     plan = sf.AssemblyPlan(pieces, gluings, (1,))
     problems = sf.assembly_problems(plan, 3)
     assert any("disconnects" in p for p in problems)
+
+
+@pytest.mark.parametrize("pieces,gluings,marked,want", [
+    (((0, 1),), ((0, 0, 1, 0),), (), "gluing references missing piece 1"),
+    (((0, 1), (0, 1)), ((0, 0, 1, 1),), (), "gluing (0, 0, 1, 1) references missing slot"),
+    (((0, 2), (0, 1)), ((0, 0, 1, 0), (0, 0, 0, 1)), (), "slot (0, 0) glued twice in (0, 0, 0, 1)"),
+    # a slot glued to itself is its second gluing
+    (((0, 2),), ((0, 0, 0, 0),), (), "slot (0, 0) glued twice in (0, 0, 0, 0)"),
+    (((0, 2),), ((0, 0, 0, 1),), (1,), "marked piece 1 does not exist"),
+], ids=["missing-piece", "missing-slot", "glued-twice", "self-glue", "missing-marked-piece"])
+def test_assembly_names_each_malformed_plan(pieces, gluings, marked, want):
+    # a gluing defect ends the check at once; the last plan is a torus
+    assert sf.assembly_problems(sf.AssemblyPlan(pieces, gluings, marked), 1) == [want]
 
 
 @st.composite

@@ -1,7 +1,10 @@
-"""Sweep helpers: subset counts and the counting-lemma block scan."""
+"""Sweeps: subset counts, the counting-lemma block scan and every violation message."""
 
 from __future__ import annotations
 
+import pytest
+
+from twistcert import bootstrap as bs
 from twistcert import lickorish as lk
 from twistcert import surface as sf
 from twistcert import sweeps
@@ -153,3 +156,128 @@ def test_count_block_scan_matches_per_k_loop():
     result = sweeps.sweep_count(1, 300)
     assert result.checked == 300 * 300  # sum of 2g-1
     assert result.violations == []
+
+
+# ---------------------------------------------------------------------------
+# every violation message of the sweeps, each reached by one fault put
+# into the module attribute the sweep reads
+
+
+def _patch_report(monkeypatch, g, names, change):
+    """min_enclosing_subsurface, with change(report) returned for the set
+    of the named curves at genus g."""
+    target = lk.CurveSet.of(g, names).mask
+    original = sf.min_enclosing_subsurface
+
+    def patched(rg, s, fill=True):
+        rep = original(rg, s, fill)
+        return change(rep) if rg.genus == g and s.mask == target else rep
+
+    monkeypatch.setattr(sf, "min_enclosing_subsurface", patched)
+
+
+def _one_more_genus(rep):
+    return rep._replace(genus=rep.genus + 1)
+
+
+def _one_more_piece(rep):
+    return rep._replace(complement_components=rep.complement_components + ((0, 1),))
+
+
+def test_goodchains_reports_a_wrong_neighbourhood(monkeypatch):
+    _patch_report(monkeypatch, 2, ["a1", "b1"], _one_more_genus)
+    assert sweeps.sweep_goodchains(2, 2).violations == ["g=2 chain ['a1', 'b1']: neighbourhood (2,1) != (1, 1)"]
+
+
+def test_badchains_reports_a_separating_chain_outside_the_family(monkeypatch):
+    target = lk.CurveSet.of(3, ["a1", "b1", "g1", "b2", "a2"]).mask
+    original = lk.separating_chain_form
+    monkeypatch.setattr(lk, "separating_chain_form", lambda s: None if s.mask == target else original(s))
+    assert sweeps.sweep_badchains(3, 3).violations == [
+        "g=3 chain ['a1', 'a2', 'b1', 'b2', 'g1']: complement disconnected=True "
+        "but matches the deleted-interior-a family=False"]
+
+
+@pytest.mark.parametrize("change,want", [
+    (_one_more_genus, "g=2 [b1,g1]: filled window (2, 2) != (1, 2)"),
+    (_one_more_piece, "g=2 [b1,g1]: complement census ((0, 2), (0, 1)) should have 1 component(s)"),
+], ids=["claim", "census"])
+def test_intervals_reports_a_wrong_window(monkeypatch, change, want):
+    _patch_report(monkeypatch, 2, ["a1", "b1", "g1"], change)  # the support of Window(1, 1, 0, 1)
+    assert sweeps.sweep_intervals(2, 2).violations == [want]
+
+
+def _forge_claim(monkeypatch, names, claim):
+    """classified_subsets at genus 3, with ``claim`` for the named set."""
+    target = lk.CurveSet.of(3, names).mask
+    original = lk.classified_subsets
+    monkeypatch.setattr(lk, "classified_subsets", lambda g: (
+        (s, claim if s.mask == target else c, defect) for s, c, defect in original(g)))
+
+
+@pytest.mark.parametrize("names,window,want", [
+    # [b1,b3] spans the whole genus-3 surface, and its m = 5 is not below |S| = 5
+    (["a1", "b1", "g1", "b2", "a2"], lk.Window(1, 3, 0, 0),
+     "g=3 ['a1', 'a2', 'b1', 'b2', 'g1']: enclosing interval [b1,b3] has m=5 >= |S|"),
+    (["b2", "g2", "b3", "a3"], lk.Window(1, 2, 0, 0),
+     "g=3 ['a3', 'b2', 'b3', 'g2']: support of [b1,b2] does not contain the set"),
+], ids=["m", "support"])
+def test_size_sweep_reports_a_forged_window(monkeypatch, names, window, want):
+    _forge_claim(monkeypatch, names, lk.EnclosureClaim(*window.claim, window))
+    assert sweeps.sweep_size_soundness(3, 3).violations == [want]
+
+
+def test_size_sweep_reports_a_split_complement(monkeypatch):
+    # a chain's enclosure is its own, keyed by its mask alone
+    _patch_report(monkeypatch, 2, ["a1", "b1"], _one_more_piece)
+    assert sweeps.sweep_size_soundness(2, 2).violations == ["g=2 ['a1', 'b1']: enclosure complement is disconnected"]
+
+
+def test_count_sweep_reports_a_low_term(monkeypatch):
+    # the even family, k = d, is the one with shift 1
+    monkeypatch.setattr(sweeps, "_low_terms", lambda n, d_max, shift, bound: [(2, 0)] if shift else [])
+    assert sweeps.sweep_count(3, 3).violations == ["g=3 k=2: lhs=0 < g"]
+
+
+def test_count_sweep_reports_a_disagreeing_evaluator(monkeypatch):
+    original = bs.count_inequality
+    monkeypatch.setattr(bs, "count_inequality", lambda g, k: original(g, k) + (k == 2))
+    assert sweeps.sweep_count(3, 3).violations == ["g=3 k=2: block-scan lhs 3 disagrees with count_inequality (4)"]
+
+
+def _accept_every_packing(monkeypatch):
+    original = sf.pack_subsurfaces
+
+    def pack(g, kind, ell):
+        try:
+            return original(g, kind, ell)
+        except sf.SurfaceError:
+            return sf.AssemblyPlan(((g, 0),), (), ())
+
+    monkeypatch.setattr(sf, "pack_subsurfaces", pack)
+
+
+def _drop_a_marked_piece(monkeypatch):
+    original = sf.pack_subsurfaces
+
+    def pack(g, kind, ell):
+        plan = original(g, kind, ell)
+        return plan._replace(marked_pieces=plan.marked_pieces[1:]) if (kind, ell) == ("fit1", 1) else plan
+
+    monkeypatch.setattr(sf, "pack_subsurfaces", pack)
+
+
+def _refuse_fit3_1(monkeypatch):
+    original_pack, original_assembly = sf.pack_subsurfaces, sf.assembly_problems
+    monkeypatch.setattr(sf, "assembly_problems", lambda plan, g: (
+        ["forged problem"] if plan == original_pack(g, "fit3", 1) else original_assembly(plan, g)))
+
+
+@pytest.mark.parametrize("fault,genus,want", [
+    (_accept_every_packing, 1, "g=1 fit3 ell=1: expected a rejection for zero pieces"),
+    (_drop_a_marked_piece, 2, "g=2 fit1 ell=1: 1 marked != 2"),
+    (_refuse_fit3_1, 2, "g=2 fit3 ell=1: forged problem"),
+], ids=["rejection", "marked", "assembly"])
+def test_fit_sweep_reports_a_faulty_packing(monkeypatch, fault, genus, want):
+    fault(monkeypatch)
+    assert sweeps.sweep_fit(genus, genus).violations == [want]
