@@ -91,10 +91,6 @@ class CurveSet(NamedTuple("_CurveSet", [("genus", int), ("mask", int)])):
             mask |= 1 << curve_index(name, g)
         return cls(g, mask)
 
-    @property
-    def members(self) -> frozenset[str]:
-        return frozenset(self.sorted_members())
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -112,9 +108,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _run(g: int, kind: str, lo: int, hi: int) -> int:
-    """Mask of the curves kind_lo..kind_hi (empty when lo > hi)."""
-    if lo > hi:
-        return 0
+    """Mask of the curves kind_lo..kind_hi, for lo <= hi + 1 (empty when
+    lo = hi + 1)."""
     first = {"a": 0, "b": g, "g": 2 * g}[kind] + lo - 1
     return ((1 << (hi - lo + 1)) - 1) << first
 
@@ -329,28 +324,19 @@ def enclosing_interval(s: CurveSet) -> Window:
     window containing S reaches at least as far on each side, and a
     further handle adds 2 to m where a g end adds 1, so (lo, hi, lt, rt)
     is the window of least m that contains S, and the only one.  Its m is
-    |S| less the a's of S, and a branch holds an a, so m < |S|.  A
-    connected non-chain without that would contradict the size
-    classification this engine is built on, so that case raises instead
-    of degrading the claim.
+    |S| less the a's of S, and a branch holds an a, so m < |S|; ``lemma
+    size`` checks that again for each subset.
     """
     g, smask = s.genus, s.mask
     if not smask or not is_connected_mask(g, smask):
         raise LickorishError("enclosing_interval requires a nonempty connected set")
     if not _has_branch(g, smask):
         raise LickorishError("enclosing_interval is for non-chains; classify chains directly")
-    size = smask.bit_count()
     handles = (smask | smask >> g) & ((1 << g) - 1)  # a connected non-chain has a b curve
     lo, hi = (handles & -handles).bit_length(), handles.bit_length()
     lt = int(lo > 1 and smask >> (2 * g + lo - 2) & 1)  # g_{lo-1} in S
     rt = smask >> (2 * g + hi - 1) & 1  # g_hi in S (there is no g_g)
-    window = Window(lo, hi, lt, rt)
-    if window.m < size:
-        return window
-    raise LickorishError(
-        f"no window with m < {size} encloses {sorted(s.members)}; "
-        "this contradicts the size classification and should be reported"
-    )
+    return Window(lo, hi, lt, rt)
 
 
 # ---------------------------------------------------------------------------

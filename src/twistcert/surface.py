@@ -71,15 +71,12 @@ class RibbonGraph:
 
         iota = [-1] * n_darts
         dart_arc = [-1] * n_darts
+        # the graph is trusted: lickorish_surface gives each curve the arcs
+        # (d ^ 2, next entry), so every dart ends exactly one arc
         for a_idx, arc in enumerate(self.arcs):
             d1, d2 = arc.darts
-            for d in (d1, d2):
-                if iota[d] != -1:
-                    raise SurfaceError(f"dart {d} used by two arcs")
             iota[d1], iota[d2] = d2, d1
             dart_arc[d1] = dart_arc[d2] = a_idx
-        if any(d == -1 for d in iota):
-            raise SurfaceError("some dart is not an arc endpoint")
         self._iota = iota
         self._dart_arc = dart_arc
 
@@ -102,8 +99,8 @@ class RibbonGraph:
         for start in range(n):
             if seen[start]:
                 continue
-            # the constructor made iota a bijection, so sigma o iota is a
-            # permutation and this orbit closes at its start
+            # every dart ends one arc, so iota is a bijection, sigma o iota a
+            # permutation, and this orbit closes at its start
             cycle = []
             d = start
             while not seen[d]:
@@ -245,21 +242,15 @@ class _Restriction:
                 seen[d] = True
                 cycle.append(d)
                 d = next_one[d] if both_kept[far[d]] else next_two[d]
-            root = parent[dart_face[start]]
-            if any(parent[dart_face[d]] != root for d in cycle):
-                raise SurfaceError("boundary circle touches two complement pieces")
-            comp_bnd[root] += 1
+            # a step stays in its face or crosses one dropped arc, whose two
+            # faces share a root, so the whole circle rims one piece
+            comp_bnd[parent[dart_face[start]]] += 1
             self.rfaces.append(tuple(cycle))
 
-        comps = []
-        for root in sorted(set(parent)):
-            c_chi, c_bnd = comp_chi[root], comp_bnd[root]
-            if c_bnd == 0:
-                raise SurfaceError("complement piece with no boundary circle")
-            if (2 - c_chi - c_bnd) % 2:
-                raise SurfaceError("non-integral complement genus")
-            comps.append(((2 - c_chi - c_bnd) // 2, c_bnd))
-        self.complement: list[tuple[int, int]] = comps
+        # the surface is connected and the mask nonempty, so every piece has
+        # a boundary circle; each piece is orientable, so its genus is whole
+        self.complement: list[tuple[int, int]] = [
+            ((2 - comp_chi[root] - comp_bnd[root]) // 2, comp_bnd[root]) for root in sorted(set(parent))]
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,18 @@ def test_derive_failures_at_dim_g():
             assert result.tag == "DIM_TOO_LARGE"
 
 
+def test_derive_refuses_a_negative_dim():
+    with pytest.raises(bs.BootstrapError) as exc:
+        bs.derive_technical(3, -1)
+    assert str(exc.value) == "dim must be a non-negative integer, got -1"
+
+
+def test_judgment_refuses_an_unknown_rule():
+    with pytest.raises(bs.BootstrapError) as exc:
+        bs.judgment({"rule": "bogus", "params": {}})
+    assert str(exc.value) == "unknown rule 'bogus'"
+
+
 def test_axiom_tags_per_theorem():
     cert = bs.derive_main(4, 3)
     assert {"SEMISIMPLE", "FINITE_ABELIANIZATION", "L1LOOP"} <= set(cert.axioms)

@@ -130,6 +130,35 @@ def test_scans_report_a_disconnected_enumerated_subset(monkeypatch, capsys):
     assert counted == 30
 
 
+def test_scans_report_a_classifier_failure(tmp_path, monkeypatch, capsys):
+    # size_classify raises for {a1, b1, g1}: classify --all, lemma size and
+    # check each report the classifier's message and count the subset
+    cert = tmp_path / "c3.json"
+    assert main(["certify", "--genus", "3", "--dim", "2", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    original = lk.size_classify
+
+    def size_classify(s):
+        if s.mask == lk.CurveSet.of(3, ["a1", "b1", "g1"]).mask:
+            raise lk.LickorishError("forced failure")
+        return original(s)
+
+    monkeypatch.setattr(lk, "size_classify", size_classify)
+    assert main(["classify", "--genus", "3", "--all", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["violations"] == ["['a1', 'b1', 'g1']: classifier failed: forced failure"]
+    assert doc["checked"] == 45 and sum(doc["claims"].values()) == 44
+    assert main(["lemma", "size", "--genus-min", "3", "--genus-max", "3", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["violations"] == ["g=3 ['a1', 'b1', 'g1']: classifier failed: forced failure"]
+    assert doc["checked"] == 45
+    assert main(["check", str(cert), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["violations"] == ["node -1 [coverage] classifier: classifier failed: forced failure "
+                                 "(claimed ['a1', 'b1', 'g1'], recomputed None)"]
+    assert doc["coverage"] == {"connected_subsets": 30, "max_genus": EXHAUSTIVE_HARD_CAP, "mode": "exhaustive"}
+
+
 @pytest.mark.parametrize("argv", [
     ("size", "--genus-min", "0", "--genus-max", "1", "--json"),
     ("count", "--genus-min", "-3", "--genus-max", "0"),
@@ -489,6 +518,15 @@ def test_certify_bad_genus_or_dim_is_usage_error(argv):
     assert proc.returncode == 2
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_certify_negative_dim_is_one_error_line_in_process(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["certify", "--genus", "3", "--dim", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dim must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("genus", ["-1", "0", "1"])

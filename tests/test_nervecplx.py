@@ -71,6 +71,19 @@ def test_nerve_hands_at_most_one_candidate_face_per_point(monkeypatch):
     assert n.maximal_faces == (frozenset(range(7)),) and n.vertex_labels == tuple(range(7))
 
 
+def test_complex_refuses_an_unlisted_vertex():
+    with pytest.raises(ValueError) as exc:
+        nc.SimplicialComplex([[0, 1]], vertex_labels=[0])
+    assert str(exc.value) == "simplices use unlisted vertices {1}"
+
+
+def test_complex_equals_no_other_type():
+    k = nc.SimplicialComplex([[0, 1]])
+    assert k.__eq__([[0, 1]]) is NotImplemented
+    assert k != [[0, 1]]
+    assert k == nc.SimplicialComplex([[1, 0]])
+
+
 def test_join_dimension_example():
     j = nc.join(_full_simplex(1), nc.SimplicialComplex([["x", "y", "z"]]))
     assert j.dim == 4

@@ -118,6 +118,9 @@ def test_census_examples():
     assert sf.complement_census(rg3, ["a1", "b1", "g1", "b2", "a2"]) == [(1, 1)]
     # disconnected sets are allowed here
     assert sf.complement_census(rg2, ["a1", "a2"], fill=False) == [(0, 4)]
+    with pytest.raises(sf.SurfaceError) as exc:
+        sf.complement_census(rg2, [])
+    assert str(exc.value) == "complement_census requires a nonempty set"
 
 
 def test_min_enclosing_rejects_bad_input():
@@ -126,6 +129,9 @@ def test_min_enclosing_rejects_bad_input():
         sf.min_enclosing_subsurface(rg, [])
     with pytest.raises(sf.SurfaceError):
         sf.min_enclosing_subsurface(rg, ["a1", "a2"])  # disconnected
+    with pytest.raises(sf.SurfaceError) as exc:
+        sf.min_enclosing_subsurface(rg, lk.CurveSet.of(3, ["a1"]))
+    assert str(exc.value) == "curve set genus does not match the surface"
 
 
 def test_euler_characteristic_additivity():
@@ -316,6 +322,9 @@ def test_pack_rejects_zero_counts():
         sf.pack_subsurfaces(3, "fit2", 0)
     with pytest.raises(sf.SurfaceError):
         sf.pack_subsurfaces(3, "badkind", 1)
+    with pytest.raises(sf.SurfaceError) as exc:
+        sf.pack_subsurfaces(0, "fit1", 1)
+    assert str(exc.value) == "genus must be a positive integer, got 0"
 
 
 def test_assembly_rejects_unglued_slot():
@@ -511,7 +520,8 @@ def _reference_restriction(rg, mask):
         assert len(roots) == 1
         root = roots.pop()
         bnd[root] = bnd.get(root, 0) + 1
-    census = sorted(((2 - chi[r] - bnd[r]) // 2, bnd[r]) for r in chi)
+    assert all((chi[r] + bnd.get(r, 0)) % 2 == 0 for r in chi)  # each piece is orientable
+    census = sorted(((2 - chi[r] - bnd.get(r, 0)) // 2, bnd.get(r, 0)) for r in chi)
     ss = sum(1 for x_in, y_in in vert_in if x_in and y_in)
     return ss, rfaces, census
 
@@ -533,3 +543,27 @@ def test_restriction_kernel_matches_reference_union_find():
             assert r.ss_crossings == ss, (g, chirality, mask)
             assert r.rfaces == rfaces, (g, chirality, mask)
             assert sorted(r.complement) == census, (g, chirality, mask)
+
+
+@st.composite
+def _genus_and_mask(draw):
+    """A genus 9..60 and a nonempty curve mask there, disconnected or not."""
+    g = draw(st.integers(9, 60))
+    return g, draw(st.integers(1, (1 << (3 * g - 1)) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_genus_and_mask(), st.sampled_from(list(itertools.product((0, 1), repeat=3))))
+@example((60, (1 << 179) - 1), (1, 1, 1))
+def test_restriction_kernel_matches_reference_at_higher_genus(case, chirality):
+    # the frozen surface and one of a drawn handedness; the reference
+    # asserts that each boundary circle rims one piece and that each
+    # piece is orientable
+    g, mask = case
+    for rg in (sf.lickorish_surface(g), _name_built_surface(g, chirality)):
+        r = sf._Restriction(rg, mask)
+        ss, rfaces, census = _reference_restriction(rg, mask)
+        assert r.ss_crossings == ss, (g, chirality, mask)
+        assert r.rfaces == rfaces, (g, chirality, mask)
+        assert sorted(r.complement) == census, (g, chirality, mask)
+        assert all(b >= 1 for _h, b in r.complement), (g, chirality, mask)
