@@ -223,9 +223,7 @@ def _has_branch(g: int, mask: int) -> bool:
 def chain_order(s: CurveSet) -> Optional[list[int]]:
     """Ordering C_1..C_m, as :func:`curve_index` values, with consecutive
     curves crossing once and all other pairs disjoint, or None when the
-    set is not a chain.
-
-    A single curve is a 1-chain.
+    set is not a chain.  A single curve is a 1-chain.
     """
     mask = s.mask
     if not mask:
@@ -370,37 +368,39 @@ def separating_chain_form(s: CurveSet) -> Optional[tuple[int, int]]:
     return None
 
 
-def _chain_claim(s: CurveSet) -> EnclosureClaim:
-    """Enclosure claim for a chain of m = |S| curves: even chains close
-    up to genus m/2 with one boundary circle, odd non-separating chains
-    to genus (m-1)/2 with two, and the separating odd family to the
-    handle window of genus (m-1)/2 with a single boundary circle."""
-    m = len(s)
-    if m % 2 == 0:
-        return EnclosureClaim(m // 2, 1)
-    sep = separating_chain_form(s)
-    if sep is not None:
-        i, j = sep
-        if m != 2 * (j - i) + 3:
-            raise LickorishError(f"separating chain a{i}..a{j} has length {m}, not {2 * (j - i) + 3}")
-        return EnclosureClaim(j - i + 1, 1)
-    return EnclosureClaim((m - 1) // 2, 2)
+def rank_claim(s: CurveSet) -> tuple[int, int]:
+    """(genus, boundary) claim of a nonempty connected set S: (nu, 1 + r -
+    2 nu) for r = rank X[S, all] and 2 nu = rank X[S, S] over GF(2), X the
+    crossing matrix, which is the Gram matrix of the intersection pairing.
+
+    As the a's and b's are a symplectic basis of H_1 and g_i is a_i +
+    a_{i+1}, r is the rank of S's classes.  S's neighbourhood, whose H_1
+    has basis S and pairing X[S, S], has genus nu and |S| + 1 - 2 nu
+    circles; by Mayer-Vietoris its |S| - r classes that vanish in the
+    surface are spanned by the boundary sums of the |S| + 1 - r pieces of
+    the complement.  Filling all but one, which are discs (``lemma size``
+    checks it on the ribbon graph), leaves 1 + r - 2 nu circles; the whole
+    set's claim is (g, 1), though it closes up to (g, 0).
+    For connected S, r = #b + #g + [S holds an a] (its g's span the even
+    sums of a run of a's holding its a's).  nu, the tree's matching number
+    (Bevis, Domke & Miller, 1995), is |S| // 2 on a chain and #b on a
+    branch: every crossing has a b, and the branching b_i takes a_i, the
+    b's left of it the g on their right and the rest the g on their left.
+    """
+    g, mask = s.genus, s.mask
+    r = (mask >> g).bit_count() + bool(mask & (1 << g) - 1)  # b's and g's sit above the a's
+    nu = (mask >> g & (1 << g) - 1).bit_count() if _has_branch(g, mask) else len(s) // 2
+    return nu, 1 + r - 2 * nu
 
 
 def size_classify(s: CurveSet) -> EnclosureClaim:
-    """Enclosure claim for any nonempty connected subset.
-
-    Chains classify directly; everything else takes the claim of its
-    enclosing window, which the claim carries.  A chain order proves its
-    set connected, so connectivity is tested only when there is none, by
-    the guard of :func:`enclosing_interval`.
-    """
+    """Enclosure claim for any nonempty connected subset: the
+    :func:`rank_claim`, with a non-chain's window.  A chain order proves
+    its set connected; otherwise :func:`enclosing_interval` tests it."""
     if not s.mask:
         raise LickorishError("size_classify requires a nonempty connected set")
-    if chain_order(s) is not None:
-        return _chain_claim(s)
-    window = enclosing_interval(s)
-    return EnclosureClaim(*window.claim, window)
+    window = None if chain_order(s) is not None else enclosing_interval(s)
+    return EnclosureClaim(*rank_claim(s), window)
 
 
 def claim_fits_clause(claim: EnclosureClaim, size: int) -> bool:

@@ -414,13 +414,6 @@ def test_classify_chain_examples():
     assert lk.size_classify(cs(3, "b1", "g1", "b2")) == lk.EnclosureClaim(1, 2)
 
 
-def test_classify_chain_rejects_inconsistent_separating_form(monkeypatch):
-    # a 3-chain cannot be the separating family of [a1,a3] (length 7)
-    monkeypatch.setattr(lk, "separating_chain_form", lambda s: (1, 3))
-    with pytest.raises(lk.LickorishError):
-        lk.size_classify(cs(3, "b1", "g1", "b2"))
-
-
 def test_separating_chain_form():
     assert lk.separating_chain_form(cs(2, "a1", "b1", "g1", "b2", "a2")) == (1, 2)
     # deleting the interior a from [a1,a3] leaves the separating 7-chain
@@ -497,19 +490,34 @@ def test_claim_genus_is_the_matching_number_of_the_crossing_tree():
                 assert (rep.genus, rep.boundary_count) == (nu, len(s) + 1 - 2 * nu), (g, s.sorted_members())
 
 
+def _crossing_ranks(g, mask):
+    """Reference: (rank X[S, all], rank X[S, S]) over GF(2) for the 0/1
+    crossing matrix X of the 3g-1 curves, from the crossing pairs."""
+    rows = {}  # per curve of the set, every curve it crosses
+    for x, y in lk.crossing_pairs(g):
+        if mask >> x & 1:
+            rows[x] = rows.get(x, 0) | 1 << y
+        if mask >> y & 1:
+            rows[y] = rows.get(y, 0) | 1 << x
+    return gf2_rank(list(rows.values())), gf2_rank([row & mask for row in rows.values()])
+
+
 def test_matching_number_is_half_the_crossing_matrix_rank():
     # a tree's adjacency matrix over GF(2) has rank twice its matching
-    # number: every connected subset at g <= 10 (17,991 of them)
+    # number, and every claim is (nu, 1 + r - 2 nu) for r = rank X[S, all]:
+    # every connected subset at g <= 10 (17,991 of them)
+    rgs = {g: sf.lickorish_surface(g) for g in range(2, 10)}
     checked = 0
     for g in range(2, 11):
         pairs = lk.crossing_pairs(g)
         for mask in lk.connected_masks(g):
-            rows = {}  # per curve of the set, the curves of the set it crosses
-            for x, y in pairs:
-                if mask >> x & mask >> y & 1:
-                    rows[x] = rows.get(x, 0) | 1 << y
-                    rows[y] = rows.get(y, 0) | 1 << x
-            assert gf2_rank(list(rows.values())) == 2 * _matching_number(pairs, mask), (g, mask)
+            s = lk.CurveSet(g, mask)
+            r, r2 = _crossing_ranks(g, mask)
+            assert r2 == 2 * _matching_number(pairs, mask), (g, mask)
+            assert lk.size_classify(s)[:2] == lk.rank_claim(s) == (r2 // 2, 1 + r - r2), (g, s.sorted_members())
+            if g <= 9:
+                # Mayer-Vietoris: the raw neighbourhood's complement has |S| + 1 - r pieces
+                assert len(sf.complement_census(rgs[g], s, fill=False)) == len(s) + 1 - r, (g, s.sorted_members())
             checked += 1
     assert checked == 17991
 
@@ -587,7 +595,10 @@ def test_enclosing_interval_matches_linear_scan():
 @example(g=200, rng=random.Random(0))
 def test_enclosing_interval_matches_linear_scan_on_grown_subsets(g, rng):
     s = lk.CurveSet(g, _random_connected_mask(g, rng))
-    assert lk.size_classify(s).genus_bound == _matching_number(lk.crossing_pairs(g), s.mask), s.sorted_members()
+    nu = _matching_number(lk.crossing_pairs(g), s.mask)
+    r, r2 = _crossing_ranks(g, s.mask)
+    assert r2 == 2 * nu, s.sorted_members()
+    assert lk.size_classify(s)[:2] == lk.rank_claim(s) == (nu, 1 + r - r2), s.sorted_members()
     if lk.chain_order(s) is None:
         w = lk.enclosing_interval(s)
         assert [w] == _least_windows(g, s.mask), s.sorted_members()

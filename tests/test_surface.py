@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from twistcert import lickorish as lk
 from twistcert import surface as sf
+from twistcert.nervecplx import gf2_rank
 
 
 def report(g, names, fill=True):
@@ -45,6 +46,30 @@ def test_capped_genus_matches_target():
         assert len(rg.vertices) == 3 * g - 2
         assert len(rg.arcs) == 2 * (3 * g - 2)
         assert _capped_genus(rg) == g, f"capping failed at g={g}"
+
+
+def test_cellular_homology_has_the_curves_as_classes():
+    # the premise of lickorish.rank_claim on the ribbon graph itself: over
+    # GF(2), H_1 has dimension E - rank d1 - rank d2 = 2g, the a and b
+    # cycles are independent modulo the face boundaries, and each
+    # g_i + a_i + a_{i+1} is a face boundary.  Homology cannot see which
+    # complement pieces are discs, so a handedness fault passes this test.
+    for g in [*range(2, 11), 20, 40]:
+        rg = sf.lickorish_surface(g)
+        arc_of = {d: i for i, arc in enumerate(rg.arcs) for d in arc.darts}
+        d1 = [1 << (arc.darts[0] >> 2) ^ 1 << (arc.darts[1] >> 2) for arc in rg.arcs]
+        d2 = [0] * len(rg.faces)  # per face, the arcs it runs along an odd number of times
+        for f, face in enumerate(rg.faces):
+            for d in face:
+                d2[f] ^= 1 << arc_of[d]
+        boundaries = gf2_rank(d2)
+        assert len(rg.arcs) - gf2_rank(d1) - boundaries == 2 * g, g
+        cycle = {}  # per curve, the sum of its arcs
+        for i, arc in enumerate(rg.arcs):
+            cycle[arc.curve] = cycle.get(arc.curve, 0) | 1 << i
+        assert gf2_rank(d2 + [cycle[f"{c}{i}"] for c in "ab" for i in range(1, g + 1)]) == boundaries + 2 * g, g
+        for i in range(1, g):
+            assert gf2_rank(d2 + [cycle[f"g{i}"] ^ cycle[f"a{i}"] ^ cycle[f"a{i + 1}"]]) == boundaries, (g, i)
 
 
 def test_face_tracing_uses_each_dart_once():
